@@ -21,6 +21,7 @@ from ranklab.errors import (
     BadParameters,
     ConstraintViolation,
     DivisibilityViolation,
+    InvariantViolation,
     NoValidRadius,
     ParamMismatch,
 )
@@ -105,13 +106,16 @@ def _check_instance(inst: AdversarialInstance):
     """Construction-time invariants; verify_instance re-checks independently."""
     code, tau = inst.code, inst.tau
     d = code.min_distance
-    assert (d - 1) // 2 + 1 <= tau <= d - 1, "radius outside (UDR, d)"
-    assert inst.pivot.q_degree >= code.k, "pivot degree would be a codeword"
-    assert len(inst.codewords) == len(inst.family.members)
-    assert len(inst.codewords) >= inst.claimed_bound or inst.degenerate
-    for cw in inst.codewords:
-        assert rank_distance(inst.center, cw) == tau, \
-            "codeword not at distance exactly tau"
+    if not (d - 1) // 2 + 1 <= tau <= d - 1:
+        raise InvariantViolation(f"radius {tau} outside (UDR, d={d})")
+    if inst.pivot.q_degree < code.k:
+        raise InvariantViolation("pivot degree would be a codeword")
+    if len(inst.codewords) != len(inst.family.members):
+        raise InvariantViolation("list and family sizes differ")
+    if len(inst.codewords) < inst.claimed_bound and not inst.degenerate:
+        raise InvariantViolation("list below the claimed bound")
+    if any(rank_distance(inst.center, cw) != tau for cw in inst.codewords):
+        raise InvariantViolation("codeword not at distance exactly tau")
 
 
 def _build_instance(code: GabidulinCode, tau: int, family: PolyFamily,

@@ -95,3 +95,8 @@ class ConstraintViolation(RanklabError):
 
 class BadParameters(RanklabError):
     """Parameters outside the domain of a comparison formula."""
+
+
+class InvariantViolation(RanklabError):
+    """A property the construction guarantees (a distance identity, the
+    MRD rank of a code, an instance's radius) failed to hold."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -21,6 +22,7 @@ from ranklab.errors import (
     BudgetExceeded,
     ContextMismatch,
     DegreeTooHigh,
+    InvariantViolation,
     NegativeDiscriminant,
     NotASubfield,
     RadiusTooLarge,
@@ -105,6 +107,41 @@ class GabidulinCode:
         return (f"Gab[{self.n},{self.k}] over GF({self.q}^{self.m})"
                 + (f" punctured x{self.punctured}" if self.punctured else ""))
 
+    @cached_property
+    def _basis_contributions(self) -> Tuple[Tuple[int, ...], ...]:
+        """Codewords of the GF(q)-basis messages x^t * x^(q^i); message
+        digit i*m + t is digit t of the coefficient of x^(q^i)."""
+        field = self.field
+        out = []
+        for i in range(self.k):
+            frob_points = [field.frobenius(p, i) for p in self.eval_points]
+            for t in range(field.e):
+                out.append(tuple(field.mul(field.q ** t, fp)
+                                 for fp in frob_points))
+        return tuple(out)
+
+    @cached_property
+    def _message_inverse(self) -> tuple:
+        """Information set and inverse of the nm x mk message system A.
+
+        One elimination rref([A^T | I]) = [R | E]: the pivot columns of R
+        are mk independent equations (coordinate j, digit b) and E^T
+        inverts that square subsystem, so the message digits of a word
+        are sum_i (digit b_i of coordinate j_i) * E_i.
+        """
+        m, mk, nm = self.m, self.m * self.k, self.n * self.m
+        rows = [sum((self.field.digits(c) for c in vec), ())
+                + tuple(int(u == v) for v in range(mk))
+                for u, vec in enumerate(self._basis_contributions)]
+        out = []
+        for row in gfmatrix.rref(rows, self.q):
+            pivot = next(i for i, v in enumerate(row) if v)
+            if pivot >= nm:
+                raise InvariantViolation(
+                    f"{self!r}: message system has rank below mk={mk}")
+            out.append((divmod(pivot, m), row[nm:]))
+        return tuple(out)
+
 
 def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
               points: Optional[Sequence[int]] = None) -> GabidulinCode:
@@ -153,25 +190,13 @@ def encode(code: GabidulinCode, message: LinearizedPoly) -> RankWord:
     return evaluate_word(code, message)
 
 
-def _basis_contributions(code: GabidulinCode) -> List[Tuple[int, ...]]:
-    """Codewords of the GF(q)-basis messages gamma^t x^(q^i)."""
-    field = code.field
-    out = []
-    for i in range(code.k):
-        frob_points = [field.frobenius(p, i) for p in code.eval_points]
-        for t in range(field.e):
-            g = field.pow(field.generator_serial, t)
-            out.append(tuple(field.mul(g, fp) for fp in frob_points))
-    return out
-
-
 def codewords(code: GabidulinCode,
               budget: int = BALL_BUDGET) -> Iterator[RankWord]:
     """All q^(mk) codewords (message order; big-endian digit odometer)."""
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
     field = code.field
-    contribs = _basis_contributions(code)
+    contribs = code._basis_contributions
     n = code.n
     q = code.q
 
@@ -198,35 +223,23 @@ def preimage_message(code: GabidulinCode,
                      w: RankWord) -> Optional[LinearizedPoly]:
     """Message polynomial of q-degree < k encoding w, or None.
 
-    Solves the GF(q)-linear system over the mk message coordinates, so it
-    is independent of the enumeration-based oracle.
+    The GF(q)-linear message system is eliminated once per code object
+    (an information set of mk equations and its inverse); each word then
+    costs one GF(q) matrix-vector product, and is accepted only if
+    re-encoding the message reproduces all n coordinates.  Independent
+    of the enumeration-based oracle.
     """
     _check_code_context(code, w)
-    field = code.field
-    q, m, n = code.q, field.e, code.n
-    contribs = _basis_contributions(code)
-    # equations: m digits per coordinate; unknowns: m*k basis multipliers
-    rows = []
-    rhs = []
-    cols = [  # digit expansion of each basis codeword
-        [field.digits(c) for c in vec] for vec in contribs]
-    for j in range(n):
-        for bit in range(m):
-            rows.append(tuple(cols[u][j][bit] for u in range(len(contribs))))
-            rhs.append(field.digits(w.coords[j])[bit])
-    sol = gfmatrix.solve(rows, rhs, q)
-    if sol is None:
-        return None
-    coeffs = [0] * code.k
-    gamma = field.generator_serial
-    for i in range(code.k):
-        acc = 0
-        for t in range(m):
-            c = sol[i * m + t]
-            if c:
-                acc = field.add(acc, field.mul(c, field.pow(gamma, t)))
-        coeffs[i] = acc
-    return LinearizedPoly(field, coeffs)
+    field, m = code.field, code.m
+    digs = [field.digits(c) for c in w.coords]
+    x = [0] * (m * code.k)
+    for (j, b), row in code._message_inverse:
+        c = digs[j][b]
+        if c:
+            x = [a + c * v for a, v in zip(x, row)]
+    msg = LinearizedPoly(field, [field.from_digits(x[i * m:(i + 1) * m])
+                                 for i in range(code.k)])
+    return msg if evaluate_word(code, msg).coords == w.coords else None
 
 
 def contains(code: GabidulinCode, w: RankWord) -> bool:
@@ -249,7 +262,7 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
     if code.q == 2:
         # Gray-code walk over the GF(2) message space; diff tracks
         # center - codeword as packed columns.
-        contribs = _basis_contributions(code)
+        contribs = code._basis_contributions
         exceeds = gfmatrix.rank_gf2_exceeds
         diff = list(center.coords)
         if not exceeds(diff, tau):

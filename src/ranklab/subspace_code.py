@@ -13,16 +13,22 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ranklab import gfmatrix
-from ranklab.errors import BudgetExceeded, RadiusTooLarge, ShapeMismatch
+from ranklab.errors import (
+    BudgetExceeded,
+    InvariantViolation,
+    RadiusTooLarge,
+    ShapeMismatch,
+)
 from ranklab.gabidulin import (
+    BALL_BUDGET,
     GabidulinCode,
     RankWord,
     codewords,
-    rank_distance,
+    enumerate_ball,
 )
 from ranklab.subspace import gaussian_binomial
 
-LIFT_BUDGET = 1 << 18
+LIFT_BUDGET = 1 << 18          # lift_code keeps every lifted subspace
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,6 @@ class LiftedSubspace:
     def payload(self) -> Tuple[Tuple[int, ...], ...]:
         """The matrix X recovered from the stored [I_n | X]."""
         return tuple(r[self.n:] for r in self.rows)
-
-    def packed_rows(self) -> Tuple[int, ...]:
-        return self.packed
 
 
 def _pack_row(row: Sequence[int], q: int) -> int:
@@ -103,7 +106,9 @@ def lifted_distance(a: LiftedSubspace, b: LiftedSubspace) -> int:
         diff = [[(x - y) % a.q for x, y in zip(ra, rb)]
                 for ra, rb in zip(a.payload(), b.payload())]
         by_rank = 2 * gfmatrix.rank(diff, a.q)
-    assert by_stack == by_rank, "distance identity violated"
+    if by_stack != by_rank:
+        raise InvariantViolation(
+            f"distance identity violated: {by_stack} != {by_rank}")
     return by_stack
 
 
@@ -113,7 +118,8 @@ def lift_code(code: GabidulinCode,
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
     out = [lift_word(w) for w in codewords(code, budget)]
-    assert len({ls.rows for ls in out}) == len(out)
+    if len({ls.rows for ls in out}) != len(out):
+        raise InvariantViolation("lifting merged distinct codewords")
     return out
 
 
@@ -129,7 +135,7 @@ def prior_lifted_bound(q: int, n: int, m: int, k: int,
 
 
 def verify_lifted_instance(inst, tau_s: Optional[int] = None,
-                           budget: int = LIFT_BUDGET):
+                           budget: int = BALL_BUDGET):
     """Subspace-level checks of a rank-level instance.
 
     Lifts center and codewords, checks every lifted distance is within
@@ -158,8 +164,7 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
 
     code = inst.code
     if code.size <= budget:
-        rank_count = sum(1 for w in codewords(code, budget)
-                         if rank_distance(inst.center, w) <= inst.tau)
+        rank_count = len(enumerate_ball(code, inst.center, inst.tau, budget))
         if code.q == 2:
             # d_s = 2(rank[stacked] - n) <= tau_s iff the stacked rank
             # stays within n + floor(tau_s/2)

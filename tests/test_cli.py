@@ -63,6 +63,19 @@ def test_bad_config_exits_2_with_json_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_rank_deficient_code_in_file_exits_2(tmp_path, capsys):
+    # k > n leaves the message system without an information set
+    inst = tmp_path / "inst.json"
+    run(capsys, "gen-explicit", "--q", "2", "--g", "2", "--s", "1",
+        "--n", "4", "--m", "4", "--out", str(inst))
+    data = json.loads(inst.read_text())
+    data["code"]["k"] = 5
+    inst.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--in", str(inst))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "InvariantViolation"
+
+
 def test_missing_required_flag_exits_2(capsys):
     assert main(["gen-explicit", "--q", "2"]) == 2
 

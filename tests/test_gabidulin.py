@@ -12,14 +12,18 @@ from ranklab.errors import (
     BudgetExceeded,
     ContextMismatch,
     DegreeTooHigh,
+    InvariantViolation,
     NegativeDiscriminant,
     NotASubfield,
     RadiusTooLarge,
     TooManyPunctures,
 )
+from ranklab import gfmatrix
+from ranklab.adversarial import code_from_dict, code_to_dict
 from ranklab.field import make_field
 from ranklab.linpoly import LinearizedPoly
 from ranklab.gabidulin import (
+    GabidulinCode,
     RankWord,
     codewords,
     encode,
@@ -211,6 +215,75 @@ def test_preimage_roundtrip_and_rejection():
     # a word evaluated from a degree-k polynomial is not in the code
     high = evaluate_word(code, LinearizedPoly.monomial(f, 3))
     assert preimage_message(code, high) is None
+
+
+# (q, n, m, k, punctured): q in {2, 3, 5}, m > n, and punctured codes
+PREIMAGE_CODES = [(2, 6, 6, 3, 0), (3, 4, 4, 2, 0), (5, 4, 4, 2, 0),
+                  (2, 8, 16, 1, 0), (3, 4, 8, 1, 0), (2, 6, 6, 2, 2),
+                  (3, 4, 4, 1, 1)]
+
+
+@pytest.mark.parametrize("q, n, m, k, s", PREIMAGE_CODES)
+def test_preimage_roundtrip_and_one_digit_rejection(q, n, m, k, s):
+    rng = random.Random(f"preimage:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    f = code.field
+    for _ in range(8):
+        msg = LinearizedPoly(f, [rng.randrange(f.order) for _ in range(k)])
+        w = encode(code, msg)
+        assert preimage_message(code, w) == msg
+        # one GF(q) digit of one coordinate changed: a rank-1 error,
+        # below the minimum distance, so never a codeword
+        coords = list(w.coords)
+        j = rng.randrange(code.n)
+        coords[j] = f.add(coords[j],
+                          rng.randrange(1, q) * q ** rng.randrange(m))
+        assert preimage_message(code, RankWord(f, tuple(coords))) is None
+    high = evaluate_word(code, LinearizedPoly.monomial(f, k))
+    assert preimage_message(code, high) is None
+
+
+@pytest.mark.parametrize("q, n, m, k, s", PREIMAGE_CODES)
+def test_preimage_same_after_dict_roundtrip(q, n, m, k, s):
+    rng = random.Random(f"rebuild:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    rebuilt = code_from_dict(code_to_dict(code))
+    assert rebuilt == code and rebuilt is not code
+    f = code.field
+    for _ in range(4):
+        msg = LinearizedPoly(f, [rng.randrange(f.order) for _ in range(k)])
+        w = encode(code, msg)
+        assert preimage_message(rebuilt, w) == preimage_message(code, w)
+
+
+def test_preimage_factors_the_message_system_once(monkeypatch):
+    code = make_code(3, 4, 4, 2)
+    f = code.field
+    calls = {"rref": 0, "solve": 0}
+
+    def counted(name):
+        original = getattr(gfmatrix, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gfmatrix, name, counted(name))
+    for c in range(1, 6):
+        msg = LinearizedPoly(f, [c, 2 * c])
+        assert preimage_message(code, encode(code, msg)) == msg
+    assert calls == {"rref": 1, "solve": 0}
+
+
+def test_preimage_rank_deficient_system_raises():
+    # repeated evaluation points: the message map cannot be injective
+    f = make_field(2, 4)
+    code = GabidulinCode(field=f, n=3, k=2, beta=1, eval_points=(1, 1, 1),
+                         subfield_degree=3)
+    with pytest.raises(InvariantViolation):
+        preimage_message(code, RankWord(f, (0, 0, 0)))
 
 
 def test_puncture_parameters():

@@ -1,7 +1,12 @@
 """Lifting: the distance-doubling identity, lifted codes, lifted instances."""
 
+import inspect
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +14,8 @@ from ranklab import gfmatrix
 from ranklab.errors import RadiusTooLarge, ShapeMismatch
 from ranklab.adversarial import build_counting_instance, build_explicit_instance
 from ranklab.field import make_field
-from ranklab.gabidulin import RankWord, codewords, make_code
+from ranklab.cli import _build_parser
+from ranklab.gabidulin import BALL_BUDGET, RankWord, codewords, make_code
 from ranklab.subspace_code import (
     lift,
     lift_code,
@@ -154,3 +160,45 @@ def test_prior_lifted_bound_values():
     assert prior_lifted_bound(2, 6, 6, 3, 6) == Fraction(1395)
     with pytest.raises(RadiusTooLarge):
         prior_lifted_bound(2, 6, 6, 3, 8)
+
+
+def test_lift_verify_budget_defaults_agree():
+    # the library and the CLI run the same checks on the same file
+    library = inspect.signature(verify_lifted_instance).parameters["budget"]
+    cli = _build_parser().parse_args(["lift-verify", "--in", "unused.json"])
+    assert library.default == cli.budget == BALL_BUDGET
+
+
+# Each probe breaks one invariant and prints whether InvariantViolation
+# was raised; run in-process and under python -O, which strips asserts.
+INVARIANT_PROBES = """
+import dataclasses
+from ranklab.adversarial import _check_instance, build_explicit_instance
+from ranklab.errors import InvariantViolation
+from ranklab.subspace_code import LiftedSubspace, lift, lifted_distance
+
+# packed rows that contradict the stored [I | X]: the stacked rank and
+# the payload rank give different distances
+broken = LiftedSubspace(q=2, n=1, m=1, rows=((1, 1),), packed=(0,))
+inst = build_explicit_instance(2, 2, 1, 4, 4)   # d = 4, radius in (1, 4)
+for probe in (lambda: lifted_distance(lift([[1]], 2), broken),
+              lambda: _check_instance(dataclasses.replace(inst, tau=1)),
+              lambda: _check_instance(dataclasses.replace(inst, tau=4))):
+    try:
+        probe()
+        print("passed")
+    except InvariantViolation:
+        print("raised")
+"""
+
+
+def test_invariant_violations_raise_named_error_under_O(capsys):
+    exec(INVARIANT_PROBES, {})
+    assert capsys.readouterr().out.split() == ["raised"] * 3
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", INVARIANT_PROBES],
+                         env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == ["raised"] * 3
