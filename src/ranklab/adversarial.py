@@ -18,12 +18,14 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from ranklab.errors import (
+    BadDimension,
     BadParameters,
     ConstraintViolation,
     DivisibilityViolation,
     InvariantViolation,
     NoValidRadius,
     ParamMismatch,
+    require,
 )
 from ranklab.constructions import (
     FamilyParams,
@@ -340,7 +342,7 @@ def rs_family_size_report(q: int, n: int, r: int, g: int) -> RSRouteReport:
     exponent = (r // g) * (n - r) - n * ell
     bound = 4 * q ** exponent
     cap = 4 * q ** n
-    assert bound <= cap
+    require(bound <= cap, "route bound above its cap 4 q^n")
     return RSRouteReport(q=q, n=n, r=r, g=g, ell=ell, bound=bound, cap=cap,
                          superpolynomial=False)
 
@@ -363,6 +365,8 @@ def code_to_dict(code: GabidulinCode) -> dict:
 def code_from_dict(d: dict) -> GabidulinCode:
     from ranklab import gfmatrix
 
+    if not 1 <= d["k"] <= d["n"]:
+        raise BadDimension(f"need 1 <= k <= n, got k={d['k']}, n={d['n']}")
     field = make_field(d["q"], d["m"], d["modulus"])
     beta = field.pow(field.generator_serial, d["beta_exponent"])
     points = tuple(d["eval_points"])

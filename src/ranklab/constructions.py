@@ -23,6 +23,7 @@ from ranklab.errors import (
     NotASubfield,
     ParamMismatch,
     ZeroShift,
+    require,
 )
 from ranklab.field import FieldElement, FieldSpec, embed_serial, make_field
 from ranklab.linpoly import (
@@ -141,12 +142,12 @@ def subfield_linear_family(q: int, n: int, r: int, g: int,
             gens.append(h)
         basis = [ambient.mul(t, h) for h in gens for t in sub_gen_pows]
         space = Subspace.from_elements(ambient, basis)
-        assert space.dim == r
+        require(space.dim == r, "pattern span is not an r-subspace")
         poly = subspace_polynomial(space)
-        assert all(c == 0 for i, c in enumerate(poly.coeffs) if i % g), \
-            "coefficient off the g-stride"
+        require(all(c == 0 for i, c in enumerate(poly.coeffs) if i % g),
+                "coefficient off the g-stride")
         pairs.append((space.sort_key(), poly))
-    assert len(pairs) == size
+    require(len(pairs) == size, "family size is not [n/g, r/g]_(q^g)")
     pairs.sort(key=lambda t: t[0])
 
     params = FamilyParams(q=q, n=n, r=r, g=g, s=1, ell=(n - r) // g - 1)
@@ -179,7 +180,8 @@ def pigeonhole_subfamily(family: PolyFamily, ell: int) -> PolyFamily:
         buckets.setdefault(key, []).append(m)
     best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
     chosen = buckets[best_key]
-    assert len(chosen) * (p.q ** (p.n * ell)) >= len(family.members)
+    require(len(chosen) * (p.q ** (p.n * ell)) >= len(family.members),
+            "largest bucket below the pigeonhole bound")
 
     top_len = g * (ell + 1)
     sample = chosen[0]
@@ -209,8 +211,9 @@ def orbit_base_poly(q: int, g: int, s: int, r: int) -> LinearizedPoly:
         coeffs[i * gs] = 1
     poly = LinearizedPoly(ambient, coeffs)
     if ambient.order <= VERIFY_EVAL_BUDGET:
-        assert divides_check(poly, field_vanishing_poly(ambient))
-        assert kernel(poly, ambient).dim == r
+        require(divides_check(poly, field_vanishing_poly(ambient)),
+                "base polynomial does not divide x^(q^n) - x")
+        require(kernel(poly, ambient).dim == r, "base kernel is not r-dim")
     return poly
 
 
@@ -254,7 +257,7 @@ def orbit_poly_family(q: int, g: int, s: int, r: int,
         for i in range(n // gs):
             coeffs[i * gs] = ambient.pow(beta, qr - q ** (i * gs))
         members.append(LinearizedPoly(ambient, coeffs))
-    assert len(set(members)) == len(members)
+    require(len(set(members)) == len(members), "orbit members repeat")
 
     params = FamilyParams(q=q, n=n, r=r, g=g, s=s, ell=s - 1)
     mutual = (1,) + (0,) * (gs - 1)
@@ -265,11 +268,11 @@ def orbit_poly_family(q: int, g: int, s: int, r: int,
     base_kernel = None
     if ambient.order <= VERIFY_EVAL_BUDGET:
         base_kernel = kernel(members[0], ambient)
-        assert base_kernel.dim == r
+        require(base_kernel.dim == r, "base kernel is not r-dim")
         for idx in _spot_indices(len(reps), work, verify_budget, seed):
             shifted = cyclic_shift(base_kernel, reps[idx])
-            assert kernel(members[idx], ambient) == shifted, \
-                "member kernel is not the expected cyclic shift"
+            require(kernel(members[idx], ambient) == shifted,
+                    "member kernel is not the expected cyclic shift")
     return fam
 
 
@@ -350,5 +353,6 @@ def is_pivot_family(polys: Sequence[OrdinaryPoly], min_roots: int,
             return False, None
         mutual[d] = vals.pop()
     pivot = OrdinaryPoly(spec, mutual)
-    assert all((pivot - p).degree <= diff_degree for p in polys)
+    require(all((pivot - p).degree <= diff_degree for p in polys),
+            "a member is too far from the pivot")
     return True, pivot

@@ -100,3 +100,9 @@ class BadParameters(RanklabError):
 class InvariantViolation(RanklabError):
     """A property the construction guarantees (a distance identity, the
     MRD rank of a code, an instance's radius) failed to hold."""
+
+
+def require(holds: bool, message: str) -> None:
+    """Raise InvariantViolation unless holds; python -O keeps this check."""
+    if not holds:
+        raise InvariantViolation(message)

@@ -4,8 +4,8 @@ enumeration, puncturing, and the bound calculators.
 
 A word is a length-n vector of GF(q^m) serials; its matrix form is the m x n
 expansion over GF(q) (coordinate i becomes column i), and rank weight is the
-rank of that matrix.  The ball oracle iterates the q^(mk) messages of the
-code, never the ambient space.
+rank of that matrix.  Every scan of the code is one walk over its q^(mk)
+messages in q-ary Gray order (_walk), never over the ambient space.
 """
 
 from __future__ import annotations
@@ -190,28 +190,34 @@ def encode(code: GabidulinCode, message: LinearizedPoly) -> RankWord:
     return evaluate_word(code, message)
 
 
+def _walk(code: GabidulinCode, start: Sequence[int]) -> Iterator[List[int]]:
+    """start + c for every codeword c, as one list updated in place, in
+    modular q-ary Gray order of the messages: step i adds basis
+    contribution t, the number of trailing zero base-q digits of i."""
+    contribs = code._basis_contributions
+    q, n, add = code.q, code.n, code.field.add
+    word = list(start)
+    yield word
+    for i in range(1, code.size):
+        if q == 2:
+            vec = contribs[(i & -i).bit_length() - 1]
+            for j in range(n):
+                word[j] ^= vec[j]
+        else:
+            t, r = 0, i
+            while not r % q:
+                t, r = t + 1, r // q
+            word[:] = map(add, word, contribs[t])
+        yield word
+
+
 def codewords(code: GabidulinCode,
               budget: int = BALL_BUDGET) -> Iterator[RankWord]:
-    """All q^(mk) codewords (message order; big-endian digit odometer)."""
+    """All q^(mk) codewords, each once, in the Gray order of _walk."""
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
-    field = code.field
-    contribs = code._basis_contributions
-    n = code.n
-    q = code.q
-
-    def rec(level: int, partial: Tuple[int, ...]):
-        if level == len(contribs):
-            yield RankWord(field, partial)
-            return
-        vec = contribs[level]
-        cur = partial
-        for digit in range(q):
-            yield from rec(level + 1, cur)
-            if digit < q - 1:
-                cur = tuple(field.add(a, b) for a, b in zip(cur, vec))
-
-    yield from rec(0, (0,) * n)
+    for w in _walk(code, (0,) * code.n):
+        yield RankWord(code.field, tuple(w))
 
 
 def _check_code_context(code: GabidulinCode, w: RankWord):
@@ -256,30 +262,17 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
     _check_code_context(code, center)
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
-    field = code.field
-    n = code.n
-    found: List[Tuple[int, ...]] = []
     if code.q == 2:
-        # Gray-code walk over the GF(2) message space; diff tracks
-        # center - codeword as packed columns.
-        contribs = code._basis_contributions
+        # walking from the center, each word is center - codeword
         exceeds = gfmatrix.rank_gf2_exceeds
-        diff = list(center.coords)
-        if not exceeds(diff, tau):
-            found.append(tuple(c ^ d for c, d in zip(center.coords, diff)))
-        for idx in range(1, code.size):
-            vec = contribs[(idx & -idx).bit_length() - 1]
-            for j in range(n):
-                diff[j] ^= vec[j]
-            if not exceeds(diff, tau):
-                found.append(tuple(c ^ d
-                                   for c, d in zip(center.coords, diff)))
+        found = [tuple(c ^ d for c, d in zip(center.coords, diff))
+                 for diff in _walk(code, center.coords)
+                 if not exceeds(diff, tau)]
     else:
-        for w in codewords(code, budget):
-            if rank_distance(center, w) <= tau:
-                found.append(w.coords)
+        found = [w.coords for w in codewords(code, budget)
+                 if rank_distance(center, w) <= tau]
     found.sort()
-    return [RankWord(field, c) for c in found]
+    return [RankWord(code.field, c) for c in found]
 
 
 # ----------------------------------------------------------------------

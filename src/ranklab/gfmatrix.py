@@ -8,7 +8,7 @@ the brute-force ball scans.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Row = Tuple[int, ...]
 
@@ -54,38 +54,41 @@ def rank(rows: Sequence[Sequence[int]], q: int) -> int:
     return len(rref(rows, q))
 
 
-def rank_gf2(vecs: Sequence[int]) -> int:
-    """Rank of vectors packed as ints over GF(2)."""
-    basis = {}
-    cnt = 0
+def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
+                   room: int) -> bool:
+    """Add vecs to basis (bit length -> vector); True iff > room are new."""
     for v in vecs:
         while v:
-            h = v.bit_length() - 1
+            h = v.bit_length()
             b = basis.get(h)
             if b is None:
                 basis[h] = v
-                cnt += 1
-                break
-            v ^= b
-    return cnt
-
-
-def rank_gf2_exceeds(vecs: Sequence[int], limit: int) -> bool:
-    """True iff the GF(2) rank of the packed vectors is > limit."""
-    basis = {}
-    cnt = 0
-    for v in vecs:
-        while v:
-            h = v.bit_length() - 1
-            b = basis.get(h)
-            if b is None:
-                basis[h] = v
-                cnt += 1
-                if cnt > limit:
+                room -= 1
+                if room < 0:
                     return True
                 break
             v ^= b
-    return False
+    return room < 0
+
+
+def basis_gf2(vecs: Sequence[int]) -> Dict[int, int]:
+    """Echelon basis (bit length -> vector) of packed GF(2) vectors."""
+    basis: Dict[int, int] = {}
+    _eliminate_gf2(vecs, basis, len(vecs))
+    return basis
+
+
+def rank_gf2(vecs: Sequence[int]) -> int:
+    """Rank of vectors packed as ints over GF(2)."""
+    return len(basis_gf2(vecs))
+
+
+def rank_gf2_exceeds(vecs: Sequence[int], limit: int,
+                     start: Optional[Dict[int, int]] = None) -> bool:
+    """True iff the GF(2) rank of start's vectors and vecs is > limit."""
+    if start:
+        return _eliminate_gf2(vecs, dict(start), limit - len(start))
+    return _eliminate_gf2(vecs, {}, limit)
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int],

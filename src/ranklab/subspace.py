@@ -13,7 +13,7 @@ import itertools
 from typing import Iterable, List, Sequence, Tuple
 
 from ranklab import gfmatrix
-from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift
+from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift, require
 from ranklab.field import FieldElement, FieldSpec
 from ranklab.linpoly import LinearizedPoly
 
@@ -198,10 +198,11 @@ def orbit(v: Subspace, budget: int = ORBIT_BUDGET) -> List[Subspace]:
     size = len(members)
     n = spec.e
     if v.dim in (0, n):
-        assert size == 1
+        require(size == 1, "trivial subspace has a nontrivial orbit")
     else:
-        assert any(n % t == 0 and size * (spec.q ** t - 1) == spec.order - 1
-                   for t in range(1, n + 1)), "orbit size has unexpected form"
+        require(any(n % t == 0 and size * (spec.q ** t - 1) == spec.order - 1
+                    for t in range(1, n + 1)),
+                "orbit size has unexpected form")
     return members
 
 
@@ -217,7 +218,7 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     for i in range(r):
         acc *= q ** (n - i) - 1
         num, rem = divmod(acc, q ** (i + 1) - 1)
-        assert rem == 0
+        require(rem == 0, "Gaussian binomial division left a remainder")
         acc = num
     return acc
 

@@ -23,6 +23,7 @@ from ranklab.gabidulin import (
     BALL_BUDGET,
     GabidulinCode,
     RankWord,
+    _walk,
     codewords,
     enumerate_ball,
 )
@@ -166,17 +167,14 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     if code.size <= budget:
         rank_count = len(enumerate_ball(code, inst.center, inst.tau, budget))
         if code.q == 2:
-            # d_s = 2(rank[stacked] - n) <= tau_s iff the stacked rank
-            # stays within n + floor(tau_s/2)
+            # d_s <= tau_s iff rank[center rows; word rows] <= n + half;
+            # the center rows' basis is built once and copied per word
             n = code.n
-            cp = list(lifted_center.packed)
-            limit = n + tau_s // 2
-            count = 0
-            for w in codewords(code, budget):
-                stacked = cp + [(1 << j) | (w.coords[j] << n)
-                                for j in range(n)]
-                if not gfmatrix.rank_gf2_exceeds(stacked, limit):
-                    count += 1
+            start = gfmatrix.basis_gf2(lifted_center.packed)
+            count = sum(1 for w in _walk(code, (0,) * n)
+                        if not gfmatrix.rank_gf2_exceeds(
+                            [(1 << j) | (c << n) for j, c in enumerate(w)],
+                            n + half, start))
         else:
             count = sum(1 for w in codewords(code, budget)
                         if lifted_distance(lifted_center,

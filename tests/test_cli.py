@@ -1,6 +1,9 @@
 """CLI: every subcommand, exit codes, artifact determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from ranklab.cli import main
 
@@ -64,7 +67,8 @@ def test_bad_config_exits_2_with_json_error(tmp_path, capsys):
 
 
 def test_rank_deficient_code_in_file_exits_2(tmp_path, capsys):
-    # k > n leaves the message system without an information set
+    # k > n would leave the message system without an information set;
+    # loading the file rejects the dimension before that
     inst = tmp_path / "inst.json"
     run(capsys, "gen-explicit", "--q", "2", "--g", "2", "--s", "1",
         "--n", "4", "--m", "4", "--out", str(inst))
@@ -73,7 +77,22 @@ def test_rank_deficient_code_in_file_exits_2(tmp_path, capsys):
     inst.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", "--in", str(inst))
     assert code == 2
-    assert json.loads(err.strip())["error"] == "InvariantViolation"
+    assert json.loads(err.strip())["error"] == "BadDimension"
+
+
+@pytest.mark.parametrize("command", ["verify", "lift-verify", "ball"])
+@pytest.mark.parametrize("k", [0, 5])
+def test_dimension_out_of_range_in_file_exits_2_at_load(tmp_path, capsys,
+                                                        command, k):
+    inst = tmp_path / "inst.json"
+    run(capsys, "gen-explicit", "--q", "2", "--g", "2", "--s", "1",
+        "--n", "4", "--m", "4", "--out", str(inst))
+    data = json.loads(inst.read_text())
+    data["code"]["k"] = k
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--in", str(inst))
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "BadDimension"
 
 
 def test_missing_required_flag_exits_2(capsys):
@@ -154,3 +173,33 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the verify and lift-verify reports of explicit Gab[4,1]
+# instances; a change to the checks or to the report format moves them
+PINNED_REPORTS = {
+    (2, 5): (
+        "87cb2ef938e9713cc565c41ce3f109a9189e249f0d8bd1e9047c547a6040d49b",
+        "9caa376ae7b00945b226509aaa17297d39f826e4ca45686942f896a7ebb23cb6"),
+    (3, 17): (
+        "5818d46b8340c6d7847bc9503682e4e354eced0d28543f64e83354705499ca69",
+        "2fb3d0bfbdf70a35fc3479986431271f9ed32eea82035d62200447580a143c08"),
+    (5, 101): (
+        "320e26dacf1479faf86b2dfd5c11c026b8c8692cb785b7ea3108512205bbbe29",
+        "13a619a109998de7e8ca2b5f21918fc0f19f4bb76249c067c9faee532422c8c3"),
+}
+
+
+@pytest.mark.parametrize("q, beta_exp", sorted(PINNED_REPORTS))
+def test_reports_match_pinned_bytes(tmp_path, capsys, q, beta_exp):
+    inst = tmp_path / "inst.json"
+    assert main(["gen-explicit", "--q", str(q), "--g", "2", "--s", "1",
+                 "--n", "4", "--m", "4", "--beta-exp", str(beta_exp),
+                 "--seed", "1", "--out", str(inst)]) == 0
+    digests = []
+    for command in ("verify", "lift-verify"):
+        report = tmp_path / f"{command}.json"
+        assert main([command, "--in", str(inst), "--out", str(report)]) == 0
+        digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert tuple(digests) == PINNED_REPORTS[q, beta_exp]

@@ -25,6 +25,7 @@ from ranklab.linpoly import LinearizedPoly
 from ranklab.gabidulin import (
     GabidulinCode,
     RankWord,
+    _walk,
     codewords,
     encode,
     enumerate_ball,
@@ -82,6 +83,30 @@ def test_codewords_all_distinct():
     code = make_code(2, 4, 4, 2)
     seen = {w.coords for w in codewords(code)}
     assert len(seen) == 256 == code.size
+
+
+# (q, n, m, k, punctured): q in {2, 3, 5}, m > n, and a punctured code,
+# each small enough to walk in full
+WALK_CODES = [(2, 4, 4, 2, 0), (3, 2, 2, 1, 0), (5, 2, 2, 1, 0),
+              (2, 3, 6, 1, 0), (3, 2, 4, 1, 0), (2, 6, 6, 2, 3)]
+
+
+@pytest.mark.parametrize("q, n, m, k, s", WALK_CODES)
+def test_walk_visits_every_codeword_once_one_step_apart(q, n, m, k, s):
+    rng = random.Random(f"walk:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    f = code.field
+    words = [w.coords for w in codewords(code)]
+    assert len(words) == len(set(words)) == code.size == q ** (m * k)
+    assert all(preimage_message(code, RankWord(f, w)) is not None
+               for w in words)
+    steps = set(code._basis_contributions)
+    assert all(tuple(map(f.sub, b, a)) in steps
+               for a, b in zip(words, words[1:]))
+    # from any start the walk visits start + c for every codeword c
+    start = tuple(rng.randrange(f.order) for _ in range(code.n))
+    shifted = {tuple(map(f.sub, w, start)) for w in _walk(code, start)}
+    assert shifted == set(words)
 
 
 def test_rank_weight_values():

@@ -1,5 +1,7 @@
 """Lifting: the distance-doubling identity, lifted codes, lifted instances."""
 
+import ast
+import dataclasses
 import inspect
 import os
 import random
@@ -7,15 +9,23 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ranklab import gfmatrix
-from ranklab.errors import RadiusTooLarge, ShapeMismatch
+from ranklab import constructions, gfmatrix
+from ranklab.errors import InvariantViolation, RadiusTooLarge, ShapeMismatch
 from ranklab.adversarial import build_counting_instance, build_explicit_instance
 from ranklab.field import make_field
 from ranklab.cli import _build_parser
-from ranklab.gabidulin import BALL_BUDGET, RankWord, codewords, make_code
+from ranklab.gabidulin import (
+    BALL_BUDGET,
+    RankWord,
+    codewords,
+    enumerate_ball,
+    make_code,
+    puncture,
+)
 from ranklab.subspace_code import (
     lift,
     lift_code,
@@ -154,6 +164,48 @@ def test_ball_relation_counts_match_exactly():
     assert count == len(enumerate_ball(inst.code, inst.center, 2))
 
 
+@pytest.mark.parametrize("n, m, k, s", [(4, 4, 2, 0), (3, 6, 1, 0),
+                                        (6, 6, 2, 2)])
+def test_lifted_count_with_hoisted_center_basis(n, m, k, s):
+    # the q = 2 lifted count starts every word's elimination from the
+    # center rows' basis; it must match stacking all rows afresh, and
+    # (distances double exactly) the rank-level ball
+    rng = random.Random(f"hoist:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(2, n, m, k, rng.randrange(2 ** m - 1)), s)
+    inst = build_explicit_instance(2, 2, 1, 4, 4)
+    for _ in range(4):
+        center = RankWord(code.field, tuple(rng.randrange(2 ** m)
+                                            for _ in range(code.n)))
+        tau = rng.randrange(1, code.min_distance)
+        report = verify_lifted_instance(dataclasses.replace(
+            inst, code=code, center=center, tau=tau, codewords=()))
+        check = {c.name: c for c in report.checks}["ball_relation_inequality"]
+        cp = list(lift_word(center).packed)
+        fresh = sum(1 for w in codewords(code)
+                    if not gfmatrix.rank_gf2_exceeds(
+                        cp + [(1 << j) | (c << code.n)
+                              for j, c in enumerate(w.coords)],
+                        code.n + tau))
+        assert check.measured == fresh == check.expected \
+            == len(enumerate_ball(code, center, tau))
+
+
+def test_rank_gf2_exceeds_from_a_start_basis():
+    rng = random.Random(31)
+    for _ in range(300):
+        bits = rng.randrange(1, 12)
+        a = [rng.randrange(1 << bits) for _ in range(rng.randrange(6))]
+        v = [rng.randrange(1 << bits) for _ in range(rng.randrange(6))]
+        limit = rng.randrange(-1, 8)
+        start = gfmatrix.basis_gf2(a)
+        kept = dict(start)
+        assert len(start) == gfmatrix.rank_gf2(a)
+        assert gfmatrix.rank_gf2_exceeds(v, limit, start=start) \
+            == gfmatrix.rank_gf2_exceeds(a + v, limit) \
+            == (gfmatrix.rank_gf2(a + v) > limit)
+        assert start == kept
+
+
 def test_prior_lifted_bound_values():
     assert prior_lifted_bound(2, 6, 6, 3, 4) == Fraction(651, 64)
     # tau_s = 2(n-k): exponent vanishes
@@ -202,3 +254,21 @@ def test_invariant_violations_raise_named_error_under_O(capsys):
                          env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.split() == ["raised"] * 3
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert; invariants raise InvariantViolation instead
+    src = Path(__file__).resolve().parents[1] / "src" / "ranklab"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_construction_invariant_raises_named_error(monkeypatch):
+    # a base kernel of the wrong dimension is caught by a require() check
+    monkeypatch.setattr(constructions, "kernel",
+                        lambda poly, ambient: SimpleNamespace(dim=0))
+    with pytest.raises(InvariantViolation):
+        constructions.orbit_base_poly(2, 2, 1, 2)

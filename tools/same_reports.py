@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Write every benchmark instance's CLI outputs, for a byte-for-byte diff.
+
+For each instance of every workload in bench/workloads.py, at seed 1, this
+runs `gen-*`, `verify --out` and `lift-verify --out` with the ranklab found
+in SRC/src and writes into OUTDIR:
+
+    <instance>.instance.json       the gen output
+    <instance>.verify.json         the verify report
+    <instance>.lift-verify.json    the lift-verify report
+    <instance>.<stage>.log         exit code, stdout and stderr of each call
+
+Paths handed to the CLI are relative to OUTDIR, so the logs do not name it.
+Two source trees give the same reports iff `diff -r` of their OUTDIRs is
+empty:
+
+    python3 tools/same_reports.py /path/to/parent-checkout /tmp/parent
+    python3 tools/same_reports.py . /tmp/change
+    diff -r /tmp/parent /tmp/change
+
+The instance list comes from this checkout's bench/, so both runs use the
+same one; each run imports only the ranklab of its SRC.
+"""
+
+import contextlib
+import io
+import os
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SEED = 1
+
+
+def run_stage(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:  # recorded, so that a diff shows it
+            rc = f"{type(exc).__name__}: {exc}"
+    return f"exit: {rc}\n--- stdout\n{out.getvalue()}--- stderr\n" \
+           f"{err.getvalue()}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[0], file=sys.stderr)
+        print("usage: same_reports.py SRC OUTDIR", file=sys.stderr)
+        return 2
+    src, outdir = (os.path.abspath(a) for a in args)
+    if not os.path.isdir(os.path.join(src, "src", "ranklab")):
+        print(f"no src/ranklab under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(src, "src"))
+    sys.path.insert(0, os.path.join(HERE, "..", "bench"))
+    from ranklab import cli
+    from workloads import WORKLOADS
+
+    os.makedirs(outdir, exist_ok=True)
+    os.chdir(outdir)
+    for workload in WORKLOADS.values():
+        for inst in workload.instances:
+            t0 = time.perf_counter()
+            path = f"{inst.name}.instance.json"
+            stages = [("gen", inst.gen_argv(SEED, path))]
+            stages += [(s, [s, "--in", path, "--out", f"{inst.name}.{s}.json"])
+                       for s in ("verify", "lift-verify")]
+            for stage, stage_argv in stages:
+                with open(f"{inst.name}.{stage}.log", "w",
+                          encoding="utf-8") as fh:
+                    fh.write(run_stage(cli, stage_argv))
+            print(f"{inst.name}: {time.perf_counter() - t0:.1f} s",
+                  file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
