@@ -5,6 +5,8 @@ all at rank distance exactly tau from it, witnessing that list decoding at
 radius tau (one past unique decoding) cannot stay polynomial.  Two builders:
 the counting route goes through the pigeonhole subfamily of the
 subfield-linear family; the explicit route uses the orbit family directly.
+list_bound is the one source of both claimed list-size bounds; the builders,
+verify_instance, the lifted checks and the bound table all call it.
 verify_instance re-derives every claim independently, including an optional
 exhaustive ball scan.
 """
@@ -13,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ranklab.errors import (
     BadDimension,
@@ -23,6 +25,7 @@ from ranklab.errors import (
     ConstraintViolation,
     DivisibilityViolation,
     InvariantViolation,
+    MalformedInstance,
     NoValidRadius,
     ParamMismatch,
     require,
@@ -107,9 +110,9 @@ def _jsonable(v):
 def _check_instance(inst: AdversarialInstance):
     """Construction-time invariants; verify_instance re-checks independently."""
     code, tau = inst.code, inst.tau
-    d = code.min_distance
-    if not (d - 1) // 2 + 1 <= tau <= d - 1:
-        raise InvariantViolation(f"radius {tau} outside (UDR, d={d})")
+    if tau not in radius_window(code.n, code.k):
+        raise InvariantViolation(
+            f"radius {tau} outside (UDR, d={code.min_distance})")
     if inst.pivot.q_degree < code.k:
         raise InvariantViolation("pivot degree would be a codeword")
     if len(inst.codewords) != len(inst.family.members):
@@ -138,9 +141,21 @@ def _build_instance(code: GabidulinCode, tau: int, family: PolyFamily,
     return inst
 
 
+def radius_window(n: int, k: int) -> range:
+    """Radii strictly between the unique decoding radius of Gab[n, k] and
+    its minimum distance d = n - k + 1: the only radii that claim a bound."""
+    d = n - k + 1
+    return range((d - 1) // 2 + 1, d)
+
+
+def counting_divides(n: int, g: int, tau: int) -> bool:
+    """The counting bound's rule: g divides tau and gcd(n - tau, n)."""
+    return g >= 1 and tau % g == 0 and math.gcd(n - tau, n) % g == 0
+
+
 def counting_bound(q: int, n: int, g: int, tau: int) -> Tuple[Fraction, int]:
     """Exact pigeonhole bound and its simplified floor q^(n - tau(ell+1))."""
-    if tau % g or math.gcd(n - tau, n) % g:
+    if not counting_divides(n, g, tau):
         raise DivisibilityViolation(
             f"need g | tau and g | gcd(n-tau, n); got g={g}, n={n}, tau={tau}")
     ell = tau // g - 1
@@ -150,29 +165,49 @@ def counting_bound(q: int, n: int, g: int, tau: int) -> Tuple[Fraction, int]:
     return exact, simplified
 
 
+def list_bound(kind: str, q: int, n: int, k: int, g: int,
+               tau: int) -> Optional[int]:
+    """The paper's list-size bound for Gab[n, k] over an extension of GF(q)
+    at radius tau; the lifted subspace codes carry the same bound.
+
+    explicit: the orbit count (q^n - 1)/(q^tau - 1), for tau = g s dividing
+    n and k = n - 2 tau + 1.  counting: the ceiling of the exact counting
+    bound, where counting_divides holds.  None when no bound covers the
+    parameters: tau outside radius_window(n, k), a divisibility rule that
+    fails, or an unknown kind.
+    """
+    if tau not in radius_window(n, k):
+        return None
+    if kind == "explicit":
+        if g >= 1 and tau % g == 0 and n % tau == 0 \
+                and k == n - 2 * tau + 1:
+            return (q ** n - 1) // (q ** tau - 1)
+        return None
+    if kind == "counting" and counting_divides(n, g, tau):
+        exact, _ = counting_bound(q, n, g, tau)
+        return -(-exact.numerator // exact.denominator)
+    return None
+
+
 def build_counting_instance(q: int, n: int, m: int, k: int, g: int,
                             beta_exponent: int = 0,
                             seed: int = 0) -> AdversarialInstance:
     """Existence-route instance: pigeonhole subfamily of the subfield-linear
     family, shifted by beta, at the smallest admissible radius."""
     code = make_code(q, n, m, k, beta_exponent)
-    d = code.min_distance
-    tau = None
-    for t in range((d - 1) // 2 + 1, d):
-        if g >= 2 and t % g == 0 and math.gcd(n - t, n) % g == 0 \
-                and 0 < n - t < n:
-            tau = t
-            break
+    window = radius_window(n, k)
+    tau = next((t for t in window if g >= 2 and counting_divides(n, g, t)),
+               None)
     if tau is None:
         raise NoValidRadius(
-            f"no radius in [{(d - 1) // 2 + 1}, {d - 1}] works with g={g}")
+            f"no radius in [{window.start}, {window.stop - 1}] works "
+            f"with g={g}")
     ell = tau // g - 1
     family = subfield_linear_family(q, n, n - tau, g, seed=seed)
     bucket = pigeonhole_subfamily(family, ell)
     shifted = shift_family(bucket, code.beta, code.field)
-    exact, _ = counting_bound(q, n, g, tau)
-    bound = -(-exact.numerator // exact.denominator)  # ceil
-    return _build_instance(code, tau, shifted, "counting", bound)
+    return _build_instance(code, tau, shifted, "counting",
+                           list_bound("counting", q, n, k, g, tau))
 
 
 def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
@@ -188,8 +223,8 @@ def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
     tau = gs
     family = orbit_poly_family(q, g, s, n - gs, seed=seed)
     shifted = shift_family(family, code.beta, code.field)
-    bound = (q ** n - 1) // (q ** gs - 1)
-    return _build_instance(code, tau, shifted, "explicit", bound)
+    return _build_instance(code, tau, shifted, "explicit",
+                           list_bound("explicit", q, n, code.k, g, tau))
 
 
 def verify_instance(inst: AdversarialInstance,
@@ -197,9 +232,11 @@ def verify_instance(inst: AdversarialInstance,
     """Re-check every instance claim from scratch.
 
     (a) the center has no message preimage; (b) every listed codeword has
-    one of q-degree < k; (c) every distance is exactly tau; (d) the list is
-    at least the claimed bound; (e) within budget, the brute-force ball
-    contains the whole list.
+    one of q-degree < k; (c) every distance is exactly tau; (d) the list
+    holds at least list_bound distinct codewords, the bound recomputed from
+    the instance's kind, code, family g and radius, and the file claims
+    that bound; (e) within budget, the brute-force ball contains the whole
+    list.
     """
     code, tau = inst.code, inst.tau
     checks = []
@@ -223,10 +260,14 @@ def verify_instance(inst: AdversarialInstance,
         "distances_exactly_tau",
         "pass" if dists == [tau] else "fail", measured=dists, expected=[tau]))
 
+    bound = list_bound(inst.kind, code.q, code.n, code.k,
+                       inst.family.params.g, tau)
+    distinct = len({cw.coords for cw in inst.codewords})
+    ok = bound is not None and distinct >= bound \
+        and inst.claimed_bound == bound
     checks.append(CheckResult(
-        "list_meets_claimed_bound",
-        "pass" if len(inst.codewords) >= inst.claimed_bound else "fail",
-        measured=len(inst.codewords), expected=inst.claimed_bound))
+        "list_meets_claimed_bound", "pass" if ok else "fail",
+        measured=distinct, expected=bound))
 
     if code.size <= ball_budget:
         ball = enumerate_ball(code, inst.center, tau, ball_budget)
@@ -362,23 +403,50 @@ def code_to_dict(code: GabidulinCode) -> dict:
     }
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedInstance(
+            f"{what}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _int(d: dict, key: str) -> int:
+    """d[key], which must be a JSON integer (true/false are not)."""
+    if type(d[key]) is not int:
+        raise MalformedInstance(f"{key}: expected an integer, got {d[key]!r}")
+    return d[key]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInstance(
+            f"{what}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def code_from_dict(d: dict) -> GabidulinCode:
     from ranklab import gfmatrix
 
-    if not 1 <= d["k"] <= d["n"]:
-        raise BadDimension(f"need 1 <= k <= n, got k={d['k']}, n={d['n']}")
-    field = make_field(d["q"], d["m"], d["modulus"])
-    beta = field.pow(field.generator_serial, d["beta_exponent"])
+    d = _object(d, "code")
+    q, n, m, k = (_int(d, key) for key in ("q", "n", "m", "k"))
+    if not 1 <= k <= n:
+        raise BadDimension(f"need 1 <= k <= n, got k={k}, n={n}")
+    modulus = _list(d["modulus"], "modulus")
+    if any(type(c) is not int for c in modulus):
+        raise MalformedInstance("modulus: expected a list of integers")
+    field = make_field(q, m, modulus)
+    beta_exponent = _int(d, "beta_exponent")
+    beta = field.pow(field.generator_serial, beta_exponent)
+    _check_serials(field, d["eval_points"], "eval points")
     points = tuple(d["eval_points"])
-    _check_serials(field, points, "eval points")
-    if len(points) != d["n"] or gfmatrix.rank(
-            [field.digits(p) for p in points], d["q"]) != d["n"]:
+    if len(points) != n or gfmatrix.rank(
+            [field.digits(p) for p in points], q) != n:
         raise ParamMismatch("evaluation points are not independent")
     return GabidulinCode(
-        field=field, n=d["n"], k=d["k"], beta=beta,
-        eval_points=points,
-        subfield_degree=d["subfield_degree"],
-        beta_exponent=d["beta_exponent"], punctured=d.get("punctured", 0))
+        field=field, n=n, k=k, beta=beta, eval_points=points,
+        subfield_degree=_int(d, "subfield_degree"),
+        beta_exponent=beta_exponent,
+        punctured=_int(d, "punctured") if "punctured" in d else 0)
 
 
 def instance_to_dict(inst: AdversarialInstance, pretty: bool = False) -> dict:
@@ -412,35 +480,46 @@ def instance_to_dict(inst: AdversarialInstance, pretty: bool = False) -> dict:
 
 
 def _check_serials(spec, values, what: str):
-    for v in values:
+    for v in _list(values, what):
         if not isinstance(v, int) or not 0 <= v < spec.order:
             raise ParamMismatch(f"{what}: serial {v!r} out of range "
                                 f"for GF({spec.q}^{spec.e})")
 
 
+INSTANCE_KINDS = ("counting", "explicit")
+
+
 def instance_from_dict(d: dict) -> AdversarialInstance:
+    d = _object(d, "instance")
+    if d["kind"] not in INSTANCE_KINDS:
+        raise MalformedInstance(f"unknown instance kind {d['kind']!r}")
     code = code_from_dict(d["code"])
     spec = code.field
     _check_serials(spec, d["pivot"], "pivot")
     _check_serials(spec, d["center"], "center")
-    for cw in d["codewords"]:
+    for cw in _list(d["codewords"], "codewords"):
         _check_serials(spec, cw, "codeword")
-    f = d["family"]
+    f = _object(d["family"], "family")
     _check_serials(spec, f["mutual_top"], "mutual top")
-    for m in f["members"]:
+    for m in _list(f["members"], "family members"):
         _check_serials(spec, m, "family member")
-    params = FamilyParams(**f["params"])
+    p = _object(f["params"], "family params")
+    names = [fl.name for fl in fields(FamilyParams)]
+    if sorted(p) != sorted(names):
+        raise MalformedInstance(
+            f"family params: keys {sorted(p)}, expected {sorted(names)}")
+    params = FamilyParams(**{key: _int(p, key) for key in names})
     family = PolyFamily(
         params=params, kind=f["kind"], spec=spec,
         members=tuple(LinearizedPoly(spec, c) for c in f["members"]),
         mutual_top=tuple(f["mutual_top"]))
     inst = AdversarialInstance(
-        code=code, tau=d["tau"],
+        code=code, tau=_int(d, "tau"),
         pivot=LinearizedPoly(spec, d["pivot"]),
         center=RankWord(spec, tuple(d["center"])),
         family=family,
         codewords=tuple(RankWord(spec, tuple(c)) for c in d["codewords"]),
-        claimed_bound=d["claimed_bound"], kind=d["kind"],
+        claimed_bound=_int(d, "claimed_bound"), kind=d["kind"],
         degenerate=d.get("degenerate", False))
     return inst
 

@@ -20,9 +20,12 @@ from ranklab.adversarial import (
     build_explicit_instance,
     compare_radius_to_prior,
     counting_bound,
+    counting_divides,
     dump_json,
     instance_from_dict,
     instance_to_dict,
+    list_bound,
+    radius_window,
     verify_instance,
 )
 from ranklab.errors import RanklabError
@@ -160,17 +163,17 @@ def _cmd_bounds(args) -> int:
     d = n - k + 1
     jr = johnson_like_radius(n, m, d, 0)
     rows = []
-    for tau in range((d - 1) // 2 + 1, d):
+    for tau in radius_window(n, k):
         prior = prior_counting_bound(q, n, m, k, tau)
         entry = {"tau": tau, "prior": _frac_str(prior),
                  "prior_vacuous": prior < 1,
                  "counting": None, "simplified": None, "explicit": None}
-        if tau % g == 0 and (n - tau) % g == 0 and n % g == 0:
+        if counting_divides(n, g, tau):
             exact, simp = counting_bound(q, n, g, tau)
             entry["counting"] = _frac_str(exact)
             entry["simplified"] = simp
-        if tau == g * s and n % (g * s) == 0 and k == n - 2 * g * s + 1:
-            entry["explicit"] = (q ** n - 1) // (q ** (g * s) - 1)
+        if tau == g * s:
+            entry["explicit"] = list_bound("explicit", q, n, k, g, tau)
         rows.append(entry)
     print(f"Gab[{n},{k}] over GF({q}^{m}), d={d}, "
           f"unique decoding radius {(d - 1) // 2}")

@@ -97,6 +97,11 @@ class BadParameters(RanklabError):
     """Parameters outside the domain of a comparison formula."""
 
 
+class MalformedInstance(RanklabError):
+    """An instance file is not shaped as its format requires: a field of the
+    wrong JSON type, an unknown family parameter or an unknown kind."""
+
+
 class InvariantViolation(RanklabError):
     """A property the construction guarantees (a distance identity, the
     MRD rank of a code, an instance's radius) failed to hold."""

@@ -141,10 +141,11 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
 
     Lifts center and codewords, checks every lifted distance is within
     tau_s (equality to 2 tau expected), compares the rank-level list size
-    with the lifted ball when enumerable, and evaluates the lifted bound
-    matching the instance kind.  Returns a VerificationReport.
+    with the lifted ball when enumerable, and checks the number of distinct
+    listed codewords against adversarial.list_bound, which the lifted code
+    carries over unchanged.  Returns a VerificationReport.
     """
-    from ranklab.adversarial import CheckResult, VerificationReport
+    from ranklab.adversarial import CheckResult, VerificationReport, list_bound
 
     if tau_s is None:
         tau_s = 2 * inst.tau
@@ -188,32 +189,17 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
             "ball_relation_inequality", "skipped",
             measured=f"code size {code.size} over budget {budget}"))
 
-    q, n = code.q, code.n
-    listed = len(inst.codewords)
-    if inst.kind == "explicit":
-        name = "lifted_explicit_bound"
-    else:
-        name = "lifted_counting_bound"
+    listed = len({cw.coords for cw in inst.codewords})
+    name = f"lifted_{inst.kind}_bound"
     if not radius_matches:
         checks.append(CheckResult(
             name, "skipped",
             measured=f"floor(tau_s/2)={half} != instance radius {inst.tau}"))
-    elif inst.kind == "explicit":
-        bound = (q ** n - 1) // (q ** half - 1)
-        checks.append(CheckResult(
-            name, "pass" if listed >= bound else "fail",
-            measured=listed, expected=bound))
     else:
-        g = inst.family.params.g
-        ell = half // g - 1
-        exact = Fraction(gaussian_binomial(n // g, (n - half) // g, q ** g),
-                         q ** (n * ell))
-        simplified = q ** (n - half * (ell + 1))
-        ok = listed >= exact and listed >= simplified
+        bound = list_bound(inst.kind, code.q, code.n, code.k,
+                           inst.family.params.g, half)
         checks.append(CheckResult(
-            name, "pass" if ok else "fail",
-            measured=listed, expected=max(simplified,
-                                          -(-exact.numerator
-                                            // exact.denominator))))
+            name, "pass" if bound is not None and listed >= bound else "fail",
+            measured=listed, expected=bound))
 
     return VerificationReport(checks)

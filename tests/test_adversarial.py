@@ -3,6 +3,7 @@ the bound calculators, and the side analyses."""
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,14 @@ from ranklab.adversarial import (
     dump_json,
     instance_from_dict,
     instance_to_dict,
+    list_bound,
     ratio_family_params,
     rs_family_size_report,
     technical_sqrt_inequality,
     verify_instance,
 )
 from ranklab.gabidulin import enumerate_ball, rank_distance
+from ranklab.subspace_code import verify_lifted_instance
 
 
 def _statuses(report):
@@ -305,3 +308,70 @@ def test_report_serialization():
     names = [c["name"] for c in rep["checks"]]
     assert names == sorted(set(names), key=names.index)
     assert len(names) == 5
+
+
+def _paper_bound(kind, q, n, k, g, tau):
+    """The paper's two list-size bounds, written out apart from ranklab."""
+    d = n - k + 1
+    if not 2 * tau > d - 1 or not tau < d:
+        return None
+    if kind == "explicit":
+        if tau % g or n % tau or k != n - 2 * tau + 1:
+            return None
+        return sum(q ** (tau * i) for i in range(n // tau))
+    if tau % g or n % g:
+        return None
+    big, a, b = q ** g, n // g, (n - tau) // g
+    num = den = 1
+    for i in range(b):                 # Gaussian binomial [a, b]_big
+        num *= big ** (a - i) - 1
+        den *= big ** (i + 1) - 1
+    den *= q ** (n * (tau // g - 1))
+    return -(-num // den)
+
+
+def test_list_bound_matches_paper_formulas():
+    covered = {"explicit": 0, "counting": 0}
+    for q in (2, 3, 5):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                for g in (1, 2, 3):
+                    d = n - k + 1
+                    for tau in range(0, n + 2):
+                        outside = tau <= (d - 1) // 2 or tau >= d
+                        for kind in covered:
+                            got = list_bound(kind, q, n, k, g, tau)
+                            assert got == _paper_bound(kind, q, n, k, g, tau)
+                            assert got is None or not outside
+                            covered[kind] += got is not None
+                    assert list_bound("orbit", q, n, k, g, d - 1) is None
+    assert covered["explicit"] >= 100 and covered["counting"] >= 600
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_explicit_instance, (2, 2, 1, 4, 4)),
+    (build_explicit_instance, (3, 2, 1, 4, 4)),
+    (build_explicit_instance, (5, 2, 1, 4, 4)),
+    (build_explicit_instance, (2, 3, 1, 6, 6)),
+    (build_counting_instance, (2, 4, 4, 1, 2)),
+    (build_counting_instance, (3, 4, 4, 2, 2)),
+    (build_counting_instance, (2, 6, 6, 1, 2)),
+])
+def test_builder_verify_and_lift_verify_share_one_bound(build, args):
+    rng = random.Random(f"{build.__name__}{args}")
+    q = args[0]
+    inst = build(*args, beta_exponent=rng.randrange(50),
+                 seed=rng.randrange(100))
+    code = inst.code
+    bound = list_bound(inst.kind, q, code.n, code.k, inst.family.params.g,
+                       inst.tau)
+    # the ball checks are skipped: the bound checks do not depend on them
+    expected = {}
+    for report in (verify_instance(inst, ball_budget=1),
+                   verify_lifted_instance(inst, budget=1)):
+        assert report.all_passed
+        expected.update((c.name, c.expected) for c in report.checks
+                        if c.name in ("list_meets_claimed_bound",
+                                      f"lifted_{inst.kind}_bound"))
+    assert len(expected) == 2
+    assert set(expected.values()) == {inst.claimed_bound} == {bound}

@@ -203,3 +203,83 @@ def test_reports_match_pinned_bytes(tmp_path, capsys, q, beta_exp):
         digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
     capsys.readouterr()
     assert tuple(digests) == PINNED_REPORTS[q, beta_exp]
+
+
+def _gen_gab41(tmp_path, capsys):
+    """Explicit Gab[4,1] over GF(2^4): 5 codewords at radius 2 (d = 4)."""
+    inst = tmp_path / "inst.json"
+    assert main(["gen-explicit", "--q", "2", "--g", "2", "--s", "1",
+                 "--n", "4", "--m", "4", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    return inst, json.loads(inst.read_text())
+
+
+def _five_copies(data):
+    data["codewords"] = [data["codewords"][0]] * 5
+
+
+def _one_word_claiming_one(data):
+    data["claimed_bound"] = 1
+    data["codewords"] = data["codewords"][:1]
+
+
+def _radius_at_length(data):
+    # tau = n = d: five codewords at full rank distance, beyond any window
+    from ranklab.adversarial import instance_from_dict
+    from ranklab.gabidulin import codewords, rank_distance
+
+    inst = instance_from_dict(data)
+    far = [list(w.coords) for w in codewords(inst.code)
+           if rank_distance(inst.center, w) == 4]
+    data["tau"] = 4
+    data["codewords"] = far[:5]
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "1"]])
+@pytest.mark.parametrize("command, check", [
+    ("verify", "list_meets_claimed_bound"),
+    ("lift-verify", "lifted_explicit_bound")])
+@pytest.mark.parametrize("forge", [_five_copies, _one_word_claiming_one,
+                                   _radius_at_length])
+def test_forged_list_fails_both_verifiers(tmp_path, capsys, forge, command,
+                                          check, budget):
+    inst, data = _gen_gab41(tmp_path, capsys)
+    forge(data)
+    inst.write_text(json.dumps(data))
+    code, out, _ = run(capsys, command, "--in", str(inst), *budget)
+    assert code == 1
+    assert f"{check}: fail" in out.splitlines()
+
+
+def _top_level_array(data):
+    return [data]
+
+
+def _string_dimension(data):
+    data["code"]["k"] = "1"
+
+
+def _string_radius(data):
+    data["tau"] = "2"
+
+
+def _unknown_family_param(data):
+    data["family"]["params"]["h"] = 1
+
+
+def _unknown_kind(data):
+    data["kind"] = "orbit"
+
+
+@pytest.mark.parametrize("command", ["verify", "lift-verify", "ball"])
+@pytest.mark.parametrize("malform", [_top_level_array, _string_dimension,
+                                     _string_radius, _unknown_family_param,
+                                     _unknown_kind])
+def test_malformed_file_exits_2_with_one_line_error(tmp_path, capsys,
+                                                    malform, command):
+    inst, data = _gen_gab41(tmp_path, capsys)
+    inst.write_text(json.dumps(malform(data) or data))
+    code, out, err = run(capsys, command, "--in", str(inst))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "MalformedInstance"

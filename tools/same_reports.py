@@ -2,12 +2,14 @@
 """Write every benchmark instance's CLI outputs, for a byte-for-byte diff.
 
 For each instance of every workload in bench/workloads.py, at seed 1, this
-runs `gen-*`, `verify --out` and `lift-verify --out` with the ranklab found
-in SRC/src and writes into OUTDIR:
+runs `gen-*`, `verify --out`, `lift-verify --out` and `bounds --out` (with
+the instance's q, n, m, k, g and s) with the ranklab found in SRC/src and
+writes into OUTDIR:
 
     <instance>.instance.json       the gen output
     <instance>.verify.json         the verify report
     <instance>.lift-verify.json    the lift-verify report
+    <instance>.bounds.json         the bound table
     <instance>.<stage>.log         exit code, stdout and stderr of each call
 
 Paths handed to the CLI are relative to OUTDIR, so the logs do not name it.
@@ -67,6 +69,10 @@ def main(argv=None) -> int:
             stages = [("gen", inst.gen_argv(SEED, path))]
             stages += [(s, [s, "--in", path, "--out", f"{inst.name}.{s}.json"])
                        for s in ("verify", "lift-verify")]
+            stages.append(("bounds", [
+                "bounds", "--q", str(inst.q), "--n", str(inst.n),
+                "--m", str(inst.m), "--k", str(inst.dim), "--g", str(inst.g),
+                "--s", str(inst.s), "--out", f"{inst.name}.bounds.json"]))
             for stage, stage_argv in stages:
                 with open(f"{inst.name}.{stage}.log", "w",
                           encoding="utf-8") as fh:
