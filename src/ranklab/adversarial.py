@@ -452,7 +452,7 @@ def code_from_dict(d: dict) -> GabidulinCode:
 def instance_to_dict(inst: AdversarialInstance, pretty: bool = False) -> dict:
     fam = inst.family
     out = {
-        "format": "ranklab.instance/v1",
+        "format": INSTANCE_FORMAT,
         "kind": inst.kind,
         "code": code_to_dict(inst.code),
         "tau": inst.tau,
@@ -486,6 +486,7 @@ def _check_serials(spec, values, what: str):
                                 f"for GF({spec.q}^{spec.e})")
 
 
+INSTANCE_FORMAT = "ranklab.instance/v1"
 INSTANCE_KINDS = ("counting", "explicit")
 
 
@@ -493,6 +494,11 @@ def instance_from_dict(d: dict) -> AdversarialInstance:
     d = _object(d, "instance")
     if d["kind"] not in INSTANCE_KINDS:
         raise MalformedInstance(f"unknown instance kind {d['kind']!r}")
+    if d.get("format", INSTANCE_FORMAT) != INSTANCE_FORMAT:
+        raise MalformedInstance(f"unknown format {d['format']!r}")
+    if type(d.get("degenerate", False)) is not bool:
+        raise MalformedInstance(
+            f"degenerate: expected true or false, got {d['degenerate']!r}")
     code = code_from_dict(d["code"])
     spec = code.field
     _check_serials(spec, d["pivot"], "pivot")

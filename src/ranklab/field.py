@@ -58,6 +58,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def sub_digits(a: int, b: int, q: int) -> int:
+    """a - b digit by digit mod q, for vectors packed base q (serials of
+    GF(q^e), rows of lifted subspaces)."""
+    if q == 2:
+        return a ^ b
+    s, shift = 0, 1
+    while a or b:
+        s += (a % q - b % q) % q * shift
+        a //= q
+        b //= q
+        shift *= q
+    return s
+
+
 # ----------------------------------------------------------------------
 # Polynomials over GF(q) as coefficient tuples (ascending, trimmed).
 # Used for modulus bookkeeping only; element arithmetic works on serials.
@@ -404,7 +418,7 @@ class FieldSpec:
     def sub(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return sub_digits(a, b, self.q)
 
     def _mul_schoolbook(self, a: int, b: int) -> int:
         """Coefficient convolution followed by modular reduction."""

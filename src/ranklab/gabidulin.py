@@ -45,10 +45,6 @@ class RankWord:
     def __len__(self):
         return len(self.coords)
 
-    def columns(self) -> List[Tuple[int, ...]]:
-        """Coordinates expanded to GF(q) coefficient columns (m entries)."""
-        return [self.spec.digits(c) for c in self.coords]
-
 
 def _same_context(w1: RankWord, w2: RankWord):
     if w1.spec != w2.spec or len(w1) != len(w2):
@@ -59,7 +55,7 @@ def rank_weight(w: RankWord) -> int:
     """Rank over GF(q) of the m x n matrix expansion of the word."""
     if w.spec.q == 2:
         return gfmatrix.rank_gf2(w.coords)
-    return gfmatrix.rank(w.columns(), w.spec.q)
+    return len(gfmatrix.basis(w.coords, w.spec.q))
 
 
 def rank_distance(w1: RankWord, w2: RankWord) -> int:
@@ -269,6 +265,8 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
                  for diff in _walk(code, center.coords)
                  if not exceeds(diff, tau)]
     else:
+        # one rank_distance per codeword: bench/tracing.py counts the
+        # ball's words as the calls it makes to the rank tests it probes
         found = [w.coords for w in codewords(code, budget)
                  if rank_distance(center, w) <= tau]
     found.sort()

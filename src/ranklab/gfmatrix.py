@@ -2,13 +2,16 @@
 
 Matrices are sequences of rows, each row a sequence of ints in [0, q).
 Everything returns plain tuples so results can be hashed and compared.
-A bitset fast path handles the GF(2) rank computations that sit inside
-the brute-force ball scans.
+Vectors packed base q (digit j is the coefficient of q^j), as GF(q^m)
+serials and lifted rows [I | X] are stored, go through one elimination loop
+for every prime q: XOR on bitsets for q = 2, digit lists for odd q.  basis()
+gives their rank; rank_test(q) stops as soon as the rank passes a limit,
+starting from a copy of a basis built once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Row = Tuple[int, ...]
 
@@ -71,21 +74,60 @@ def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
     return room < 0
 
 
-def basis_gf2(vecs: Sequence[int]) -> Dict[int, int]:
-    """Echelon basis (bit length -> vector) of packed GF(2) vectors."""
-    basis: Dict[int, int] = {}
-    _eliminate_gf2(vecs, basis, len(vecs))
-    return basis
+def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
+    """_eliminate_gf2 for any prime q: odd q keys digit lists (least
+    significant first) by length and scales each stored top digit to 1."""
+    if q == 2:
+        return _eliminate_gf2(vecs, basis, room)
+    for v in vecs:
+        d = []
+        while v:
+            d.append(v % q)
+            v //= q
+        while d:
+            b = basis.get(len(d))
+            if b is None:
+                inv = _inv_mod(d[-1], q)
+                basis[len(d)] = [x * inv % q for x in d]
+                room -= 1
+                if room < 0:
+                    return True
+                break
+            c = d[-1]
+            d = [(x - c * y) % q for x, y in zip(d, b)]
+            while d and not d[-1]:
+                d.pop()
+    return room < 0
+
+
+def basis(vecs: Sequence[int], q: int) -> dict:
+    """Echelon basis of packed GF(q) vectors; its size is their rank."""
+    out: dict = {}
+    _eliminate(vecs, out, len(vecs), q)
+    return out
+
+
+def rank_test(q: int) -> Callable[..., bool]:
+    """exceeds(vecs, limit, start=None): True iff the GF(q) rank of
+    start's vectors and vecs is > limit; start is a basis(), which each
+    call extends in a copy.  Resolve it once, outside a loop over words."""
+    if q == 2:
+        return rank_gf2_exceeds
+
+    def exceeds(vecs, limit, start=None):
+        start = start or {}
+        return _eliminate(vecs, dict(start), limit - len(start), q)
+    return exceeds
 
 
 def rank_gf2(vecs: Sequence[int]) -> int:
     """Rank of vectors packed as ints over GF(2)."""
-    return len(basis_gf2(vecs))
+    return len(basis(vecs, 2))
 
 
 def rank_gf2_exceeds(vecs: Sequence[int], limit: int,
                      start: Optional[Dict[int, int]] = None) -> bool:
-    """True iff the GF(2) rank of start's vectors and vecs is > limit."""
+    """rank_test(2), without a dispatch layer."""
     if start:
         return _eliminate_gf2(vecs, dict(start), limit - len(start))
     return _eliminate_gf2(vecs, {}, limit)

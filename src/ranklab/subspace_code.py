@@ -19,6 +19,7 @@ from ranklab.errors import (
     RadiusTooLarge,
     ShapeMismatch,
 )
+from ranklab.field import sub_digits
 from ranklab.gabidulin import (
     BALL_BUDGET,
     GabidulinCode,
@@ -96,17 +97,11 @@ def lifted_distance(a: LiftedSubspace, b: LiftedSubspace) -> int:
     """
     if (a.q, a.n, a.m) != (b.q, b.n, b.m):
         raise ShapeMismatch("lifted subspaces of different shapes")
-    if a.q == 2:
-        by_stack = 2 * gfmatrix.rank_gf2(a.packed + b.packed) - 2 * a.n
-        n = a.n
-        by_rank = 2 * gfmatrix.rank_gf2(
-            [(x >> n) ^ (y >> n) for x, y in zip(a.packed, b.packed)])
-    else:
-        stacked = gfmatrix.rank(list(a.rows) + list(b.rows), a.q)
-        by_stack = 2 * stacked - 2 * a.n
-        diff = [[(x - y) % a.q for x, y in zip(ra, rb)]
-                for ra, rb in zip(a.payload(), b.payload())]
-        by_rank = 2 * gfmatrix.rank(diff, a.q)
+    q = a.q
+    by_stack = 2 * len(gfmatrix.basis(a.packed + b.packed, q)) - 2 * a.n
+    # the identity blocks cancel, leaving the rows of X - Y
+    by_rank = 2 * len(gfmatrix.basis(
+        [sub_digits(u, v, q) for u, v in zip(a.packed, b.packed)], q))
     if by_stack != by_rank:
         raise InvariantViolation(
             f"distance identity violated: {by_stack} != {by_rank}")
@@ -141,24 +136,23 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
 
     Lifts center and codewords, checks every lifted distance is within
     tau_s (equality to 2 tau expected), compares the rank-level list size
-    with the lifted ball when enumerable, and checks the number of distinct
-    listed codewords against adversarial.list_bound, which the lifted code
-    carries over unchanged.  Returns a VerificationReport.
+    with the lifted ball when enumerable (equal at floor(tau_s/2) == tau),
+    and checks the number of distinct listed codewords within lifted
+    distance 2 tau against adversarial.list_bound at the instance radius
+    tau, which the lifted code carries over unchanged.  Returns a
+    VerificationReport.
     """
     from ranklab.adversarial import CheckResult, VerificationReport, list_bound
 
     if tau_s is None:
         tau_s = 2 * inst.tau
     half = tau_s // 2
-    # The bound formulas apply at floor(tau_s/2) == tau; a smaller radius
-    # still runs the geometric checks (which then fail), but no bound is
-    # claimed there, so those checks are skipped.
-    radius_matches = half == inst.tau
     checks = []
 
     lifted_center = lift_word(inst.center)
-    dists = sorted({lifted_distance(lifted_center, lift_word(cw))
-                    for cw in inst.codewords})
+    dist = {cw.coords: lifted_distance(lifted_center, lift_word(cw))
+            for cw in inst.codewords}
+    dists = sorted(set(dist.values()))
     checks.append(CheckResult(
         "lifted_distances_within_radius",
         "pass" if dists and dists[-1] <= tau_s else "fail",
@@ -167,19 +161,18 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     code = inst.code
     if code.size <= budget:
         rank_count = len(enumerate_ball(code, inst.center, inst.tau, budget))
-        if code.q == 2:
-            # d_s <= tau_s iff rank[center rows; word rows] <= n + half;
-            # the center rows' basis is built once and copied per word
-            n = code.n
-            start = gfmatrix.basis_gf2(lifted_center.packed)
-            count = sum(1 for w in _walk(code, (0,) * n)
-                        if not gfmatrix.rank_gf2_exceeds(
-                            [(1 << j) | (c << n) for j, c in enumerate(w)],
-                            n + half, start))
-        else:
-            count = sum(1 for w in codewords(code, budget)
-                        if lifted_distance(lifted_center,
-                                           lift_word(w)) <= tau_s)
+        # d_s <= tau_s iff rank[center rows; word rows] <= n + half; the
+        # center rows' basis is built once and copied per word
+        q, n = code.q, code.n
+        exceeds = gfmatrix.rank_test(q)
+        start = gfmatrix.basis(lifted_center.packed, q)
+        units, shift = [q ** j for j in range(n)], q ** n
+        count = sum(1 for w in _walk(code, (0,) * n)
+                    if not exceeds([u + c * shift for u, c in zip(units, w)],
+                                   n + half, start))
+        if half == inst.tau and count != rank_count:
+            raise InvariantViolation(
+                f"lifted ball has {count} words, rank ball {rank_count}")
         checks.append(CheckResult(
             "ball_relation_inequality",
             "pass" if rank_count <= count else "fail",
@@ -189,17 +182,14 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
             "ball_relation_inequality", "skipped",
             measured=f"code size {code.size} over budget {budget}"))
 
-    listed = len({cw.coords for cw in inst.codewords})
-    name = f"lifted_{inst.kind}_bound"
-    if not radius_matches:
-        checks.append(CheckResult(
-            name, "skipped",
-            measured=f"floor(tau_s/2)={half} != instance radius {inst.tau}"))
-    else:
-        bound = list_bound(inst.kind, code.q, code.n, code.k,
-                           inst.family.params.g, half)
-        checks.append(CheckResult(
-            name, "pass" if bound is not None and listed >= bound else "fail",
-            measured=listed, expected=bound))
+    # the bound belongs to the instance radius; tau_s only sets the
+    # distance check and the lifted count
+    listed = sum(1 for d in dist.values() if d <= 2 * inst.tau)
+    bound = list_bound(inst.kind, code.q, code.n, code.k,
+                       inst.family.params.g, inst.tau)
+    checks.append(CheckResult(
+        f"lifted_{inst.kind}_bound",
+        "pass" if bound is not None and listed >= bound else "fail",
+        measured=listed, expected=bound))
 
     return VerificationReport(checks)

@@ -235,10 +235,23 @@ def _radius_at_length(data):
     data["codewords"] = far[:5]
 
 
+def _five_words_outside_radius(data):
+    # tau = 2 kept, five distinct codewords at rank distance 3 or 4: a
+    # wider --tau-s admits their distances, but not into the bound's count
+    from ranklab.adversarial import instance_from_dict
+    from ranklab.gabidulin import codewords, rank_distance
+
+    inst = instance_from_dict(data)
+    far = [list(w.coords) for w in codewords(inst.code)
+           if rank_distance(inst.center, w) > 2]
+    data["codewords"] = far[:5]
+
+
 @pytest.mark.parametrize("budget", [[], ["--budget", "1"]])
 @pytest.mark.parametrize("command, check", [
     ("verify", "list_meets_claimed_bound"),
-    ("lift-verify", "lifted_explicit_bound")])
+    ("lift-verify", "lifted_explicit_bound"),
+    ("lift-verify --tau-s 6", "lifted_explicit_bound")])
 @pytest.mark.parametrize("forge", [_five_copies, _one_word_claiming_one,
                                    _radius_at_length])
 def test_forged_list_fails_both_verifiers(tmp_path, capsys, forge, command,
@@ -246,7 +259,21 @@ def test_forged_list_fails_both_verifiers(tmp_path, capsys, forge, command,
     inst, data = _gen_gab41(tmp_path, capsys)
     forge(data)
     inst.write_text(json.dumps(data))
-    code, out, _ = run(capsys, command, "--in", str(inst), *budget)
+    code, out, _ = run(capsys, *command.split(), "--in", str(inst), *budget)
+    assert code == 1
+    assert f"{check}: fail" in out.splitlines()
+
+
+@pytest.mark.parametrize("command, check", [
+    ("verify", "distances_exactly_tau"),
+    ("lift-verify", "lifted_explicit_bound"),
+    ("lift-verify --tau-s 8", "lifted_explicit_bound")])
+def test_words_outside_the_radius_do_not_meet_the_bound(tmp_path, capsys,
+                                                        command, check):
+    inst, data = _gen_gab41(tmp_path, capsys)
+    _five_words_outside_radius(data)
+    inst.write_text(json.dumps(data))
+    code, out, _ = run(capsys, *command.split(), "--in", str(inst))
     assert code == 1
     assert f"{check}: fail" in out.splitlines()
 
@@ -271,10 +298,19 @@ def _unknown_kind(data):
     data["kind"] = "orbit"
 
 
+def _unknown_format(data):
+    data["format"] = "ranklab.report/v1"
+
+
+def _string_degenerate(data):
+    data["degenerate"] = "yes"
+
+
 @pytest.mark.parametrize("command", ["verify", "lift-verify", "ball"])
 @pytest.mark.parametrize("malform", [_top_level_array, _string_dimension,
                                      _string_radius, _unknown_family_param,
-                                     _unknown_kind])
+                                     _unknown_kind, _unknown_format,
+                                     _string_degenerate])
 def test_malformed_file_exits_2_with_one_line_error(tmp_path, capsys,
                                                     malform, command):
     inst, data = _gen_gab41(tmp_path, capsys)

@@ -202,15 +202,29 @@ def test_ball_monotone_in_radius():
 
 
 def test_ball_matches_naive_scan():
-    # oracle cross-check: Gray-code path vs direct per-codeword distances
+    # oracle cross-check: the ball oracle (for q = 2 the walk from the
+    # center with the early-exit rank test) vs per-codeword distances, each
+    # one checked against generic rref
     code = make_code(2, 4, 4, 2)
-    f = code.field
-    center = RankWord(f, (3, 0, 7, 12))
-    for tau in (1, 2, 3):
-        fast = {w.coords for w in enumerate_ball(code, center, tau)}
-        slow = {w.coords for w in codewords(code)
-                if rank_distance(center, w) <= tau}
-        assert fast == slow
+    cases = [(code, RankWord(code.field, (3, 0, 7, 12)), (1, 2, 3))]
+    for q, n, m, k, s in WALK_CODES:
+        rng = random.Random(f"ball:{q}:{n}:{m}:{k}:{s}")
+        code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+        for _ in range(2):
+            center = RankWord(code.field, tuple(
+                rng.randrange(code.field.order) for _ in range(code.n)))
+            cases.append((code, center, range(code.n + 1)))
+    for code, center, taus in cases:
+        f = code.field
+        dist = {}
+        for w in codewords(code):
+            diff = map(f.sub, center.coords, w.coords)
+            dist[w.coords] = rank_distance(center, w)
+            assert dist[w.coords] == gfmatrix.rank(
+                [f.digits(c) for c in diff], code.q)
+        for tau in taus:
+            assert [w.coords for w in enumerate_ball(code, center, tau)] \
+                == sorted(c for c, d in dist.items() if d <= tau)
 
 
 def test_ball_generic_q():

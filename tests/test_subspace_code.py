@@ -1,6 +1,7 @@
 """Lifting: the distance-doubling identity, lifted codes, lifted instances."""
 
 import ast
+import copy
 import dataclasses
 import inspect
 import os
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ranklab import constructions, gfmatrix
+from ranklab import constructions, gfmatrix, subspace_code
 from ranklab.errors import InvariantViolation, RadiusTooLarge, ShapeMismatch
 from ranklab.adversarial import build_counting_instance, build_explicit_instance
 from ranklab.field import make_field
@@ -149,7 +150,7 @@ def test_lifted_negative_control_shrunk_radius():
     report = verify_lifted_instance(inst, tau_s=2)
     by_name = {c.name: c for c in report.checks}
     assert by_name["lifted_distances_within_radius"].status == "fail"
-    assert by_name["lifted_explicit_bound"].status == "skipped"
+    assert by_name["lifted_explicit_bound"].status == "pass"
     assert not report.all_passed
 
 
@@ -164,46 +165,79 @@ def test_ball_relation_counts_match_exactly():
     assert count == len(enumerate_ball(inst.code, inst.center, 2))
 
 
-@pytest.mark.parametrize("n, m, k, s", [(4, 4, 2, 0), (3, 6, 1, 0),
-                                        (6, 6, 2, 2)])
-def test_lifted_count_with_hoisted_center_basis(n, m, k, s):
-    # the q = 2 lifted count starts every word's elimination from the
-    # center rows' basis; it must match stacking all rows afresh, and
-    # (distances double exactly) the rank-level ball
-    rng = random.Random(f"hoist:{n}:{m}:{k}:{s}")
-    code = puncture(make_code(2, n, m, k, rng.randrange(2 ** m - 1)), s)
+HOIST_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 2),
+               (3, 2, 2, 1, 0), (3, 2, 4, 1, 0), (3, 4, 4, 1, 1),
+               (5, 2, 2, 1, 0), (5, 2, 4, 1, 0)]
+
+
+@pytest.mark.parametrize("q, n, m, k, s", HOIST_CODES, ids=[
+    "-".join(map(str, c[1:] if c[0] == 2 else c)) for c in HOIST_CODES])
+def test_lifted_count_with_hoisted_center_basis(q, n, m, k, s):
+    # the lifted count starts every word's elimination from the center
+    # rows' basis; it must match stacking all rows afresh, a fresh
+    # lifted_distance per word and (distances double exactly) the
+    # rank-level ball
+    rng = random.Random(f"hoist:{n}:{m}:{k}:{s}" if q == 2
+                        else f"hoist:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     inst = build_explicit_instance(2, 2, 1, 4, 4)
     for _ in range(4):
-        center = RankWord(code.field, tuple(rng.randrange(2 ** m)
+        center = RankWord(code.field, tuple(rng.randrange(q ** m)
                                             for _ in range(code.n)))
         tau = rng.randrange(1, code.min_distance)
         report = verify_lifted_instance(dataclasses.replace(
             inst, code=code, center=center, tau=tau, codewords=()))
         check = {c.name: c for c in report.checks}["ball_relation_inequality"]
-        cp = list(lift_word(center).packed)
+        lc = lift_word(center)
         fresh = sum(1 for w in codewords(code)
-                    if not gfmatrix.rank_gf2_exceeds(
-                        cp + [(1 << j) | (c << code.n)
-                              for j, c in enumerate(w.coords)],
-                        code.n + tau))
-        assert check.measured == fresh == check.expected \
+                    if not gfmatrix.rank_test(q)(
+                        lc.packed + lift_word(w).packed, code.n + tau))
+        by_distance = sum(1 for w in codewords(code)
+                          if lifted_distance(lc, lift_word(w)) <= 2 * tau)
+        assert check.measured == fresh == by_distance == check.expected \
             == len(enumerate_ball(code, center, tau))
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_lifted_count_disagreeing_with_the_ball_raises(monkeypatch, q):
+    # distances double, so at floor(tau_s/2) == tau the two balls are one
+    inst = build_explicit_instance(q, 2, 1, 4, 4)
+    monkeypatch.setattr(subspace_code, "enumerate_ball", lambda *args: [])
+    with pytest.raises(InvariantViolation):
+        verify_lifted_instance(inst)
+    # at a wider radius the lifted ball only has to contain the rank ball
+    report = verify_lifted_instance(inst, tau_s=2 * inst.tau + 2)
+    check = {c.name: c for c in report.checks}["ball_relation_inequality"]
+    assert (check.status, check.expected) == ("pass", 0)
+
+
+def _unpack(v, q, width):
+    return [v // q ** j % q for j in range(width)]
+
+
 def test_rank_gf2_exceeds_from_a_start_basis():
+    # the early-exit rank test of packed vectors, from a start basis and
+    # afresh, against generic rref of the stacked rows, on q in {2, 3, 5}
     rng = random.Random(31)
-    for _ in range(300):
-        bits = rng.randrange(1, 12)
-        a = [rng.randrange(1 << bits) for _ in range(rng.randrange(6))]
-        v = [rng.randrange(1 << bits) for _ in range(rng.randrange(6))]
-        limit = rng.randrange(-1, 8)
-        start = gfmatrix.basis_gf2(a)
-        kept = dict(start)
-        assert len(start) == gfmatrix.rank_gf2(a)
-        assert gfmatrix.rank_gf2_exceeds(v, limit, start=start) \
-            == gfmatrix.rank_gf2_exceeds(a + v, limit) \
-            == (gfmatrix.rank_gf2(a + v) > limit)
-        assert start == kept
+    for q in (2, 3, 5):
+        for _ in range(300):
+            width = rng.randrange(1, 12 if q == 2 else 7)
+            a = [rng.randrange(q ** width) for _ in range(rng.randrange(6))]
+            v = [rng.randrange(q ** width) for _ in range(rng.randrange(6))]
+            limit = rng.randrange(-1, 8)
+            start = gfmatrix.basis(a, q)
+            kept = copy.deepcopy(start)
+            rank = gfmatrix.rank([_unpack(x, q, width) for x in a + v], q)
+            assert len(start) == gfmatrix.rank(
+                [_unpack(x, q, width) for x in a], q)
+            exceeds = gfmatrix.rank_test(q)
+            assert exceeds(v, limit, start) == exceeds(a + v, limit) \
+                == (rank > limit)
+            if q == 2:
+                assert gfmatrix.rank_gf2_exceeds(v, limit, start=start) \
+                    == gfmatrix.rank_gf2_exceeds(a + v, limit) \
+                    == (gfmatrix.rank_gf2(a + v) > limit) == (rank > limit)
+            assert start == kept
 
 
 def test_prior_lifted_bound_values():
