@@ -43,8 +43,8 @@ from ranklab.gabidulin import (
     BALL_BUDGET,
     GabidulinCode,
     RankWord,
-    enumerate_ball,
     evaluate_word,
+    exact_ball,
     make_code,
     preimage_message,
     rank_distance,
@@ -231,29 +231,34 @@ def verify_instance(inst: AdversarialInstance,
                     ball_budget: int = BALL_BUDGET) -> VerificationReport:
     """Re-check every instance claim from scratch.
 
-    (a) the center has no message preimage; (b) every listed codeword has
-    one of q-degree < k; (c) every distance is exactly tau; (d) the list
-    holds at least list_bound distinct codewords, the bound recomputed from
-    the instance's kind, code, family g and radius, and the file claims
-    that bound; (e) within budget, the brute-force ball contains the whole
-    list.
+    (a) the center has no message preimage and is the evaluation of the
+    pivot; (b) codeword i has a message preimage of q-degree < k, and it is
+    pivot - member i, whose top coefficients are the mutual top, reaching
+    down to index k; (c) every distance is exactly tau; (d) the list holds
+    at least list_bound distinct codewords, the bound recomputed from the
+    instance's kind, code, family g and radius, and the file claims that
+    bound; (e) within budget, the exact ball contains the whole list.
     """
     code, tau = inst.code, inst.tau
     checks = []
 
-    checks.append(CheckResult(
-        "center_not_in_code",
-        "pass" if preimage_message(code, inst.center) is None else "fail"))
+    ok = preimage_message(code, inst.center) is None \
+        and evaluate_word(code, inst.pivot) == inst.center
+    checks.append(CheckResult("center_not_in_code", "pass" if ok else "fail"))
 
-    bad = 0
-    for cw in inst.codewords:
+    top, members = inst.family.mutual_top, inst.family.members
+    good = 0
+    for cw, member in zip(inst.codewords, members):
         msg = preimage_message(code, cw)
-        if msg is None or msg.q_degree >= code.k:
-            bad += 1
+        r = member.q_degree
+        if msg is not None and msg.q_degree < code.k \
+                and msg == inst.pivot - member and r - len(top) < code.k \
+                and all(member.coeff(r - i) == c for i, c in enumerate(top)):
+            good += 1
+    ok = good == len(inst.codewords) == len(members)
     checks.append(CheckResult(
-        "codewords_encode_low_degree",
-        "pass" if bad == 0 else "fail", measured=len(inst.codewords) - bad,
-        expected=len(inst.codewords)))
+        "codewords_encode_low_degree", "pass" if ok else "fail",
+        measured=good, expected=len(inst.codewords)))
 
     dists = sorted({rank_distance(inst.center, cw) for cw in inst.codewords})
     checks.append(CheckResult(
@@ -270,7 +275,7 @@ def verify_instance(inst: AdversarialInstance,
         measured=distinct, expected=bound))
 
     if code.size <= ball_budget:
-        ball = enumerate_ball(code, inst.center, tau, ball_budget)
+        ball = exact_ball(code, inst.center, tau, ball_budget)
         coords = {w.coords for w in ball}
         contained = all(cw.coords in coords for cw in inst.codewords)
         ok = contained and len(ball) >= len(inst.codewords)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands build instances (gen-counting, gen-explicit), re-verify them
-(verify, lift-verify), run the brute-force ball oracle (ball), print bound
+(verify, lift-verify), run the exact ball oracle (ball), print bound
 tables (bounds), and evaluate the radius comparison (compare-radius).
 Artifacts are JSON with sorted keys; identical configurations produce
 byte-identical files.  Exit codes: 0 ok, 1 verification failed, 2 bad
@@ -31,7 +31,7 @@ from ranklab.adversarial import (
 from ranklab.errors import RanklabError
 from ranklab.gabidulin import (
     BALL_BUDGET,
-    enumerate_ball,
+    exact_ball,
     johnson_like_radius,
     prior_counting_bound,
 )
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report JSON here")
     add_common(p)
 
-    p = sub.add_parser("ball", help="brute-force ball oracle count")
+    p = sub.add_parser("ball", help="exact ball oracle count")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tau", type=int, help="override the instance radius")
     p.add_argument("--out", help="write the codeword list here")
@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
 def _cmd_ball(args) -> int:
     inst = _load_instance(args.infile)
     tau = args.tau if args.tau is not None else inst.tau
-    ball = enumerate_ball(inst.code, inst.center, tau, budget=args.budget)
+    ball = exact_ball(inst.code, inst.center, tau, budget=args.budget)
     print(len(ball))
     if args.out:
         _write(args.out, dump_json({

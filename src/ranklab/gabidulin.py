@@ -1,11 +1,14 @@
 """Gabidulin codes over GF(q^m) with evaluation points spanning a cyclic
-shift of the subfield GF(q^n): encoding, the rank metric, brute-force ball
-enumeration, puncturing, and the bound calculators.
+shift of the subfield GF(q^n): encoding, the rank metric, the exact ball
+oracles, puncturing, and the bound calculators.
 
 A word is a length-n vector of GF(q^m) serials; its matrix form is the m x n
 expansion over GF(q) (coordinate i becomes column i), and rank weight is the
 rank of that matrix.  Every scan of the code is one walk over its q^(mk)
-messages in q-ary Gray order (_walk), never over the ambient space.
+messages in q-ary Gray order (_walk), never over the ambient space.  The
+rank ball has two exact oracles: enumerate_ball walks every codeword, and
+ball_by_supports solves one GF(q) system per error support of rank <= tau,
+sum_{t<=tau} [n,t]_q of them; exact_ball runs whichever does less work.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from ranklab.errors import (
     RadiusTooLarge,
     TooManyPunctures,
 )
-from ranklab.field import FieldSpec, embed_serial, make_field
+from ranklab.field import FieldSpec, embed_serial, make_field, sub_digits
 from ranklab.linpoly import LinearizedPoly
-from ranklab.subspace import gaussian_binomial
+from ranklab.subspace import gaussian_binomial, rref_patterns
 
 BALL_BUDGET = 1 << 22
 
@@ -138,6 +141,25 @@ class GabidulinCode:
             out.append((divmod(pivot, m), row[nm:]))
         return tuple(out)
 
+    @cached_property
+    def _syndrome_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Row b (b in GF(q)^n packed base q) holds _syndrome(x^i * b) for
+        i < m, summed by linearity from the n*m images of -x^i at one
+        coordinate."""
+        q, n, m = self.q, self.n, self.m
+        minus = [[_syndrome(self, [(q - 1) * q ** i * (u == j)
+                                   for u in range(n)]) for i in range(m)]
+                 for j in range(n)]
+        table = [(0,) * m]
+        for j in range(n):
+            # rows b + c e_j, c = 1..q-1, after the rows b below q^j
+            size = len(table)
+            for _ in range(q - 1):
+                table += [tuple(sub_digits(a, u, q)
+                                for a, u in zip(row, minus[j]))
+                          for row in table[-size:]]
+        return tuple(table)
+
 
 def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
               points: Optional[Sequence[int]] = None) -> GabidulinCode:
@@ -221,6 +243,33 @@ def _check_code_context(code: GabidulinCode, w: RankWord):
         raise ContextMismatch("word does not match the code context")
 
 
+def _information_message(code: GabidulinCode,
+                         coords: Sequence[int]) -> LinearizedPoly:
+    """The message read off the word's information set: one GF(q)
+    matrix-vector product with the inverse in _message_inverse."""
+    field, m = code.field, code.m
+    digs = [field.digits(c) for c in coords]
+    x = [0] * (m * code.k)
+    for (j, b), row in code._message_inverse:
+        c = digs[j][b]
+        if c:
+            x = [a + c * v for a, v in zip(x, row)]
+    return LinearizedPoly(field, [field.from_digits(x[i * m:(i + 1) * m])
+                                  for i in range(code.k)])
+
+
+def _syndrome(code: GabidulinCode, coords: Sequence[int]) -> int:
+    """w - encode(w's information-set message), packed base q with digit
+    j*m + b the digit b of coordinate j: GF(q)-linear in w and zero
+    exactly on the code."""
+    field = code.field
+    enc = evaluate_word(code, _information_message(code, coords)).coords
+    out = 0
+    for a, c in zip(reversed(coords), reversed(enc)):
+        out = out * field.order + field.sub(a, c)
+    return out
+
+
 def preimage_message(code: GabidulinCode,
                      w: RankWord) -> Optional[LinearizedPoly]:
     """Message polynomial of q-degree < k encoding w, or None.
@@ -232,15 +281,7 @@ def preimage_message(code: GabidulinCode,
     of the enumeration-based oracle.
     """
     _check_code_context(code, w)
-    field, m = code.field, code.m
-    digs = [field.digits(c) for c in w.coords]
-    x = [0] * (m * code.k)
-    for (j, b), row in code._message_inverse:
-        c = digs[j][b]
-        if c:
-            x = [a + c * v for a, v in zip(x, row)]
-    msg = LinearizedPoly(field, [field.from_digits(x[i * m:(i + 1) * m])
-                                 for i in range(code.k)])
+    msg = _information_message(code, w.coords)
     return msg if evaluate_word(code, msg).coords == w.coords else None
 
 
@@ -271,6 +312,56 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
                  if rank_distance(center, w) <= tau]
     found.sort()
     return [RankWord(code.field, c) for c in found]
+
+
+def ball_by_supports(code: GabidulinCode, center: RankWord,
+                     tau: int) -> List[RankWord]:
+    """The ball of enumerate_ball by Ourivski-Johansson basis enumeration.
+
+    An error center - c of rank t is a * B: B is the t x n RREF basis of
+    its row space over GF(q), a is in GF(q^m)^t.  For each B with t <= tau
+    one GF(q) system in mt unknowns, sum x_si _syndrome(x^i b_s) =
+    _syndrome(center), is solved; a counts only if its entries are
+    GF(q)-independent, so each word is found once, under its error's row
+    space.  Below d the code is MRD and the mt columns are independent;
+    gfmatrix.coordinates raises InvariantViolation where they are not.
+    """
+    _check_code_context(code, center)
+    field, q, n, m = code.field, code.q, code.n, code.m
+    table = code._syndrome_table
+    target = _syndrome(code, center.coords)
+    found = []
+    for t in range(tau + 1):
+        for rows in rref_patterns(n, t, q):
+            cols = [c for row in rows
+                    for c in table[sum(x * q ** j for j, x in enumerate(row))]]
+            x = gfmatrix.coordinates(cols, target, q)
+            if x is None:
+                continue
+            a = [x // field.order ** s % field.order for s in range(t)]
+            if len(gfmatrix.basis(a, q)) < t:
+                continue
+            err = [0] * n
+            for a_s, row in zip(a, rows):
+                err = [field.add(e, field.mul(a_s, b))
+                       for e, b in zip(err, row)]
+            found.append(tuple(map(field.sub, center.coords, err)))
+    found.sort()
+    return [RankWord(field, c) for c in found]
+
+
+def exact_ball(code: GabidulinCode, center: RankWord, tau: int,
+               budget: int = BALL_BUDGET) -> List[RankWord]:
+    """The ball from ball_by_supports where tau < d and its
+    sum_{t<=tau} [n,t]_q supports are fewer than the q^(mk) codewords, else
+    from enumerate_ball; over budget exactly where enumerate_ball is."""
+    _check_code_context(code, center)
+    if code.size > budget:
+        raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
+    if tau < code.min_distance and code.size > sum(
+            gaussian_binomial(code.n, t, code.q) for t in range(tau + 1)):
+        return ball_by_supports(code, center, tau)
+    return enumerate_ball(code, center, tau, budget)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,15 @@ Vectors packed base q (digit j is the coefficient of q^j), as GF(q^m)
 serials and lifted rows [I | X] are stored, go through one elimination loop
 for every prime q: XOR on bitsets for q = 2, digit lists for odd q.  basis()
 gives their rank; rank_test(q) stops as soon as the rank passes a limit,
-starting from a copy of a basis built once.
+starting from a copy of a basis built once; coordinates() solves for a
+target in the span of independent vectors.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from ranklab.errors import InvariantViolation
 
 Row = Tuple[int, ...]
 
@@ -74,30 +77,74 @@ def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
     return room < 0
 
 
+def _digits(v: int, q: int) -> List[int]:
+    d = []
+    while v:
+        d.append(v % q)
+        v //= q
+    return d
+
+
+def _reduce_digits(d: List[int], basis: dict, q: int) -> List[int]:
+    """Subtract basis vectors from the digit list d (least significant
+    first) for as long as one has d's top digit."""
+    b = basis.get(len(d))
+    while b is not None:
+        c = d[-1]
+        d = [(x - c * y) % q for x, y in zip(d, b)]
+        while d and not d[-1]:
+            d.pop()
+        b = basis.get(len(d))
+    return d
+
+
 def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
     """_eliminate_gf2 for any prime q: odd q keys digit lists (least
     significant first) by length and scales each stored top digit to 1."""
     if q == 2:
         return _eliminate_gf2(vecs, basis, room)
     for v in vecs:
-        d = []
-        while v:
-            d.append(v % q)
-            v //= q
-        while d:
-            b = basis.get(len(d))
-            if b is None:
-                inv = _inv_mod(d[-1], q)
-                basis[len(d)] = [x * inv % q for x in d]
-                room -= 1
-                if room < 0:
-                    return True
-                break
-            c = d[-1]
-            d = [(x - c * y) % q for x, y in zip(d, b)]
-            while d and not d[-1]:
-                d.pop()
+        d = _reduce_digits(_digits(v, q), basis, q)
+        if d:
+            inv = _inv_mod(d[-1], q)
+            basis[len(d)] = [x * inv % q for x in d]
+            room -= 1
+            if room < 0:
+                return True
     return room < 0
+
+
+def _reduce(v: int, basis: dict, q: int) -> int:
+    """v less basis vectors for as long as one has v's top digit: the step
+    _eliminate takes before it stores a vector."""
+    if q == 2:
+        while v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        return v
+    out = 0
+    for x in reversed(_reduce_digits(_digits(v, q), basis, q)):
+        out = out * q + x
+    return out
+
+
+def coordinates(vecs: Sequence[int], target: int, q: int) -> Optional[int]:
+    """x packed base q (digit i is x_i) with sum_i x_i vecs[i] = target
+    over GF(q), or None when target is outside their span.
+
+    Vector i enters _eliminate with the tag digit q - 1 at position i,
+    below its own digits; once _reduce cancels target's own digits, its
+    tag digits read -(q - 1) x_i = x_i.  Dependent vecs would leave x
+    ambiguous: they raise InvariantViolation.
+    """
+    t = len(vecs)
+    shift = q ** t
+    found: dict = {}
+    _eliminate([v * shift + (q - 1) * q ** i for i, v in enumerate(vecs)],
+               found, t, q)
+    if any(h <= t for h in found):
+        raise InvariantViolation(f"{t} vectors over GF({q}) are dependent")
+    x = _reduce(target * shift, found, q)
+    return x if x < shift else None
 
 
 def basis(vecs: Sequence[int], q: int) -> dict:

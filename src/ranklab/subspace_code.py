@@ -26,7 +26,7 @@ from ranklab.gabidulin import (
     RankWord,
     _walk,
     codewords,
-    enumerate_ball,
+    exact_ball,
 )
 from ranklab.subspace import gaussian_binomial
 
@@ -160,7 +160,7 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
 
     code = inst.code
     if code.size <= budget:
-        rank_count = len(enumerate_ball(code, inst.center, inst.tau, budget))
+        rank_count = len(exact_ball(code, inst.center, inst.tau, budget))
         # d_s <= tau_s iff rank[center rows; word rows] <= n + half; the
         # center rows' basis is built once and copied per word
         q, n = code.q, code.n

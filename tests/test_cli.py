@@ -278,6 +278,37 @@ def test_words_outside_the_radius_do_not_meet_the_bound(tmp_path, capsys,
     assert f"{check}: fail" in out.splitlines()
 
 
+def _empty_pivot(data):
+    data["pivot"] = []
+
+
+def _no_members(data):
+    data["family"]["members"] = []
+
+
+def _empty_mutual_top(data):
+    data["family"]["mutual_top"] = []
+
+
+def _member_coefficient_changed(data):
+    # below the mutual top, so that the family itself still loads
+    data["family"]["members"][0][0] ^= 1
+
+
+@pytest.mark.parametrize("forge, check", [
+    (_empty_pivot, "center_not_in_code"),
+    (_no_members, "codewords_encode_low_degree"),
+    (_empty_mutual_top, "codewords_encode_low_degree"),
+    (_member_coefficient_changed, "codewords_encode_low_degree")])
+def test_forged_family_fails_verify(tmp_path, capsys, forge, check):
+    inst, data = _gen_gab41(tmp_path, capsys)
+    forge(data)
+    inst.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--in", str(inst))
+    assert code == 1
+    assert f"{check}: fail" in out.splitlines()
+
+
 def _top_level_array(data):
     return [data]
 

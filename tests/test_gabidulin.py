@@ -1,9 +1,13 @@
 """Gabidulin codes: encoding, the rank metric, the ball oracle, puncturing,
 and the bound calculators."""
 
+import importlib.util
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,17 +23,25 @@ from ranklab.errors import (
     TooManyPunctures,
 )
 from ranklab import gfmatrix
-from ranklab.adversarial import code_from_dict, code_to_dict
+from ranklab.adversarial import (
+    build_counting_instance,
+    build_explicit_instance,
+    code_from_dict,
+    code_to_dict,
+)
 from ranklab.field import make_field
 from ranklab.linpoly import LinearizedPoly
+from ranklab import gabidulin
 from ranklab.gabidulin import (
     GabidulinCode,
     RankWord,
     _walk,
+    ball_by_supports,
     codewords,
     encode,
     enumerate_ball,
     evaluate_word,
+    exact_ball,
     johnson_like_radius,
     make_code,
     preimage_message,
@@ -239,6 +251,117 @@ def test_ball_budget():
     code = make_code(2, 6, 6, 3)
     with pytest.raises(BudgetExceeded):
         enumerate_ball(code, RankWord(code.field, (0,) * 6), 1, budget=100)
+
+
+# (q, n, m, k, punctured) for the two ball oracles: q in {2, 3, 5}, m > n
+# and punctured codes
+ORACLE_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 3),
+                (3, 3, 3, 1, 0), (3, 2, 4, 1, 0), (3, 4, 4, 2, 0),
+                (5, 2, 2, 1, 0), (5, 2, 4, 1, 0), (5, 4, 4, 1, 2)]
+
+
+@pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
+def test_ball_by_supports_equals_enumerate_ball(q, n, m, k, s):
+    rng = random.Random(f"supports:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    f = code.field
+    centers = [RankWord(f, tuple(rng.randrange(f.order)
+                                 for _ in range(code.n)))
+               for _ in range(2)]
+    # a codeword plus an error of rank one, so that small radii are not
+    # empty
+    word = next(w for i, w in enumerate(codewords(code)) if i == 5)
+    alpha = rng.randrange(1, f.order)
+    centers.append(RankWord(f, tuple(f.add(c, f.mul(j % q, alpha))
+                                     for j, c in enumerate(word.coords))))
+    for center in centers:
+        for tau in range(code.min_distance):
+            assert ball_by_supports(code, center, tau) \
+                == enumerate_ball(code, center, tau)
+
+
+def test_exact_ball_dispatch_compares_supports_with_codewords(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gabidulin, "ball_by_supports",
+                        lambda *a: calls.append("supports") or [])
+    monkeypatch.setattr(gabidulin, "enumerate_ball",
+                        lambda *a: calls.append("words") or [])
+    cases = [((2, 6, 6, 3), 2, "supports"),     # 715 supports, 2^18 words
+             ((3, 4, 4, 2), 2, "supports"),     # 171 supports, 3^8 words
+             ((2, 8, 16, 1), 4, "words"),       # 308,993 supports, 2^16
+             ((5, 4, 4, 1), 2, "words"),        # 963 supports, 625 words
+             ((2, 6, 6, 3), 4, "words"),        # tau >= d
+             ((2, 4, 4, 2), 3, "words")]        # tau = d
+    for (q, n, m, k), tau, oracle in cases:
+        code = make_code(q, n, m, k)
+        calls.clear()
+        exact_ball(code, RankWord(code.field, (1,) * n), tau)
+        assert calls == [oracle], (q, n, m, k, tau)
+
+
+def test_exact_ball_budget_is_enumerate_ball_budget():
+    code = make_code(2, 4, 4, 2)                # 256 words
+    center = RankWord(code.field, (3, 0, 7, 12))
+    for tau in range(5):
+        with pytest.raises(BudgetExceeded):
+            enumerate_ball(code, center, tau, budget=255)
+        with pytest.raises(BudgetExceeded):
+            exact_ball(code, center, tau, budget=255)
+        assert exact_ball(code, center, tau, budget=256) \
+            == enumerate_ball(code, center, tau, budget=256)
+    with pytest.raises(ContextMismatch):
+        exact_ball(code, RankWord(code.field, (0,) * 3), 1)
+
+
+def test_ball_by_supports_raises_on_dependent_columns():
+    # at t = d a support of a minimum-weight codeword has dependent columns
+    code = make_code(2, 4, 4, 2)
+    center = RankWord(code.field, (3, 0, 7, 12))
+    assert len(ball_by_supports(code, center, 2)) == 29
+    with pytest.raises(InvariantViolation):
+        ball_by_supports(code, center, code.min_distance)
+    # a syndrome that forgets x^i leaves every support dependent
+    flat = make_code(3, 2, 4, 1)
+    flat.__dict__["_syndrome_table"] = tuple(
+        (row[0],) * 4 for row in flat._syndrome_table)
+    with pytest.raises(InvariantViolation):
+        ball_by_supports(flat, RankWord(flat.field, (1, 2)), 1)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BALL_SIZES = json.loads((BENCH / "ball_sizes.json").read_text())
+# the supports oracle takes about 30 s and 20 s on these two (308,993 and
+# 45,256 supports, against 2^16 and 3^6 codewords); exact_ball runs brute
+# force on both, so only that oracle is checked here
+DENSE_SUPPORTS = {"q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3"}
+
+
+def _bench_instance(name, seed=1):
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads     # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    inst = next(i for w in workloads.WORKLOADS.values()
+                for i in w.instances if i.name == name)
+    if inst.kind == "counting":
+        return build_counting_instance(inst.q, inst.n, inst.m, inst.k, inst.g,
+                                       inst.beta_exponent(seed), seed=seed)
+    return build_explicit_instance(inst.q, inst.g, inst.s, inst.n, inst.m,
+                                   inst.beta_exponent(seed), seed=seed)
+
+
+@pytest.mark.parametrize("name", sorted(BALL_SIZES))
+def test_ball_oracles_give_the_stored_ball_sizes(name):
+    inst = _bench_instance(name)
+    ball = enumerate_ball(inst.code, inst.center, inst.tau)
+    assert len(ball) == BALL_SIZES[name]
+    assert exact_ball(inst.code, inst.center, inst.tau) == ball
+    if name not in DENSE_SUPPORTS:
+        assert ball_by_supports(inst.code, inst.center, inst.tau) == ball
 
 
 def test_preimage_roundtrip_and_rejection():

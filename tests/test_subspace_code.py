@@ -202,7 +202,7 @@ def test_lifted_count_with_hoisted_center_basis(q, n, m, k, s):
 def test_lifted_count_disagreeing_with_the_ball_raises(monkeypatch, q):
     # distances double, so at floor(tau_s/2) == tau the two balls are one
     inst = build_explicit_instance(q, 2, 1, 4, 4)
-    monkeypatch.setattr(subspace_code, "enumerate_ball", lambda *args: [])
+    monkeypatch.setattr(subspace_code, "exact_ball", lambda *args: [])
     with pytest.raises(InvariantViolation):
         verify_lifted_instance(inst)
     # at a wider radius the lifted ball only has to contain the rank ball

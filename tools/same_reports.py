@@ -2,15 +2,19 @@
 """Write every benchmark instance's CLI outputs, for a byte-for-byte diff.
 
 For each instance of every workload in bench/workloads.py, at seed 1, this
-runs `gen-*`, `verify --out`, `lift-verify --out` and `bounds --out` (with
-the instance's q, n, m, k, g and s) with the ranklab found in SRC/src and
-writes into OUTDIR:
+runs `gen-*`, `verify --out`, `lift-verify --out`, `ball --out` and
+`bounds --out` (with the instance's q, n, m, k, g and s) with the ranklab
+found in SRC/src and writes into OUTDIR:
 
     <instance>.instance.json       the gen output
     <instance>.verify.json         the verify report
     <instance>.lift-verify.json    the lift-verify report
+    <instance>.ball.json           the exact ball at the instance radius
     <instance>.bounds.json         the bound table
     <instance>.<stage>.log         exit code, stdout and stderr of each call
+
+A code over the ball budget writes no ball file; its ball log records the
+exit code 2 and the BudgetExceeded error.
 
 Paths handed to the CLI are relative to OUTDIR, so the logs do not name it.
 Two source trees give the same reports iff `diff -r` of their OUTDIRs is
@@ -68,7 +72,7 @@ def main(argv=None) -> int:
             path = f"{inst.name}.instance.json"
             stages = [("gen", inst.gen_argv(SEED, path))]
             stages += [(s, [s, "--in", path, "--out", f"{inst.name}.{s}.json"])
-                       for s in ("verify", "lift-verify")]
+                       for s in ("verify", "lift-verify", "ball")]
             stages.append(("bounds", [
                 "bounds", "--q", str(inst.q), "--n", str(inst.n),
                 "--m", str(inst.m), "--k", str(inst.dim), "--g", str(inst.g),
