@@ -5,8 +5,9 @@ all at rank distance exactly tau from it, witnessing that list decoding at
 radius tau (one past unique decoding) cannot stay polynomial.  Two builders:
 the counting route goes through the pigeonhole subfamily of the
 subfield-linear family; the explicit route uses the orbit family directly.
-list_bound is the one source of both claimed list-size bounds; the builders,
-verify_instance, the lifted checks and the bound table all call it.
+list_bound is the one source of both claimed list-size bounds; the builders
+and the bound table call it, verify_instance and the lifted checks call it
+through instance_bound, which also checks the family's kind and parameters.
 verify_instance re-derives every claim independently, including an optional
 exhaustive ball scan.
 """
@@ -189,6 +190,22 @@ def list_bound(kind: str, q: int, n: int, k: int, g: int,
     return None
 
 
+def instance_bound(inst: AdversarialInstance) -> Optional[int]:
+    """list_bound for the instance's kind, code, family g and radius; None
+    also when the family's kind or parameters are not the ones that kind's
+    builder gives the code at that radius."""
+    code, tau, fam, p = inst.code, inst.tau, inst.family, inst.family.params
+    if inst.kind == "explicit":
+        fits = fam.kind in ("orbit", "orbit_shifted") \
+            and p.g * p.s == tau and p.ell == p.s - 1
+    else:
+        fits = fam.kind == "pigeonhole" and p.s == 1 and p.g >= 1 \
+            and p.ell == tau // p.g - 1
+    if fits and (p.q, p.n, p.r) == (code.q, code.n, code.n - tau):
+        return list_bound(inst.kind, code.q, code.n, code.k, p.g, tau)
+    return None
+
+
 def build_counting_instance(q: int, n: int, m: int, k: int, g: int,
                             beta_exponent: int = 0,
                             seed: int = 0) -> AdversarialInstance:
@@ -235,8 +252,8 @@ def verify_instance(inst: AdversarialInstance,
     pivot; (b) codeword i has a message preimage of q-degree < k, and it is
     pivot - member i, whose top coefficients are the mutual top, reaching
     down to index k; (c) every distance is exactly tau; (d) the list holds
-    at least list_bound distinct codewords, the bound recomputed from the
-    instance's kind, code, family g and radius, and the file claims that
+    at least instance_bound distinct codewords, the bound recomputed from
+    the instance's kind, code, family and radius, and the file claims that
     bound; (e) within budget, the exact ball contains the whole list.
     """
     code, tau = inst.code, inst.tau
@@ -265,8 +282,7 @@ def verify_instance(inst: AdversarialInstance,
         "distances_exactly_tau",
         "pass" if dists == [tau] else "fail", measured=dists, expected=[tau]))
 
-    bound = list_bound(inst.kind, code.q, code.n, code.k,
-                       inst.family.params.g, tau)
+    bound = instance_bound(inst)
     distinct = len({cw.coords for cw in inst.codewords})
     ok = bound is not None and distinct >= bound \
         and inst.claimed_bound == bound
@@ -444,8 +460,7 @@ def code_from_dict(d: dict) -> GabidulinCode:
     beta = field.pow(field.generator_serial, beta_exponent)
     _check_serials(field, d["eval_points"], "eval points")
     points = tuple(d["eval_points"])
-    if len(points) != n or gfmatrix.rank(
-            [field.digits(p) for p in points], q) != n:
+    if len(points) != n or len(gfmatrix.basis(points, q)) != n:
         raise ParamMismatch("evaluation points are not independent")
     return GabidulinCode(
         field=field, n=n, k=k, beta=beta, eval_points=points,

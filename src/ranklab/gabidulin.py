@@ -185,7 +185,7 @@ def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
         points = tuple(points)
         if len(points) != n:
             raise BadDimension(f"expected {n} evaluation points")
-    if gfmatrix.rank([field.digits(p) for p in points], q) != n:
+    if len(gfmatrix.basis(points, q)) != n:
         raise BadDimension("evaluation points are not independent")
     return GabidulinCode(field=field, n=n, k=k, beta=beta,
                          eval_points=points, subfield_degree=n,

@@ -1,13 +1,15 @@
-"""Dense exact linear algebra over prime fields GF(q).
+"""Dense exact linear algebra over prime fields GF(q), on one elimination
+loop: XOR on bitsets for q = 2, digit lists keyed by their top nonzero
+digit for odd q.
 
-Matrices are sequences of rows, each row a sequence of ints in [0, q).
-Everything returns plain tuples so results can be hashed and compared.
-Vectors packed base q (digit j is the coefficient of q^j), as GF(q^m)
-serials and lifted rows [I | X] are stored, go through one elimination loop
-for every prime q: XOR on bitsets for q = 2, digit lists for odd q.  basis()
-gives their rank; rank_test(q) stops as soon as the rank passes a limit,
-starting from a copy of a basis built once; coordinates() solves for a
-target in the span of independent vectors.
+The loop takes vectors packed base q (digit j is the coefficient of q^j),
+as GF(q^m) serials and lifted rows [I | X] are stored: basis() gives their
+rank, rank_test(q) stops once the rank passes a limit, from a copy of a
+start basis, and coordinates() solves for a target in their span.  rref(),
+rank(), solve() and intersection() take rows of ints, read mod q, with
+column 0 as the top digit, so a pivot is the leftmost nonzero column;
+rref() is the echelon basis with each pivot cleared from the rows above.
+Results are plain tuples so they can be hashed and compared.
 """
 
 from __future__ import annotations
@@ -21,43 +23,6 @@ Row = Tuple[int, ...]
 
 def _inv_mod(a: int, q: int) -> int:
     return pow(a, q - 2, q)
-
-
-def rref(rows: Sequence[Sequence[int]], q: int) -> Tuple[Row, ...]:
-    """Reduced row echelon form with zero rows dropped."""
-    work = [list(r) for r in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col] % q:
-                pr = r
-                break
-        if pr is None:
-            continue
-        work[pivot_row], work[pr] = work[pr], work[pivot_row]
-        inv = _inv_mod(work[pivot_row][col] % q, q)
-        if inv != 1:
-            work[pivot_row] = [(v * inv) % q for v in work[pivot_row]]
-        else:
-            work[pivot_row] = [v % q for v in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row:
-                f = work[r][col] % q
-                if f:
-                    prow = work[pivot_row]
-                    work[r] = [(v - f * p) % q for v, p in zip(work[r], prow)]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row])
-
-
-def rank(rows: Sequence[Sequence[int]], q: int) -> int:
-    return len(rref(rows, q))
 
 
 def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
@@ -87,31 +52,39 @@ def _digits(v: int, q: int) -> List[int]:
 
 def _reduce_digits(d: List[int], basis: dict, q: int) -> List[int]:
     """Subtract basis vectors from the digit list d (least significant
-    first) for as long as one has d's top digit."""
-    b = basis.get(len(d))
-    while b is not None:
-        c = d[-1]
-        d = [(x - c * y) % q for x, y in zip(d, b)]
+    first; popped in place) for as long as one has d's top nonzero digit."""
+    while True:
         while d and not d[-1]:
             d.pop()
         b = basis.get(len(d))
-    return d
+        if b is None:
+            return d
+        c = d[-1]
+        d = [(x - c * y) % q for x, y in zip(d, b)]
 
 
-def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
-    """_eliminate_gf2 for any prime q: odd q keys digit lists (least
-    significant first) by length and scales each stored top digit to 1."""
-    if q == 2:
-        return _eliminate_gf2(vecs, basis, room)
-    for v in vecs:
-        d = _reduce_digits(_digits(v, q), basis, q)
+def _store_digits(lists: Iterable[List[int]], basis: dict, room: int,
+                  q: int) -> bool:
+    """_eliminate for odd q on digit lists (least significant first): keyed
+    by length, each stored top digit scaled to 1."""
+    for d in lists:
+        d = _reduce_digits(d, basis, q)
         if d:
-            inv = _inv_mod(d[-1], q)
-            basis[len(d)] = [x * inv % q for x in d]
+            if d[-1] != 1:
+                inv = _inv_mod(d[-1], q)
+                d = [x * inv % q for x in d]
+            basis[len(d)] = d
             room -= 1
             if room < 0:
                 return True
     return room < 0
+
+
+def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
+    """_eliminate_gf2 for any prime q."""
+    if q == 2:
+        return _eliminate_gf2(vecs, basis, room)
+    return _store_digits((_digits(v, q) for v in vecs), basis, room, q)
 
 
 def _reduce(v: int, basis: dict, q: int) -> int:
@@ -180,43 +153,67 @@ def rank_gf2_exceeds(vecs: Sequence[int], limit: int,
     return _eliminate_gf2(vecs, {}, limit)
 
 
+def _echelon(rows: Sequence[Sequence[int]], q: int) -> dict:
+    """basis() of the rows read with column 0 as the top digit: a stored
+    vector's key is the row width less its pivot column."""
+    out: dict = {}
+    if q == 2:
+        packed = []
+        for r in rows:
+            v = 0
+            for x in r:
+                v = v << 1 | x & 1
+            packed.append(v)
+        _eliminate_gf2(packed, out, len(rows))
+    else:
+        _store_digits([[x % q for x in reversed(r)] for r in rows], out,
+                      len(rows), q)
+    return out
+
+
+def rref(rows: Sequence[Sequence[int]], q: int) -> Tuple[Row, ...]:
+    """Reduced row echelon form with zero rows dropped: the echelon basis,
+    each pivot cleared from the rows whose pivot lies to its left."""
+    width = len(rows[0]) if rows else 0
+    ech = _echelon(rows, q)
+    keys = sorted(ech)
+    out = []
+    for i, k in enumerate(keys):
+        v = ech[k]
+        # the rows of smaller key are reduced already
+        if q == 2:
+            for low in keys[:i]:
+                if v >> low - 1 & 1:
+                    v ^= ech[low]
+            out.append(tuple(map(int, format(v, f"0{width}b"))))
+        else:
+            for low in keys[:i]:
+                c = v[low - 1]
+                if c:
+                    v = [(x - c * y) % q
+                         for x, y in zip(v, ech[low])] + v[low:]
+            out.append((0,) * (width - k) + tuple(reversed(v)))
+        ech[k] = v
+    return tuple(reversed(out))
+
+
+def rank(rows: Sequence[Sequence[int]], q: int) -> int:
+    return len(_echelon(rows, q))
+
+
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int],
           q: int) -> Optional[Row]:
-    """One solution of rows * x = rhs, or None (free variables set to 0)."""
-    m = len(rows)
-    if m == 0:
+    """One solution of rows * x = rhs, or None (free variables set to 0),
+    read off rref([rows | rhs]); a pivot is a row's first 1."""
+    if not rows:
         return ()
     n = len(rows[0])
-    aug = [list(r) + [b % q] for r, b in zip(rows, rhs)]
-    pivots: List[int] = []
-    pivot_row = 0
-    for col in range(n):
-        pr = None
-        for r in range(pivot_row, m):
-            if aug[r][col] % q:
-                pr = r
-                break
-        if pr is None:
-            continue
-        aug[pivot_row], aug[pr] = aug[pr], aug[pivot_row]
-        inv = _inv_mod(aug[pivot_row][col] % q, q)
-        aug[pivot_row] = [(v * inv) % q for v in aug[pivot_row]]
-        for r in range(m):
-            if r != pivot_row:
-                f = aug[r][col] % q
-                if f:
-                    prow = aug[pivot_row]
-                    aug[r] = [(v - f * p) % q for v, p in zip(aug[r], prow)]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m:
-            break
-    for r in range(pivot_row, m):
-        if aug[r][n] % q:
-            return None  # inconsistent
     x = [0] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
+    for row in rref([list(r) + [b] for r, b in zip(rows, rhs)], q):
+        col = row.index(1)
+        if col == n:
+            return None  # inconsistent
+        x[col] = row[n]
     return tuple(x)
 
 
@@ -228,6 +225,6 @@ def intersection(rows_a: Sequence[Sequence[int]],
     n = len(rows_a[0])
     block = [list(r) + list(r) for r in rows_a]
     block += [list(r) + [0] * n for r in rows_b]
-    reduced = rref(block, q)
-    out = [r[n:] for r in reduced if not any(r[:n])]
-    return rref(out, q)
+    # the rows of an RREF that are zero on the left are the intersection's
+    # RREF on the right
+    return tuple(r[n:] for r in rref(block, q) if not any(r[:n]))

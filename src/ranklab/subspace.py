@@ -72,14 +72,8 @@ class Subspace:
 
     def contains(self, element) -> bool:
         s = element.serial if isinstance(element, FieldElement) else int(element)
-        vec = list(self.ambient.digits(s))
-        q = self.ambient.q
-        for row in self.rows:
-            piv = next(i for i, v in enumerate(row) if v)
-            f = vec[piv] % q
-            if f:
-                vec = [(v - f * rv) % q for v, rv in zip(vec, row)]
-        return not any(vec)
+        serials = self.basis_serials() + (s,)
+        return len(gfmatrix.basis(serials, self.ambient.q)) == self.dim
 
     def sort_key(self) -> Tuple[int, ...]:
         return self.basis_serials()

@@ -2,13 +2,13 @@
 
 An n x m matrix X over GF(q) lifts to the rowspace of [I_n | X], an
 n-dimensional subspace of GF(q)^(n+m); the map is injective and doubles
-distances: d_s(lift X, lift Y) = 2 rank(X - Y).  Words over GF(q^m) convert
-to matrices column-per-coordinate and are transposed before lifting.
+distances: d_s(lift X, lift Y) = 2 rank(X - Y).  A word over GF(q^m) lifts
+its transposed matrix: row j of X holds the digits of coordinate j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,32 +35,29 @@ LIFT_BUDGET = 1 << 18          # lift_code keeps every lifted subspace
 
 @dataclass(frozen=True)
 class LiftedSubspace:
-    """Rowspace of [I_n | X] inside GF(q)^(n+m), stored as that RREF.
-
-    packed holds the rows base-q packed (bit j = column j for q = 2); it is
-    derived from rows and excluded from comparisons.
-    """
+    """Rowspace of [I_n | X] inside GF(q)^(n+m), stored as the n rows of
+    that RREF packed base q: row j is q^j + sum_i X[j][i] q^(n+i) (bit j =
+    column j for q = 2)."""
 
     q: int
     n: int
     m: int
-    rows: Tuple[Tuple[int, ...], ...]
-    packed: Tuple[int, ...] = dc_field(compare=False, repr=False, default=())
+    packed: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.n
 
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The rows [I_n | X] as digit tuples."""
+        q = self.q
+        return tuple(tuple(v // q ** j % q for j in range(self.n + self.m))
+                     for v in self.packed)
+
     def payload(self) -> Tuple[Tuple[int, ...], ...]:
         """The matrix X recovered from the stored [I_n | X]."""
         return tuple(r[self.n:] for r in self.rows)
-
-
-def _pack_row(row: Sequence[int], q: int) -> int:
-    v = 0
-    for x in reversed(row):
-        v = v * q + x
-    return v
 
 
 def lift(x_rows: Sequence[Sequence[int]], q: int) -> LiftedSubspace:
@@ -71,22 +68,17 @@ def lift(x_rows: Sequence[Sequence[int]], q: int) -> LiftedSubspace:
     m = len(x_rows[0])
     if any(len(r) != m for r in x_rows):
         raise ShapeMismatch("ragged matrix")
-    rows = []
-    for i, r in enumerate(x_rows):
-        ident = [1 if j == i else 0 for j in range(n)]
-        rows.append(tuple(ident) + tuple(v % q for v in r))
-    rows = tuple(rows)
-    return LiftedSubspace(q=q, n=n, m=m, rows=rows,
-                          packed=tuple(_pack_row(r, q) for r in rows))
-
-
-def word_to_matrix(w: RankWord) -> Tuple[Tuple[int, ...], ...]:
-    """Transposed matrix form: row j holds the m digits of coordinate j."""
-    return tuple(w.spec.digits(c) for c in w.coords)
+    return LiftedSubspace(q=q, n=n, m=m, packed=tuple(
+        q ** j + sum(v % q * q ** (n + i) for i, v in enumerate(r))
+        for j, r in enumerate(x_rows)))
 
 
 def lift_word(w: RankWord) -> LiftedSubspace:
-    return lift(word_to_matrix(w), w.spec.q)
+    """Lift of the transposed matrix of w: row j of X holds the m digits of
+    coordinate j, so packed row j is q^j + w_j q^n."""
+    q, n = w.spec.q, len(w.coords)
+    return LiftedSubspace(q=q, n=n, m=w.spec.e, packed=tuple(
+        q ** j + c * q ** n for j, c in enumerate(w.coords)))
 
 
 def lifted_distance(a: LiftedSubspace, b: LiftedSubspace) -> int:
@@ -114,7 +106,7 @@ def lift_code(code: GabidulinCode,
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
     out = [lift_word(w) for w in codewords(code, budget)]
-    if len({ls.rows for ls in out}) != len(out):
+    if len({ls.packed for ls in out}) != len(out):
         raise InvariantViolation("lifting merged distinct codewords")
     return out
 
@@ -138,11 +130,12 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     tau_s (equality to 2 tau expected), compares the rank-level list size
     with the lifted ball when enumerable (equal at floor(tau_s/2) == tau),
     and checks the number of distinct listed codewords within lifted
-    distance 2 tau against adversarial.list_bound at the instance radius
-    tau, which the lifted code carries over unchanged.  Returns a
+    distance 2 tau against adversarial.instance_bound at the instance
+    radius tau, which the lifted code carries over unchanged.  Returns a
     VerificationReport.
     """
-    from ranklab.adversarial import CheckResult, VerificationReport, list_bound
+    from ranklab.adversarial import (
+        CheckResult, VerificationReport, instance_bound)
 
     if tau_s is None:
         tau_s = 2 * inst.tau
@@ -185,8 +178,7 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     # the bound belongs to the instance radius; tau_s only sets the
     # distance check and the lifted count
     listed = sum(1 for d in dist.values() if d <= 2 * inst.tau)
-    bound = list_bound(inst.kind, code.q, code.n, code.k,
-                       inst.family.params.g, inst.tau)
+    bound = instance_bound(inst)
     checks.append(CheckResult(
         f"lifted_{inst.kind}_bound",
         "pass" if bound is not None and listed >= bound else "fail",

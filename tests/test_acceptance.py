@@ -42,8 +42,9 @@ from ranklab.subspace_code import (
     lift_word,
     lifted_distance,
 )
-from ranklab import gfmatrix
 from ranklab.constructions import orbit_poly_family, subfield_linear_family
+
+import reference
 
 
 def _report(num: int, label: str, ok: bool, detail: str):
@@ -177,7 +178,7 @@ def test_criterion_07_lifting_suite():
         diff = [[(a - b) % 2 for a, b in zip(ra, rb)]
                 for ra, rb in zip(x, y)]
         identity_ok &= lifted_distance(lift(x, 2), lift(y, 2)) == \
-            2 * gfmatrix.rank(diff, 2)
+            2 * reference.rank(diff, 2)
     code = make_code(2, 4, 4, 1)
     lifted = lift_code(code)
     dmin = min(lifted_distance(a, b)

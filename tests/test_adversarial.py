@@ -375,3 +375,33 @@ def test_builder_verify_and_lift_verify_share_one_bound(build, args):
                                       f"lifted_{inst.kind}_bound"))
     assert len(expected) == 2
     assert set(expected.values()) == {inst.claimed_bound} == {bound}
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_explicit_instance, (3, 2, 1, 4, 4)),
+    (build_explicit_instance, (2, 2, 2, 8, 8)),
+    (build_counting_instance, (2, 4, 4, 1, 2)),
+    (build_counting_instance, (3, 4, 4, 2, 2)),
+])
+def test_family_of_another_kind_or_shape_fails_both_bound_checks(build,
+                                                                 args):
+    # the bound holds only for the family the instance's kind builds:
+    # pigeonhole for counting, (shifted) orbit for explicit, with q and n
+    # of the code, and s, ell of that kind at that radius (a family's r is
+    # its members' degree, which PolyFamily itself checks)
+    inst = build(*args)
+    fam = inst.family
+    other = "orbit" if inst.kind == "counting" else "pigeonhole"
+    forged = [dataclasses.replace(fam, kind=kind)
+              for kind in (other, "subfield", "bogus")]
+    forged += [dataclasses.replace(fam, params=dataclasses.replace(
+        fam.params, **{key: getattr(fam.params, key) + step}))
+        for key in ("q", "n", "g", "s", "ell") for step in (-1, 1)]
+    for family in forged:
+        bad = dataclasses.replace(inst, family=family)
+        for report, name in (
+                (verify_instance(bad, ball_budget=1),
+                 "list_meets_claimed_bound"),
+                (verify_lifted_instance(bad, budget=1),
+                 f"lifted_{inst.kind}_bound")):
+            assert _statuses(report)[name] == "fail", (family, name)

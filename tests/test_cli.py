@@ -295,11 +295,28 @@ def _member_coefficient_changed(data):
     data["family"]["members"][0][0] ^= 1
 
 
+def _family_field(key, value):
+    def forge(data):
+        if key == "kind":
+            data["family"]["kind"] = value
+        else:
+            data["family"]["params"][key] = value
+    forge.__name__ = f"_family_{key}_{value}"
+    return forge
+
+
+# the family must be the one gen-explicit builds for the code and radius
+FAMILY_FORGERIES = [_family_field("kind", "bogus")] + [
+    _family_field(key, value)
+    for key in ("q", "n", "s", "ell") for value in (-1, 99)]
+
+
 @pytest.mark.parametrize("forge, check", [
     (_empty_pivot, "center_not_in_code"),
     (_no_members, "codewords_encode_low_degree"),
     (_empty_mutual_top, "codewords_encode_low_degree"),
-    (_member_coefficient_changed, "codewords_encode_low_degree")])
+    (_member_coefficient_changed, "codewords_encode_low_degree")] + [
+    (forge, "list_meets_claimed_bound") for forge in FAMILY_FORGERIES])
 def test_forged_family_fails_verify(tmp_path, capsys, forge, check):
     inst, data = _gen_gab41(tmp_path, capsys)
     forge(data)

@@ -34,8 +34,9 @@ from ranklab.subspace_code import (
     lifted_distance,
     prior_lifted_bound,
     verify_lifted_instance,
-    word_to_matrix,
 )
+
+import reference
 
 
 def test_lift_zero_matrix():
@@ -71,7 +72,7 @@ def test_lifted_distance_identity_100_pairs():
         diff = [[(a - b) % 2 for a, b in zip(ra, rb)]
                 for ra, rb in zip(x, y)]
         assert lifted_distance(lift(x, 2), lift(y, 2)) == \
-            2 * gfmatrix.rank(diff, 2)
+            2 * reference.rank(diff, 2)
 
 
 def test_lifted_distance_generic_q():
@@ -82,7 +83,7 @@ def test_lifted_distance_generic_q():
         diff = [[(a - b) % 3 for a, b in zip(ra, rb)]
                 for ra, rb in zip(x, y)]
         assert lifted_distance(lift(x, 3), lift(y, 3)) == \
-            2 * gfmatrix.rank(diff, 3)
+            2 * reference.rank(diff, 3)
     with pytest.raises(ShapeMismatch):
         lifted_distance(lift([[0, 0]], 2), lift([[0]], 2))
 
@@ -90,9 +91,27 @@ def test_lifted_distance_generic_q():
 def test_word_matrix_convention():
     f = make_field(2, 4)
     w = RankWord(f, (1, 2, 4, 8))
-    m = word_to_matrix(w)
+    m = lift_word(w).payload()
     # row j holds the digits of coordinate j (the transposed expansion)
     assert m == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    w = RankWord(f, (3, 0, 8, 0))
+    assert lift_word(w).payload() == \
+        ((1, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+
+
+def test_lift_word_is_lift_of_the_digit_rows():
+    # lift_word packs serials directly; lift packs a digit matrix
+    rng = random.Random(34)
+    for q, n, m in ((2, 4, 4), (2, 3, 6), (3, 4, 4), (5, 2, 4)):
+        f = make_field(q, m)
+        for _ in range(20):
+            w = RankWord(f, tuple(rng.randrange(f.order) for _ in range(n)))
+            lw = lift_word(w)
+            assert lw == lift([f.digits(c) for c in w.coords], q)
+            assert (lw.n, lw.m, lw.dim) == (n, m, n)
+            assert lw.rows == tuple(
+                tuple(int(i == j) for i in range(n)) + f.digits(c)
+                for j, c in enumerate(w.coords))
 
 
 def test_lift_code_gab41_is_8_16_8_4():
@@ -217,7 +236,8 @@ def _unpack(v, q, width):
 
 def test_rank_gf2_exceeds_from_a_start_basis():
     # the early-exit rank test of packed vectors, from a start basis and
-    # afresh, against generic rref of the stacked rows, on q in {2, 3, 5}
+    # afresh, against the reference rref of the stacked rows, on q in
+    # {2, 3, 5}
     rng = random.Random(31)
     for q in (2, 3, 5):
         for _ in range(300):
@@ -227,8 +247,8 @@ def test_rank_gf2_exceeds_from_a_start_basis():
             limit = rng.randrange(-1, 8)
             start = gfmatrix.basis(a, q)
             kept = copy.deepcopy(start)
-            rank = gfmatrix.rank([_unpack(x, q, width) for x in a + v], q)
-            assert len(start) == gfmatrix.rank(
+            rank = reference.rank([_unpack(x, q, width) for x in a + v], q)
+            assert len(start) == reference.rank(
                 [_unpack(x, q, width) for x in a], q)
             exceeds = gfmatrix.rank_test(q)
             assert exceeds(v, limit, start) == exceeds(a + v, limit) \
@@ -263,9 +283,9 @@ from ranklab.adversarial import _check_instance, build_explicit_instance
 from ranklab.errors import InvariantViolation
 from ranklab.subspace_code import LiftedSubspace, lift, lifted_distance
 
-# packed rows that contradict the stored [I | X]: the stacked rank and
-# the payload rank give different distances
-broken = LiftedSubspace(q=2, n=1, m=1, rows=((1, 1),), packed=(0,))
+# a packed row without its identity block: the stacked rank and the
+# rank of X - Y give different distances
+broken = LiftedSubspace(q=2, n=1, m=1, packed=(0,))
 inst = build_explicit_instance(2, 2, 1, 4, 4)   # d = 4, radius in (1, 4)
 for probe in (lambda: lifted_distance(lift([[1]], 2), broken),
               lambda: _check_instance(dataclasses.replace(inst, tau=1)),
