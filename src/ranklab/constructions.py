@@ -141,12 +141,12 @@ def subfield_linear_family(q: int, n: int, r: int, g: int,
                                                    gamma_pows[j]))
             gens.append(h)
         basis = [ambient.mul(t, h) for h in gens for t in sub_gen_pows]
-        space = Subspace.from_elements(ambient, basis)
+        space = Subspace(ambient, basis)
         require(space.dim == r, "pattern span is not an r-subspace")
         poly = subspace_polynomial(space)
         require(all(c == 0 for i, c in enumerate(poly.coeffs) if i % g),
                 "coefficient off the g-stride")
-        pairs.append((space.sort_key(), poly))
+        pairs.append((space.basis, poly))
     require(len(pairs) == size, "family size is not [n/g, r/g]_(q^g)")
     pairs.sort(key=lambda t: t[0])
 

@@ -9,6 +9,13 @@ messages in q-ary Gray order (_walk), never over the ambient space.  The
 rank ball has two exact oracles: enumerate_ball walks every codeword, and
 ball_by_supports solves one GF(q) system per error support of rank <= tau,
 sum_{t<=tau} [n,t]_q of them; exact_ball runs whichever does less work.
+
+Membership and the supports oracle share one GF(q) elimination per code,
+_message_system: the mk basis codewords, packed base q, each tagged with
+its message digit.  A word reduced against it leaves its syndrome
+(_syndrome), the residue above the tag digits, GF(q)-linear and zero
+exactly on the code, and its message in the tag digits (preimage_message,
+which re-encodes that message before it accepts the word).
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from ranklab.errors import (
     BudgetExceeded,
     ContextMismatch,
     DegreeTooHigh,
-    InvariantViolation,
     NegativeDiscriminant,
     NotASubfield,
     RadiusTooLarge,
@@ -120,26 +126,11 @@ class GabidulinCode:
         return tuple(out)
 
     @cached_property
-    def _message_inverse(self) -> tuple:
-        """Information set and inverse of the nm x mk message system A.
-
-        One elimination rref([A^T | I]) = [R | E]: the pivot columns of R
-        are mk independent equations (coordinate j, digit b) and E^T
-        inverts that square subsystem, so the message digits of a word
-        are sum_i (digit b_i of coordinate j_i) * E_i.
-        """
-        m, mk, nm = self.m, self.m * self.k, self.n * self.m
-        rows = [sum((self.field.digits(c) for c in vec), ())
-                + tuple(int(u == v) for v in range(mk))
-                for u, vec in enumerate(self._basis_contributions)]
-        out = []
-        for row in gfmatrix.rref(rows, self.q):
-            pivot = next(i for i, v in enumerate(row) if v)
-            if pivot >= nm:
-                raise InvariantViolation(
-                    f"{self!r}: message system has rank below mk={mk}")
-            out.append((divmod(pivot, m), row[nm:]))
-        return tuple(out)
+    def _message_system(self) -> dict:
+        """gfmatrix.tagged_basis of the mk basis codewords, packed as
+        _packed does: tag digit i*m + t is message digit i*m + t."""
+        return gfmatrix.tagged_basis(
+            [_packed(self, c) for c in self._basis_contributions], self.q)
 
     @cached_property
     def _syndrome_table(self) -> Tuple[Tuple[int, ...], ...]:
@@ -243,45 +234,38 @@ def _check_code_context(code: GabidulinCode, w: RankWord):
         raise ContextMismatch("word does not match the code context")
 
 
-def _information_message(code: GabidulinCode,
-                         coords: Sequence[int]) -> LinearizedPoly:
-    """The message read off the word's information set: one GF(q)
-    matrix-vector product with the inverse in _message_inverse."""
-    field, m = code.field, code.m
-    digs = [field.digits(c) for c in coords]
-    x = [0] * (m * code.k)
-    for (j, b), row in code._message_inverse:
-        c = digs[j][b]
-        if c:
-            x = [a + c * v for a, v in zip(x, row)]
-    return LinearizedPoly(field, [field.from_digits(x[i * m:(i + 1) * m])
-                                  for i in range(code.k)])
+def _packed(code: GabidulinCode, coords: Sequence[int]) -> int:
+    """The word's nm GF(q) digits packed base q: digit j*m + b is digit b of
+    coordinate j."""
+    out = 0
+    for c in reversed(coords):
+        out = out * code.field.order + c
+    return out
 
 
 def _syndrome(code: GabidulinCode, coords: Sequence[int]) -> int:
-    """w - encode(w's information-set message), packed base q with digit
-    j*m + b the digit b of coordinate j: GF(q)-linear in w and zero
-    exactly on the code."""
-    field = code.field
-    enc = evaluate_word(code, _information_message(code, coords)).coords
-    out = 0
-    for a, c in zip(reversed(coords), reversed(enc)):
-        out = out * field.order + field.sub(a, c)
-    return out
+    """The residue of the packed word above the tag digits, once reduced
+    against the message system: GF(q)-linear in w and zero exactly on the
+    code."""
+    return gfmatrix.reduce_tagged(code._message_system,
+                                  _packed(code, coords), code.q)[0]
 
 
 def preimage_message(code: GabidulinCode,
                      w: RankWord) -> Optional[LinearizedPoly]:
     """Message polynomial of q-degree < k encoding w, or None.
 
-    The GF(q)-linear message system is eliminated once per code object
-    (an information set of mk equations and its inverse); each word then
-    costs one GF(q) matrix-vector product, and is accepted only if
-    re-encoding the message reproduces all n coordinates.  Independent
-    of the enumeration-based oracle.
+    The message system is eliminated once per code object; each word is
+    then reduced against it, the message read off its tag digits, and
+    accepted only if re-encoding that message reproduces all n
+    coordinates.  Independent of the enumeration-based oracle.
     """
     _check_code_context(code, w)
-    msg = _information_message(code, w.coords)
+    order = code.field.order
+    x = gfmatrix.reduce_tagged(code._message_system, _packed(code, w.coords),
+                               code.q)[1]
+    msg = LinearizedPoly(code.field, [x // order ** i % order
+                                      for i in range(code.k)])
     return msg if evaluate_word(code, msg).coords == w.coords else None
 
 

@@ -2,14 +2,16 @@
 loop: XOR on bitsets for q = 2, digit lists keyed by their top nonzero
 digit for odd q.
 
-The loop takes vectors packed base q (digit j is the coefficient of q^j),
-as GF(q^m) serials and lifted rows [I | X] are stored: basis() gives their
-rank, rank_test(q) stops once the rank passes a limit, from a copy of a
-start basis, and coordinates() solves for a target in their span.  rref(),
-rank(), solve() and intersection() take rows of ints, read mod q, with
-column 0 as the top digit, so a pivot is the leftmost nonzero column;
-rref() is the echelon basis with each pivot cleared from the rows above.
-Results are plain tuples so they can be hashed and compared.
+Every function takes GF(q) vectors packed base q (digit j is the
+coefficient of q^j), as GF(q^m) serials and lifted rows [I | X] are
+stored; solve() alone takes matrix rows, and packs them itself.  basis()
+gives the rank, rank_test(q) stops once the rank passes a limit, from a
+copy of a start basis, and tagged_basis()/reduce_tagged() eliminate a set
+of vectors once and then reduce any number of targets against it
+(coordinates() is the two in one call).  rref() is the canonical basis of
+a span: column j is digit j, so a pivot is a vector's lowest nonzero
+digit; this module is the only place that convention lives.  Results are
+plain ints and tuples so they can be hashed and compared.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ranklab.errors import InvariantViolation
-
-Row = Tuple[int, ...]
 
 
 def _inv_mod(a: int, q: int) -> int:
@@ -87,37 +87,59 @@ def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
     return _store_digits((_digits(v, q) for v in vecs), basis, room, q)
 
 
-def _reduce(v: int, basis: dict, q: int) -> int:
-    """v less basis vectors for as long as one has v's top digit: the step
-    _eliminate takes before it stores a vector."""
-    if q == 2:
-        while v.bit_length() in basis:
-            v ^= basis[v.bit_length()]
-        return v
+def _pack(top_first: Iterable[int], q: int) -> int:
     out = 0
-    for x in reversed(_reduce_digits(_digits(v, q), basis, q)):
+    for x in top_first:
         out = out * q + x
     return out
 
 
-def coordinates(vecs: Sequence[int], target: int, q: int) -> Optional[int]:
-    """x packed base q (digit i is x_i) with sum_i x_i vecs[i] = target
-    over GF(q), or None when target is outside their span.
+def _clear(v: int, basis: dict, q: int) -> int:
+    """v less each basis vector times v's digit at its key, from the top
+    key down: zero at every key, and linear in v, where stopping at the
+    first top digit without a basis vector, as _eliminate does, is not."""
+    keys = sorted(basis, reverse=True)
+    if q == 2:
+        for h in keys:
+            if v >> h - 1 & 1:
+                v ^= basis[h]
+        return v
+    d = _digits(v, q)
+    for h in keys:
+        c = d[h - 1] if h <= len(d) else 0
+        if c:
+            d[:h] = [(x - c * y) % q for x, y in zip(d, basis[h])]
+    return _pack(reversed(d), q)
 
-    Vector i enters _eliminate with the tag digit q - 1 at position i,
-    below its own digits; once _reduce cancels target's own digits, its
-    tag digits read -(q - 1) x_i = x_i.  Dependent vecs would leave x
-    ambiguous: they raise InvariantViolation.
-    """
+
+def tagged_basis(vecs: Sequence[int], q: int) -> dict:
+    """basis() of the vectors vecs[i] * q^t + (q - 1) q^i, t = len(vecs):
+    each carries the tag digit q - 1 at position i, below its own digits.
+    Dependent vecs would leave the tags of a reduced target ambiguous:
+    they raise InvariantViolation."""
     t = len(vecs)
     shift = q ** t
-    found: dict = {}
-    _eliminate([v * shift + (q - 1) * q ** i for i, v in enumerate(vecs)],
-               found, t, q)
-    if any(h <= t for h in found):
+    out = basis([v * shift + (q - 1) * q ** i for i, v in enumerate(vecs)],
+                q)
+    if any(h <= t for h in out):
         raise InvariantViolation(f"{t} vectors over GF({q}) are dependent")
-    x = _reduce(target * shift, found, q)
-    return x if x < shift else None
+    return out
+
+
+def reduce_tagged(tagged: dict, target: int, q: int) -> Tuple[int, int]:
+    """(residue, x): target * q^t, t = len(tagged), cleared at every key of
+    a tagged_basis(vecs) and split at q^t.  The residue is GF(q)-linear in
+    target and zero exactly on the span of vecs; the tag digits then read
+    -(q - 1) x_i = x_i, with sum_i x_i vecs[i] = target."""
+    shift = q ** len(tagged)
+    return divmod(_clear(target * shift, tagged, q), shift)
+
+
+def coordinates(vecs: Sequence[int], target: int, q: int) -> Optional[int]:
+    """x packed base q (digit i is x_i) with sum_i x_i vecs[i] = target
+    over GF(q), or None when target is outside their span."""
+    residue, x = reduce_tagged(tagged_basis(vecs, q), target, q)
+    return None if residue else x
 
 
 def basis(vecs: Sequence[int], q: int) -> dict:
@@ -153,78 +175,73 @@ def rank_gf2_exceeds(vecs: Sequence[int], limit: int,
     return _eliminate_gf2(vecs, {}, limit)
 
 
-def _echelon(rows: Sequence[Sequence[int]], q: int) -> dict:
-    """basis() of the rows read with column 0 as the top digit: a stored
-    vector's key is the row width less its pivot column."""
-    out: dict = {}
+def _width(vecs: Sequence[int], q: int) -> int:
+    """Number of base-q digits of the widest vector."""
+    top = max(vecs, default=0)
+    w = 0
+    while top:
+        top //= q
+        w += 1
+    return w
+
+
+def _reverse(v: int, width: int, q: int) -> int:
+    """v with digit j moved to digit width - 1 - j."""
     if q == 2:
-        packed = []
-        for r in rows:
-            v = 0
-            for x in r:
-                v = v << 1 | x & 1
-            packed.append(v)
-        _eliminate_gf2(packed, out, len(rows))
-    else:
-        _store_digits([[x % q for x in reversed(r)] for r in rows], out,
-                      len(rows), q)
+        return int(format(v, f"0{width}b")[::-1], 2)
+    out = 0
+    for _ in range(width):
+        v, x = divmod(v, q)
+        out = out * q + x
     return out
 
 
-def rref(rows: Sequence[Sequence[int]], q: int) -> Tuple[Row, ...]:
-    """Reduced row echelon form with zero rows dropped: the echelon basis,
-    each pivot cleared from the rows whose pivot lies to its left."""
-    width = len(rows[0]) if rows else 0
-    ech = _echelon(rows, q)
-    keys = sorted(ech)
+def rref(vecs: Sequence[int], q: int) -> Tuple[int, ...]:
+    """The reduced echelon basis of packed GF(q) vectors, column j being
+    digit j: each vector's pivot is its lowest nonzero digit, scaled to 1
+    and zero in every other vector, in ascending pivot order.  This is the
+    canonical basis of their span.
+
+    The one top-digit loop builds it on the vectors with their digits
+    reversed over the common width, so a pivot becomes a top digit."""
+    width = _width(vecs, q)
+    ech = basis([_reverse(v, width, q) for v in vecs], q)
     out = []
-    for i, k in enumerate(keys):
-        v = ech[k]
-        # the rows of smaller key are reduced already
-        if q == 2:
-            for low in keys[:i]:
-                if v >> low - 1 & 1:
-                    v ^= ech[low]
-            out.append(tuple(map(int, format(v, f"0{width}b"))))
-        else:
-            for low in keys[:i]:
-                c = v[low - 1]
-                if c:
-                    v = [(x - c * y) % q
-                         for x, y in zip(v, ech[low])] + v[low:]
-            out.append((0,) * (width - k) + tuple(reversed(v)))
-        ech[k] = v
-    return tuple(reversed(out))
-
-
-def rank(rows: Sequence[Sequence[int]], q: int) -> int:
-    return len(_echelon(rows, q))
+    for h in sorted(ech, reverse=True):
+        top = q ** (h - 1)
+        v = ech[h] if q == 2 else _pack(reversed(ech[h]), q)
+        out.append(_reverse(top + _clear(v - top, ech, q), width, q))
+    return tuple(out)
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int],
-          q: int) -> Optional[Row]:
+          q: int) -> Optional[Tuple[int, ...]]:
     """One solution of rows * x = rhs, or None (free variables set to 0),
-    read off rref([rows | rhs]); a pivot is a row's first 1."""
+    read off rref([rows | rhs]) packed with column j as digit j.  Nothing in
+    ranklab calls it; it keeps its rows, the one exception to packed
+    vectors, because bench/tracing.py probes it."""
     if not rows:
         return ()
     n = len(rows[0])
     x = [0] * n
-    for row in rref([list(r) + [b] for r, b in zip(rows, rhs)], q):
-        col = row.index(1)
+    for v in rref([_pack((c % q for c in reversed([*r, b])), q)
+                   for r, b in zip(rows, rhs)], q):
+        col = 0
+        while not v % q ** (col + 1):
+            col += 1
         if col == n:
             return None  # inconsistent
-        x[col] = row[n]
+        x[col] = v // q ** n
     return tuple(x)
 
 
-def intersection(rows_a: Sequence[Sequence[int]],
-                 rows_b: Sequence[Sequence[int]], q: int) -> Tuple[Row, ...]:
-    """RREF basis of rowspace(A) intersect rowspace(B) (Zassenhaus)."""
-    if not rows_a or not rows_b:
+def intersection(vecs_a: Sequence[int], vecs_b: Sequence[int],
+                 q: int) -> Tuple[int, ...]:
+    """rref() of span(vecs_a) intersect span(vecs_b) (Zassenhaus)."""
+    if not vecs_a or not vecs_b:
         return ()
-    n = len(rows_a[0])
-    block = [list(r) + list(r) for r in rows_a]
-    block += [list(r) + [0] * n for r in rows_b]
-    # the rows of an RREF that are zero on the left are the intersection's
-    # RREF on the right
-    return tuple(r[n:] for r in rref(block, q) if not any(r[:n]))
+    shift = q ** _width([*vecs_a, *vecs_b], q)
+    # [A | A; B | 0] with the left block in the low digits: the vectors of
+    # its rref that are zero there carry the intersection's rref above
+    return tuple(v // shift for v in rref(
+        [a + a * shift for a in vecs_a] + list(vecs_b), q) if not v % shift)

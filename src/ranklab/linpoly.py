@@ -293,4 +293,4 @@ def kernel(poly: LinearizedPoly, ambient: FieldSpec,
         roots = [x for x in ambient.elements()
                  if poly.evaluate_serial(
                      embed_serial(x, ambient, poly.spec)) == 0]
-    return Subspace.from_elements(ambient, roots)
+    return Subspace(ambient, roots)

@@ -1,16 +1,17 @@
 """GF(q)-subspaces of GF(q^n): canonical bases, subspace polynomials,
 cyclic shifts and orbits, Grassmannian enumeration, subspace distance.
 
-A subspace is stored as the RREF of its basis over GF(q); rows are the
-polynomial-basis coordinate vectors of basis elements, so the packed value
-of a row (sum row[i] * q^i) is exactly the serial of the corresponding
-field element.  Equality of subspaces is equality of RREF matrices.
+A subspace is stored as its canonical basis, gfmatrix.rref() of any
+spanning set of field serials: a serial is its GF(q)-coordinate vector
+packed base q, so the basis is serials too.  Equality, hashing and the
+order of an orbit or a family all read that tuple of serials; the pivot
+convention behind it lives in gfmatrix alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List
 
 from ranklab import gfmatrix
 from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift, require
@@ -23,21 +24,16 @@ GRASSMANNIAN_BUDGET = 10 ** 6
 
 
 class Subspace:
-    """An r-dimensional GF(q)-subspace of GF(q^n) in canonical RREF form."""
+    """An r-dimensional GF(q)-subspace of GF(q^n), spanned by the given
+    serials or FieldElements and kept as its canonical basis of serials."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: FieldSpec, rows: Sequence[Sequence[int]]):
+    def __init__(self, ambient: FieldSpec, elements: Iterable):
         self.ambient = ambient
-        self.rows = gfmatrix.rref(rows, ambient.q)
-
-    @classmethod
-    def from_elements(cls, ambient: FieldSpec, elements: Iterable) -> "Subspace":
-        rows = []
-        for el in elements:
-            s = el.serial if isinstance(el, FieldElement) else int(el)
-            rows.append(ambient.digits(s))
-        return cls(ambient, rows)
+        self.basis = gfmatrix.rref(
+            [el.serial if isinstance(el, FieldElement) else int(el)
+             for el in elements], ambient.q)
 
     @classmethod
     def zero(cls, ambient: FieldSpec) -> "Subspace":
@@ -45,26 +41,19 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: FieldSpec) -> "Subspace":
-        n = ambient.e
-        return cls(ambient, [[1 if j == i else 0 for j in range(n)]
-                             for i in range(n)])
+        return cls(ambient, [ambient.q ** i for i in range(ambient.e)])
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def basis_serials(self) -> Tuple[int, ...]:
-        """Basis elements as field serials (packed RREF rows)."""
-        return tuple(self.ambient.from_digits(r) for r in self.rows)
+        return len(self.basis)
 
     def elements(self) -> List[int]:
         """All q^dim element serials, in ascending-coordinate order."""
         spec = self.ambient
-        serials = self.basis_serials()
         out = []
         for combo in itertools.product(range(spec.q), repeat=self.dim):
             s = 0
-            for c, b in zip(combo, serials):
+            for c, b in zip(combo, self.basis):
                 if c:
                     s = spec.add(s, spec.mul(c, b))
             out.append(s)
@@ -72,22 +61,19 @@ class Subspace:
 
     def contains(self, element) -> bool:
         s = element.serial if isinstance(element, FieldElement) else int(element)
-        serials = self.basis_serials() + (s,)
-        return len(gfmatrix.basis(serials, self.ambient.q)) == self.dim
-
-    def sort_key(self) -> Tuple[int, ...]:
-        return self.basis_serials()
+        return len(gfmatrix.basis(self.basis + (s,), self.ambient.q)) \
+            == self.dim
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace)
-                and self.ambient == other.ambient and self.rows == other.rows)
+        return (isinstance(other, Subspace) and self.ambient == other.ambient
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         return (f"Subspace(dim={self.dim} of GF({self.ambient.q}^"
-                f"{self.ambient.e}), basis={self.basis_serials()})")
+                f"{self.ambient.e}), basis={self.basis})")
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +92,7 @@ def subspace_polynomial(v: Subspace,
     if q ** v.dim > budget:
         raise BudgetExceeded(f"q^r = {q ** v.dim} exceeds budget {budget}")
     coeffs = [1]  # P(x) = x
-    for b in v.basis_serials():
+    for b in v.basis:
         pb = 0
         y = b
         for a in coeffs:
@@ -146,8 +132,7 @@ def subspace_polynomial_product(v: Subspace) -> LinearizedPoly:
             i = 0
             dd = d
             while dd > 1:
-                if dd % q:
-                    raise AssertionError("product is not linearized")
+                require(dd % q == 0, "product is not linearized")
                 dd //= q
                 i += 1
             while len(coeffs) <= i:
@@ -166,8 +151,7 @@ def cyclic_shift(v: Subspace, alpha) -> Subspace:
     a = alpha.serial if isinstance(alpha, FieldElement) else int(alpha)
     if a == 0:
         raise ZeroShift("cyclic shift by zero")
-    return Subspace.from_elements(
-        spec, (spec.mul(a, b) for b in v.basis_serials()))
+    return Subspace(spec, (spec.mul(a, b) for b in v.basis))
 
 
 def orbit(v: Subspace, budget: int = ORBIT_BUDGET) -> List[Subspace]:
@@ -184,11 +168,11 @@ def orbit(v: Subspace, budget: int = ORBIT_BUDGET) -> List[Subspace]:
     seen = {}
     current = v
     for _ in range(spec.order - 1):
-        if current.rows in seen:
+        if current.basis in seen:
             break
-        seen[current.rows] = current
+        seen[current.basis] = current
         current = cyclic_shift(current, gen)
-    members = sorted(seen.values(), key=Subspace.sort_key)
+    members = [seen[b] for b in sorted(seen)]
     size = len(members)
     n = spec.e
     if v.dim in (0, n):
@@ -249,7 +233,7 @@ def enumerate_grassmannian(ambient: FieldSpec, r: int,
         raise BudgetExceeded(f"Grassmannian has {count} subspaces, "
                              f"budget {budget}")
     for rows in rref_patterns(n, r, ambient.q):
-        yield Subspace(ambient, rows)
+        yield Subspace(ambient, [ambient.from_digits(row) for row in rows])
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +243,8 @@ def enumerate_grassmannian(ambient: FieldSpec, r: int,
 def intersection(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient != v.ambient:
         raise AmbientMismatch("subspaces in different ambient fields")
-    rows = gfmatrix.intersection(u.rows, v.rows, u.ambient.q)
-    return Subspace(u.ambient, rows)
+    return Subspace(u.ambient,
+                    gfmatrix.intersection(u.basis, v.basis, u.ambient.q))
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:

@@ -205,6 +205,29 @@ def test_reports_match_pinned_bytes(tmp_path, capsys, q, beta_exp):
     assert tuple(digests) == PINNED_REPORTS[q, beta_exp]
 
 
+# SHA-256 of counting instance files, g = 2: their codewords come in the
+# order of the family's canonical subspace bases, so a change to that
+# canonical form moves them
+PINNED_COUNTING = {
+    (2, 6, 6, 3, 5):
+        "2a7b524e11afc5b4045174dcf84dfa254013df67a7efa87029e5849622671873",
+    (3, 4, 4, 2, 7):
+        "fe293d47f942d2eae244e6b43a753c479efa2108e7ddb042cad04b80c023bcc6",
+}
+
+
+@pytest.mark.parametrize("q, n, m, k, beta_exp", sorted(PINNED_COUNTING))
+def test_counting_instances_match_pinned_bytes(tmp_path, capsys, q, n, m, k,
+                                               beta_exp):
+    inst = tmp_path / "inst.json"
+    assert main(["gen-counting", "--q", str(q), "--n", str(n), "--m", str(m),
+                 "--k", str(k), "--g", "2", "--beta-exp", str(beta_exp),
+                 "--seed", "1", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(inst.read_bytes()).hexdigest() \
+        == PINNED_COUNTING[q, n, m, k, beta_exp]
+
+
 def _gen_gab41(tmp_path, capsys):
     """Explicit Gab[4,1] over GF(2^4): 5 codewords at radius 2 (d = 4)."""
     inst = tmp_path / "inst.json"

@@ -156,7 +156,7 @@ def test_orbit_family_gf16():
     assert len(fam) == 5
     assert fam.members[0] == orbit_base_poly(2, 2, 1, 2)
     kernels = sorted(({kernel(m, F16) for m in fam.members}),
-                     key=lambda s: s.sort_key())
+                     key=lambda s: s.basis)
     assert kernels == orbit(kernel(fam.members[0], F16))
 
 

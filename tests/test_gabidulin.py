@@ -421,9 +421,8 @@ def test_preimage_same_after_dict_roundtrip(q, n, m, k, s):
 
 
 def test_preimage_factors_the_message_system_once(monkeypatch):
-    code = make_code(3, 4, 4, 2)
-    f = code.field
-    calls = {"rref": 0, "solve": 0}
+    codes = [make_code(3, 4, 4, 2), make_code(2, 6, 6, 3)]
+    calls = {"tagged_basis": 0, "rref": 0, "solve": 0}
 
     def counted(name):
         original = getattr(gfmatrix, name)
@@ -435,10 +434,48 @@ def test_preimage_factors_the_message_system_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(gfmatrix, name, counted(name))
-    for c in range(1, 6):
-        msg = LinearizedPoly(f, [c, 2 * c])
-        assert preimage_message(code, encode(code, msg)) == msg
-    assert calls == {"rref": 1, "solve": 0}
+    for code in codes:
+        f = code.field
+        for c in range(1, 6):
+            msg = LinearizedPoly(f, [c * (i + 2) for i in range(code.k)])
+            assert preimage_message(code, encode(code, msg)) == msg
+    # one elimination per code, however many words it reads
+    assert calls == {"tagged_basis": len(codes), "rref": 0, "solve": 0}
+
+
+@pytest.mark.parametrize("q, n, m, k, s", PREIMAGE_CODES)
+def test_syndrome_is_linear_and_zero_exactly_on_the_code(q, n, m, k, s):
+    rng = random.Random(f"syndrome:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    f = code.field
+
+    def syndrome_digits(coords):
+        v = gabidulin._syndrome(code, coords)
+        assert v < q ** (code.n * m)
+        return [v // q ** i % q for i in range(code.n * m)]
+
+    def codeword():
+        return encode(code, LinearizedPoly(
+            f, [rng.randrange(f.order) for _ in range(k)])).coords
+
+    for _ in range(8):
+        u, v, c = ([rng.randrange(f.order) for _ in range(code.n)],
+                   [rng.randrange(f.order) for _ in range(code.n)],
+                   codeword())
+        a = rng.randrange(q)
+        combo = [f.add(f.mul(a, x), y) for x, y in zip(u, v)]
+        assert syndrome_digits(combo) == [
+            (a * x + y) % q
+            for x, y in zip(syndrome_digits(u), syndrome_digits(v))]
+        assert syndrome_digits(list(map(f.add, u, c))) == syndrome_digits(u)
+        # a codeword, a rank-1 error off one, and a random word
+        near = list(c)
+        j = rng.randrange(code.n)
+        near[j] = f.add(near[j], rng.randrange(1, q) * q ** rng.randrange(m))
+        for w in (c, near, u):
+            assert (not any(syndrome_digits(w))) == (
+                preimage_message(code, RankWord(f, tuple(w))) is not None)
+        assert not any(syndrome_digits(c)) and any(syndrome_digits(near))
 
 
 def test_preimage_rank_deficient_system_raises():

@@ -26,14 +26,14 @@ F64 = make_field(2, 6)
 
 
 def test_canonical_form_ignores_generating_order():
-    a = Subspace.from_elements(F16, [2, 3, 1])
-    b = Subspace.from_elements(F16, [1, 3, 2, 0])
+    a = Subspace(F16, [2, 3, 1])
+    b = Subspace(F16, [1, 3, 2, 0])
     assert a == b and hash(a) == hash(b)
     assert a.dim == 2
 
 
 def test_elements_and_contains():
-    v = Subspace.from_elements(F16, [1, 6])
+    v = Subspace(F16, [1, 6])
     els = set(v.elements())
     assert len(els) == 4
     for x in F16.elements():
@@ -46,14 +46,29 @@ def test_zero_subspace_polynomial_is_x():
 
 
 def test_embedded_subfield_polynomial():
-    v = Subspace.from_elements(F16, [1, 6, 7])  # the embedded GF(4)
+    v = Subspace(F16, [1, 6, 7])  # the embedded GF(4)
     p = subspace_polynomial(v)
     assert p.coeffs == (1, 0, 1)  # x^[2] + x
 
 
 def test_incremental_matches_product_form():
-    v = Subspace.from_elements(F16, [1, F16.generator_serial])
+    v = Subspace(F16, [1, F16.generator_serial])
     assert subspace_polynomial(v) == subspace_polynomial_product(v)
+
+
+def test_incremental_matches_product_form_on_odd_q():
+    # every subspace of GF(3^3) and GF(5^2), and seeded lines and planes
+    # of GF(5^3): the signs of P(b)^(q-1) matter only for odd q
+    spaces = [v for q, n in ((3, 3), (5, 2))
+              for r in range(n + 1)
+              for v in enumerate_grassmannian(make_field(q, n), r)]
+    assert len(spaces) == 28 + 8
+    rng = random.Random(16)
+    f125 = make_field(5, 3)
+    for r in (1, 2):
+        spaces += rng.sample(list(enumerate_grassmannian(f125, r)), 10)
+    for v in spaces:
+        assert subspace_polynomial(v) == subspace_polynomial_product(v), v
 
 
 def test_full_space_polynomial_is_vanishing_poly():
@@ -76,7 +91,7 @@ def test_kernel_roundtrip_sampled_gf64():
 
 
 def test_cyclic_shift_by_one_and_inverse():
-    v = Subspace.from_elements(F64, [1, 2, 5])
+    v = Subspace(F64, [1, 2, 5])
     assert cyclic_shift(v, 1) == v
     a = 37
     assert cyclic_shift(cyclic_shift(v, a), F64.inv(a)) == v
@@ -105,7 +120,7 @@ def test_orbit_of_embedded_subfield():
     o = orbit(v)
     assert len(o) == 5  # (2^4-1)/(2^2-1)
     assert all(s.dim == 2 for s in o)
-    keys = [s.sort_key() for s in o]
+    keys = [s.basis for s in o]
     assert keys == sorted(keys)
 
 
@@ -162,7 +177,7 @@ def test_enumerate_grassmannian_counts():
 
 
 def test_enumerate_grassmannian_distinct_and_budget():
-    seen = {s.rows for s in enumerate_grassmannian(F64, 3)}
+    seen = {s.basis for s in enumerate_grassmannian(F64, 3)}
     assert len(seen) == gaussian_binomial(6, 3, 2) == 1395
     with pytest.raises(BudgetExceeded):
         list(enumerate_grassmannian(make_field(2, 24), 12, budget=100))
@@ -170,11 +185,11 @@ def test_enumerate_grassmannian_distinct_and_budget():
 
 def test_distance_axioms():
     assert subspace_distance(Subspace.zero(F16), Subspace.zero(F16)) == 0
-    a = Subspace.from_elements(F16, [1])
-    b = Subspace.from_elements(F16, [2])
+    a = Subspace(F16, [1])
+    b = Subspace(F16, [2])
     assert subspace_distance(a, b) == 2  # distinct lines
     with pytest.raises(AmbientMismatch):
-        subspace_distance(a, Subspace.from_elements(F64, [1]))
+        subspace_distance(a, Subspace(F64, [1]))
 
 
 def test_distance_two_routes_agree():
@@ -183,7 +198,8 @@ def test_distance_two_routes_agree():
     for _ in range(60):
         u, v = rng.choice(spaces), rng.choice(spaces)
         d1 = subspace_distance(u, v)
-        stacked = reference.rank(list(u.rows) + list(v.rows), 2)
+        stacked = reference.rank([F64.digits(b) for b in u.basis + v.basis],
+                                 2)
         d2 = 2 * stacked - u.dim - v.dim
         assert d1 == d2
 

@@ -310,13 +310,22 @@ def test_invariant_violations_raise_named_error_under_O(capsys):
     assert out.split() == ["raised"] * 3
 
 
+def _is_assertion(node):
+    """An assert statement, or a raise of a bare AssertionError."""
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return isinstance(node, ast.Assert)
+
+
 def test_library_has_no_assert_statements():
-    # python -O strips assert; invariants raise InvariantViolation instead
+    # python -O strips assert, and a bare AssertionError names no fault;
+    # invariants raise InvariantViolation instead
     src = Path(__file__).resolve().parents[1] / "src" / "ranklab"
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
+             if _is_assertion(node)]
     assert found == []
 
 
