@@ -207,8 +207,7 @@ def instance_bound(inst: AdversarialInstance) -> Optional[int]:
 
 
 def build_counting_instance(q: int, n: int, m: int, k: int, g: int,
-                            beta_exponent: int = 0,
-                            seed: int = 0) -> AdversarialInstance:
+                            beta_exponent: int = 0) -> AdversarialInstance:
     """Existence-route instance: pigeonhole subfamily of the subfield-linear
     family, shifted by beta, at the smallest admissible radius."""
     code = make_code(q, n, m, k, beta_exponent)
@@ -220,7 +219,7 @@ def build_counting_instance(q: int, n: int, m: int, k: int, g: int,
             f"no radius in [{window.start}, {window.stop - 1}] works "
             f"with g={g}")
     ell = tau // g - 1
-    family = subfield_linear_family(q, n, n - tau, g, seed=seed)
+    family = subfield_linear_family(q, n, n - tau, g)
     bucket = pigeonhole_subfamily(family, ell)
     shifted = shift_family(bucket, code.beta, code.field)
     return _build_instance(code, tau, shifted, "counting",
@@ -228,8 +227,7 @@ def build_counting_instance(q: int, n: int, m: int, k: int, g: int,
 
 
 def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
-                            beta_exponent: int = 0,
-                            seed: int = 0) -> AdversarialInstance:
+                            beta_exponent: int = 0) -> AdversarialInstance:
     """Fully explicit instance: orbit family shifted by beta, code
     Gab[n, n-2gs+1], radius gs."""
     gs = g * s
@@ -238,7 +236,7 @@ def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
             f"need g >= 2, gs | n and n >= 2gs; got g={g}, s={s}, n={n}")
     code = make_code(q, n, m, n - 2 * gs + 1, beta_exponent)
     tau = gs
-    family = orbit_poly_family(q, g, s, n - gs, seed=seed)
+    family = orbit_poly_family(q, g, s, n - gs)
     shifted = shift_family(family, code.beta, code.field)
     return _build_instance(code, tau, shifted, "explicit",
                            list_bound("explicit", q, n, code.k, g, tau))

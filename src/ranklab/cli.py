@@ -45,11 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "instances for Gabidulin codes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_budget(p):
         p.add_argument("--budget", type=int, default=BALL_BUDGET,
                        help="max enumeration count for oracles")
+
+    def add_gen_options(p):
+        p.add_argument("--beta-exp", type=int, default=0)
+        p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled spot checks")
+                       help="accepted for callers that pass one; it changes "
+                            "no output and no check")
         p.add_argument("--pretty", action="store_true",
                        help="add human-readable coefficient tuples")
 
@@ -57,35 +62,30 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="build a counting-route instance")
     for flag in ("--q", "--n", "--m", "--k", "--g"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument("--beta-exp", type=int, default=0)
-    p.add_argument("--out", required=True)
-    add_common(p)
+    add_gen_options(p)
 
     p = sub.add_parser("gen-explicit",
                        help="build an explicit-route instance")
     for flag in ("--q", "--g", "--s", "--n", "--m"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument("--beta-exp", type=int, default=0)
-    p.add_argument("--out", required=True)
-    add_common(p)
+    add_gen_options(p)
 
     p = sub.add_parser("verify", help="re-verify an instance file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", help="write the report JSON here")
-    add_common(p)
+    add_budget(p)
 
     p = sub.add_parser("ball", help="exact ball oracle count")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tau", type=int, help="override the instance radius")
     p.add_argument("--out", help="write the codeword list here")
-    add_common(p)
+    add_budget(p)
 
     p = sub.add_parser("bounds", help="print the bound table")
     for flag in ("--q", "--n", "--m", "--k", "--g"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--out", help="write the table as JSON here")
-    add_common(p)
 
     p = sub.add_parser("lift-verify",
                        help="subspace-level checks of an instance file")
@@ -93,13 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-s", type=int, dest="tau_s",
                    help="subspace radius (default 2*tau)")
     p.add_argument("--out", help="write the report JSON here")
-    add_common(p)
+    add_budget(p)
 
     p = sub.add_parser("compare-radius",
                        help="our radius vs the prior square-root radius")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
 
     return parser
 
@@ -123,10 +122,10 @@ def _frac_str(f: Fraction) -> str:
 def _cmd_gen(args, explicit: bool) -> int:
     if explicit:
         inst = build_explicit_instance(args.q, args.g, args.s, args.n,
-                                       args.m, args.beta_exp, seed=args.seed)
+                                       args.m, args.beta_exp)
     else:
         inst = build_counting_instance(args.q, args.n, args.m, args.k,
-                                       args.g, args.beta_exp, seed=args.seed)
+                                       args.g, args.beta_exp)
     _write(args.out, dump_json(instance_to_dict(inst, pretty=args.pretty)))
     print(f"wrote {args.out}: {inst.kind} instance, "
           f"{len(inst.codewords)} codewords at radius {inst.tau}"
@@ -135,8 +134,13 @@ def _cmd_gen(args, explicit: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """verify and lift-verify: one report handling around their verifier."""
     inst = _load_instance(args.infile)
-    report = verify_instance(inst, ball_budget=args.budget)
+    if args.command == "lift-verify":
+        report = verify_lifted_instance(inst, tau_s=args.tau_s,
+                                        budget=args.budget)
+    else:
+        report = verify_instance(inst, ball_budget=args.budget)
     text = dump_json(report.to_dict())
     if args.out:
         _write(args.out, text)
@@ -195,19 +199,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_lift_verify(args) -> int:
-    inst = _load_instance(args.infile)
-    report = verify_lifted_instance(inst, tau_s=args.tau_s,
-                                    budget=args.budget)
-    text = dump_json(report.to_dict())
-    if args.out:
-        _write(args.out, text)
-    for c in report.checks:
-        print(f"{c.name}: {c.status}")
-    print("all passed" if report.all_passed else "FAILED")
-    return 0 if report.all_passed else 1
-
-
 def _cmd_compare_radius(args) -> int:
     cmp = compare_radius_to_prior(args.i, args.n)
     print(f"tau = n/2^(i+1) = {cmp.tau}")
@@ -229,14 +220,12 @@ def main(argv=None) -> int:
             return _cmd_gen(args, explicit=False)
         if args.command == "gen-explicit":
             return _cmd_gen(args, explicit=True)
-        if args.command == "verify":
+        if args.command in ("verify", "lift-verify"):
             return _cmd_verify(args)
         if args.command == "ball":
             return _cmd_ball(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
-        if args.command == "lift-verify":
-            return _cmd_lift_verify(args)
         if args.command == "compare-radius":
             return _cmd_compare_radius(args)
         return 2

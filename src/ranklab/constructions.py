@@ -4,15 +4,15 @@ subfield_linear_family enumerates the r-subspaces of GF(q^n) that are also
 linear over the subfield GF(q^g); their polynomials have nonzero coefficients
 only at indices divisible by g.  pigeonhole_subfamily extracts the largest
 bucket agreeing on the topmost coefficients.  orbit_poly_family builds the
-fully explicit family indexed by orbit representatives of GF(q^(gs)), and
-shift_family transplants any family into an extension field along a cyclic
-shift.  is_pivot_family is the expanded-polynomial view used to relate these
-families to ordinary (Reed-Solomon style) evaluation codes.
+fully explicit family indexed by orbit representatives of GF(q^(gs)) and
+checks that every member's root space is its cyclic shift of the base
+kernel; shift_family transplants any family into an extension field along
+a cyclic shift.  is_pivot_family is the expanded-polynomial view used to
+relate these families to ordinary (Reed-Solomon style) evaluation codes.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,7 +43,6 @@ from ranklab.subspace import (
 
 FAMILY_BUDGET = 10 ** 5
 VERIFY_EVAL_BUDGET = 1 << 18
-SPOT_CHECK_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -87,22 +86,12 @@ class PolyFamily:
         return len(self.members)
 
 
-def _spot_indices(count: int, total_work: int, budget: int,
-                  seed: int) -> List[int]:
-    """Member indices to verify: all of them if cheap, else a seeded sample."""
-    if total_work <= budget:
-        return list(range(count))
-    size = min(SPOT_CHECK_SIZE, count)
-    return sorted(random.Random(seed).sample(range(count), size))
-
-
 # ----------------------------------------------------------------------
 # Subfield-linear family
 # ----------------------------------------------------------------------
 
 def subfield_linear_family(q: int, n: int, r: int, g: int,
-                           budget: int = FAMILY_BUDGET,
-                           seed: int = 0) -> PolyFamily:
+                           budget: int = FAMILY_BUDGET) -> PolyFamily:
     """Subspace polynomials of all r-subspaces that are GF(q^g)-linear.
 
     Enumerates the Grassmannian of (r/g)-subspaces of a (n/g)-space over
@@ -210,10 +199,10 @@ def orbit_base_poly(q: int, g: int, s: int, r: int) -> LinearizedPoly:
     for i in range(n // gs):
         coeffs[i * gs] = 1
     poly = LinearizedPoly(ambient, coeffs)
-    if ambient.order <= VERIFY_EVAL_BUDGET:
+    if ambient.order <= VERIFY_EVAL_BUDGET:     # expands to degree q^n
         require(divides_check(poly, field_vanishing_poly(ambient)),
                 "base polynomial does not divide x^(q^n) - x")
-        require(kernel(poly, ambient).dim == r, "base kernel is not r-dim")
+    require(kernel(poly, ambient).dim == r, "base kernel is not r-dim")
     return poly
 
 
@@ -229,15 +218,13 @@ def orbit_representatives(ambient: FieldSpec, gs: int) -> List[int]:
     return [ambient.pow(ambient.generator_serial, i) for i in range(count)]
 
 
-def orbit_poly_family(q: int, g: int, s: int, r: int,
-                      verify_budget: int = VERIFY_EVAL_BUDGET,
-                      seed: int = 0) -> PolyFamily:
+def orbit_poly_family(q: int, g: int, s: int, r: int) -> PolyFamily:
     """Explicit family: subspace polynomials of every cyclic shift of the
     base kernel, with coefficient beta^([r]-[i*gs]) at index i*gs.
 
-    The member for beta = 1 is orbit_base_poly.  Member kernels are verified
-    (exhaustively within budget, else a seeded sample) to be exactly the
-    cyclic shifts of the base kernel.
+    The member for beta = 1 is orbit_base_poly.  Every member's kernel is
+    checked to be exactly its cyclic shift of the base kernel, at every
+    field size: a kernel is one GF(q) null space of n images.
     """
     gs = g * s
     if g < 2:
@@ -264,15 +251,11 @@ def orbit_poly_family(q: int, g: int, s: int, r: int,
     fam = PolyFamily(params=params, kind="orbit", spec=ambient,
                      members=tuple(members), mutual_top=mutual)
 
-    work = len(reps) * ambient.order
-    base_kernel = None
-    if ambient.order <= VERIFY_EVAL_BUDGET:
-        base_kernel = kernel(members[0], ambient)
-        require(base_kernel.dim == r, "base kernel is not r-dim")
-        for idx in _spot_indices(len(reps), work, verify_budget, seed):
-            shifted = cyclic_shift(base_kernel, reps[idx])
-            require(kernel(members[idx], ambient) == shifted,
-                    "member kernel is not the expected cyclic shift")
+    base_kernel = kernel(members[0], ambient)
+    require(base_kernel.dim == r, "base kernel is not r-dim")
+    for beta, member in zip(reps, members):
+        require(kernel(member, ambient) == cyclic_shift(base_kernel, beta),
+                "member kernel is not the expected cyclic shift")
     return fam
 
 

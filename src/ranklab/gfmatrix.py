@@ -8,7 +8,8 @@ stored; solve() alone takes matrix rows, and packs them itself.  basis()
 gives the rank, rank_test(q) stops once the rank passes a limit, from a
 copy of a start basis, and tagged_basis()/reduce_tagged() eliminate a set
 of vectors once and then reduce any number of targets against it
-(coordinates() is the two in one call).  rref() is the canonical basis of
+(coordinates() is the two in one call), and nullspace() reads their linear
+relations off the same tagged elimination.  rref() is the canonical basis of
 a span: column j is digit j, so a pivot is a vector's lowest nonzero
 digit; this module is the only place that convention lives.  Results are
 plain ints and tuples so they can be hashed and compared.
@@ -112,15 +113,32 @@ def _clear(v: int, basis: dict, q: int) -> int:
     return _pack(reversed(d), q)
 
 
-def tagged_basis(vecs: Sequence[int], q: int) -> dict:
+def _tagged(vecs: Sequence[int], q: int) -> dict:
     """basis() of the vectors vecs[i] * q^t + (q - 1) q^i, t = len(vecs):
     each carries the tag digit q - 1 at position i, below its own digits.
-    Dependent vecs would leave the tags of a reduced target ambiguous:
-    they raise InvariantViolation."""
+    A key <= t is a vector whose own digits cancelled: its tag digits x
+    have sum_i x_i vecs[i] = 0."""
     t = len(vecs)
     shift = q ** t
-    out = basis([v * shift + (q - 1) * q ** i for i, v in enumerate(vecs)],
-                q)
+    return basis([v * shift + (q - 1) * q ** i for i, v in enumerate(vecs)],
+                 q)
+
+
+def nullspace(vecs: Sequence[int], q: int) -> Tuple[int, ...]:
+    """Independent x packed base q (digit i is x_i) spanning
+    {x : sum_i x_i vecs[i] = 0} over GF(q): the tag digits of the _tagged
+    vectors whose top digit is a tag."""
+    ech = _tagged(vecs, q)
+    return tuple(ech[h] if q == 2 else _pack(reversed(ech[h]), q)
+                 for h in sorted(ech) if h <= len(vecs))
+
+
+def tagged_basis(vecs: Sequence[int], q: int) -> dict:
+    """_tagged(vecs), for reduce_tagged.  Dependent vecs, a nonempty
+    nullspace(), would leave the tags of a reduced target ambiguous: they
+    raise InvariantViolation."""
+    t = len(vecs)
+    out = _tagged(vecs, q)
     if any(h <= t for h in out):
         raise InvariantViolation(f"{t} vectors over GF({q}) are dependent")
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Union
 
+from ranklab import gfmatrix
 from ranklab.errors import BudgetExceeded, FieldMismatch, StrideViolation
 from ranklab.field import FieldElement, FieldSpec, embed_serial
 
@@ -274,23 +275,13 @@ def field_vanishing_poly(spec: FieldSpec) -> LinearizedPoly:
     return LinearizedPoly(spec, coeffs)
 
 
-def kernel(poly: LinearizedPoly, ambient: FieldSpec,
-           budget: int = KERNEL_BUDGET):
-    """Root subspace {x in GF(q^n) : P(x) = 0}, by exhaustive scan.
-
-    The polynomial may live over an extension of the ambient field; points
-    are then embedded before evaluation.
-    """
+def kernel(poly: LinearizedPoly, ambient: FieldSpec):
+    """Root subspace {x in GF(q^n) : P(x) = 0}.  P is GF(q)-linear, so
+    this is the null space of its images of the basis serials q^i, i < n,
+    embedded first when P lives over an extension of the ambient field."""
     from ranklab.subspace import Subspace
 
-    if ambient.order > budget:
-        raise BudgetExceeded(
-            f"kernel scan over {ambient.order} elements exceeds budget")
-    if poly.spec == ambient:
-        roots = [x for x in ambient.elements()
-                 if poly.evaluate_serial(x) == 0]
-    else:
-        roots = [x for x in ambient.elements()
-                 if poly.evaluate_serial(
-                     embed_serial(x, ambient, poly.spec)) == 0]
-    return Subspace(ambient, roots)
+    q = ambient.q
+    images = [poly.evaluate_serial(embed_serial(q ** i, ambient, poly.spec))
+              for i in range(ambient.e)]
+    return Subspace(ambient, gfmatrix.nullspace(images, q))

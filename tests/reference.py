@@ -1,8 +1,11 @@
 """Test-only reference linear algebra over GF(q): the list-of-lists
 Gauss-Jordan loop, independent of gfmatrix's packed elimination loop, so
-that cross-checks do not compare that loop with itself."""
+that cross-checks do not compare that loop with itself; and the exhaustive
+root scan that linpoly.kernel replaced with one elimination."""
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+from ranklab.field import embed_serial
 
 Row = Tuple[int, ...]
 
@@ -46,3 +49,11 @@ def rref(rows: Sequence[Sequence[int]], q: int) -> Tuple[Row, ...]:
 
 def rank(rows: Sequence[Sequence[int]], q: int) -> int:
     return len(rref(rows, q))
+
+
+def kernel_by_scan(poly, ambient) -> List[int]:
+    """Ascending serials x of the ambient field with P(x) = 0, by
+    evaluating P at every element, embedded first when P lives over an
+    extension of the ambient field."""
+    return [x for x in ambient.elements()
+            if poly.evaluate_serial(embed_serial(x, ambient, poly.spec)) == 0]

@@ -360,8 +360,7 @@ def test_list_bound_matches_paper_formulas():
 def test_builder_verify_and_lift_verify_share_one_bound(build, args):
     rng = random.Random(f"{build.__name__}{args}")
     q = args[0]
-    inst = build(*args, beta_exponent=rng.randrange(50),
-                 seed=rng.randrange(100))
+    inst = build(*args, beta_exponent=rng.randrange(50))
     code = inst.code
     bound = list_bound(inst.kind, q, code.n, code.k, inst.family.params.g,
                        inst.tau)

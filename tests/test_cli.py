@@ -165,6 +165,17 @@ def test_pretty_flag_adds_renderings(tmp_path, capsys):
     assert "center_pretty" in data and "pivot_pretty" in data
 
 
+def test_option_a_subcommand_does_not_read_exits_2(tmp_path, capsys):
+    inst, _ = _gen_gab41(tmp_path, capsys)
+    for argv, unread in [
+            (["bounds", "--q", "2", "--n", "6", "--m", "6", "--k", "3",
+              "--g", "2"], ["--budget", "1"]),
+            (["compare-radius", "--i", "1", "--n", "1024"], ["--seed", "1"]),
+            (["verify", "--in", str(inst)], ["--pretty"])]:
+        assert main(argv) == 0
+        assert main(argv + unread) == 2
+
+
 def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     args = ["gen-counting", "--q", "2", "--n", "6", "--m", "6", "--k", "3",
             "--g", "2", "--seed", "7"]

@@ -1,10 +1,14 @@
 """Family constructions: subfield-linear, pigeonhole bucket, orbit family,
 extension-field shifts, and the expanded pivot-family view."""
 
+import random
+
 import pytest
 
+from ranklab import constructions
 from ranklab.errors import (
     DivisibilityViolation,
+    InvariantViolation,
     NotASubfield,
     ParamMismatch,
     ZeroShift,
@@ -158,6 +162,24 @@ def test_orbit_family_gf16():
     kernels = sorted(({kernel(m, F16) for m in fam.members}),
                      key=lambda s: s.basis)
     assert kernels == orbit(kernel(fam.members[0], F16))
+
+
+def test_orbit_family_checks_every_member_kernel(monkeypatch):
+    # GF(2^10) has 341 members, enough that a seeded sample of 8 of them
+    # used to stand for all: a wrong shift at a member outside that sample
+    # must still fail the build
+    ambient = make_field(2, 10)
+    reps = orbit_representatives(ambient, 2)
+    assert len(reps) == 341
+    sampled = set(random.Random(0).sample(range(341), 8))
+    bad = reps[min(set(range(1, 341)) - sampled)]
+    shift = constructions.cyclic_shift
+    monkeypatch.setattr(constructions, "cyclic_shift", lambda v, alpha:
+                        shift(v, reps[0] if alpha == bad else alpha))
+    with pytest.raises(InvariantViolation, match="expected cyclic shift"):
+        orbit_poly_family(2, 2, 1, 8)
+    monkeypatch.undo()
+    assert len(orbit_poly_family(2, 2, 1, 8)) == 341
 
 
 @pytest.mark.parametrize("q,n,r,g", [(2, 4, 2, 2), (2, 6, 4, 2)])

@@ -351,9 +351,9 @@ def _bench_instance(name, seed=1):
                 for i in w.instances if i.name == name)
     if inst.kind == "counting":
         return build_counting_instance(inst.q, inst.n, inst.m, inst.k, inst.g,
-                                       inst.beta_exponent(seed), seed=seed)
+                                       inst.beta_exponent(seed))
     return build_explicit_instance(inst.q, inst.g, inst.s, inst.n, inst.m,
-                                   inst.beta_exponent(seed), seed=seed)
+                                   inst.beta_exponent(seed))
 
 
 @pytest.mark.parametrize("name", sorted(BALL_SIZES))

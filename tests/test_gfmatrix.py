@@ -137,6 +137,44 @@ def test_reduce_tagged_matches_brute_force(q):
                 assert xs == span[s]
 
 
+def _reference_nullspace(cols, q, width):
+    """A basis of {x : sum_i x_i cols[i] = 0}, one vector per free column
+    of the reference rref of the matrix with columns cols."""
+    t = len(cols)
+    ech = reference.rref([[c[j] for c in cols] for j in range(width)], q)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    out = []
+    for free in (j for j in range(t) if j not in pivots):
+        x = [0] * t
+        x[free] = 1
+        for row, p in zip(ech, pivots):
+            x[p] = -row[free] % q
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("q", QS)
+def test_nullspace_matches_the_reference(q):
+    # independent and spanning the reference null space; tagged_basis
+    # raises exactly when it is nonempty
+    rng = random.Random(f"nullspace:{q}")
+    width = 5 if q == 2 else 4
+    cases = [[], [0], [0, 0, q + 1], [q ** j for j in range(width)]]
+    cases += [[_pack(r, q) for r in _matrix(rng, q, rng.randrange(1, 8),
+                                            width)] for _ in range(60)]
+    for vecs in cases:
+        got = [_unpack(x, q, len(vecs)) for x in gfmatrix.nullspace(vecs, q)]
+        expected = _reference_nullspace([_unpack(v, q, width) for v in vecs],
+                                        q, width)
+        assert len(got) == len(expected), vecs
+        assert reference.rref(got, q) == reference.rref(expected, q), vecs
+        if got:
+            with pytest.raises(InvariantViolation):
+                gfmatrix.tagged_basis(vecs, q)
+        else:
+            gfmatrix.tagged_basis(vecs, q)
+
+
 @pytest.mark.parametrize("q, n", [(2, 5), (3, 3), (5, 2)])
 def test_intersection_and_contains_match_element_sets(q, n):
     rng = random.Random(f"meet:{q}:{n}")

@@ -16,7 +16,13 @@ from ranklab.linpoly import (
     q_associate_backward,
     q_associate_forward,
 )
-from ranklab.subspace import enumerate_grassmannian, subspace_polynomial
+from ranklab.subspace import (
+    Subspace,
+    enumerate_grassmannian,
+    subspace_polynomial,
+)
+
+import reference
 
 F16 = make_field(2, 4)
 F64 = make_field(2, 6)
@@ -158,6 +164,53 @@ def test_kernel_of_subfield_poly():
 def test_kernel_roundtrip_full_grassmannian():
     for v in enumerate_grassmannian(F16, 2):
         assert kernel(subspace_polynomial(v), F16) == v
+
+
+def _roots(poly, ambient):
+    return sorted(kernel(poly, ambient).elements())
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (5, 2)])
+def test_kernel_matches_the_scan_on_every_subspace_polynomial(q, n):
+    f = make_field(q, n)
+    for r in range(n + 1):
+        for v in enumerate_grassmannian(f, r):
+            p = subspace_polynomial(v)
+            assert _roots(p, f) == reference.kernel_by_scan(p, f), v
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (5, 2)])
+def test_kernel_matches_the_scan_on_random_polynomials(q, n):
+    f = make_field(q, n)
+    rng = random.Random(f"kernel:{q}:{n}")
+    polys = [LinearizedPoly.zero(f), LinearizedPoly.identity(f)]
+    for _ in range(60):
+        coeffs = [rng.randrange(f.order) if rng.random() < 0.6 else 0
+                  for _ in range(rng.randrange(1, n + 3))]
+        polys.append(LinearizedPoly(f, coeffs))
+    assert kernel(polys[0], f) == Subspace.full(f)
+    assert kernel(polys[1], f).dim == 0
+    for p in polys:
+        assert _roots(p, f) == reference.kernel_by_scan(p, f), p
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 4, 8), (3, 2, 4)])
+def test_kernel_matches_the_scan_over_an_extension(q, n, m):
+    # subspace polynomials over GF(q^m) of spans of embedded GF(q^n)
+    # elements and random GF(q^m) elements: their roots in GF(q^n) are the
+    # span's meet with it, so every dimension turns up
+    small, big = make_field(q, n), make_field(q, m)
+    rng = random.Random(f"embedded:{q}:{n}:{m}")
+    sizes = set()
+    for _ in range(30):
+        gens = [embed_serial(rng.randrange(small.order), small, big)
+                for _ in range(rng.randrange(n + 1))]
+        gens += [rng.randrange(big.order) for _ in range(rng.randrange(3))]
+        p = subspace_polynomial(Subspace(big, gens))
+        roots = _roots(p, small)
+        assert roots == reference.kernel_by_scan(p, small), p
+        sizes.add(len(roots))
+    assert sizes == {q ** d for d in range(n + 1)}
 
 
 def test_root_count_is_q_to_degree():
