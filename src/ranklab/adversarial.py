@@ -231,9 +231,9 @@ def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
     """Fully explicit instance: orbit family shifted by beta, code
     Gab[n, n-2gs+1], radius gs."""
     gs = g * s
-    if g < 2 or n % gs or n < 2 * gs:
-        raise DivisibilityViolation(
-            f"need g >= 2, gs | n and n >= 2gs; got g={g}, s={s}, n={n}")
+    if g < 2 or s < 1 or n % gs or n < 2 * gs:
+        raise DivisibilityViolation(f"need g >= 2, s >= 1, gs | n and "
+                                    f"n >= 2gs; got g={g}, s={s}, n={n}")
     code = make_code(q, n, m, n - 2 * gs + 1, beta_exponent)
     tau = gs
     family = orbit_poly_family(q, g, s, n - gs)

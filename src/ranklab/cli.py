@@ -28,7 +28,8 @@ from ranklab.adversarial import (
     radius_window,
     verify_instance,
 )
-from ranklab.errors import RanklabError
+from ranklab.errors import BadDimension, NotPrime, RanklabError
+from ranklab.field import is_prime
 from ranklab.gabidulin import (
     BALL_BUDGET,
     exact_ball,
@@ -164,6 +165,10 @@ def _cmd_ball(args) -> int:
 
 def _cmd_bounds(args) -> int:
     q, n, m, k, g, s = args.q, args.n, args.m, args.k, args.g, args.s
+    if not is_prime(q):
+        raise NotPrime(f"q={q} is not prime")
+    if not 1 <= k <= n:
+        raise BadDimension(f"need 1 <= k <= n, got k={k}, n={n}")
     d = n - k + 1
     jr = johnson_like_radius(n, m, d, 0)
     rows = []
@@ -210,6 +215,19 @@ def _cmd_compare_radius(args) -> int:
 
 
 def main(argv=None) -> int:
+    # Exact bounds can exceed CPython's 4,300-digit limit on str(int); lift
+    # it while main runs and restore it for callers that run main in-process.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -90,14 +90,14 @@ class PolyFamily:
 # Subfield-linear family
 # ----------------------------------------------------------------------
 
-def subfield_linear_family(q: int, n: int, r: int, g: int,
-                           budget: int = FAMILY_BUDGET) -> PolyFamily:
+def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
     """Subspace polynomials of all r-subspaces that are GF(q^g)-linear.
 
     Enumerates the Grassmannian of (r/g)-subspaces of a (n/g)-space over
     GF(q^g) and maps each through the canonical subfield identification of
     GF(q^g)^(n/g) with GF(q^n).  Every returned polynomial has nonzero
-    coefficients only at indices divisible by g.
+    coefficients only at indices divisible by g.  Raises BudgetExceeded
+    above FAMILY_BUDGET members.
     """
     if g < 2 or not (0 < r < n):
         raise DivisibilityViolation(f"need g >= 2 and 0 < r < n, got "
@@ -105,8 +105,8 @@ def subfield_linear_family(q: int, n: int, r: int, g: int,
     if n % g or r % g:
         raise DivisibilityViolation(f"g={g} must divide gcd(n, r)=({n},{r})")
     size = gaussian_binomial(n // g, r // g, q ** g)
-    if size > budget:
-        raise BudgetExceeded(f"family size {size} exceeds budget {budget}")
+    if size > FAMILY_BUDGET:
+        raise BudgetExceeded(f"family size {size} exceeds {FAMILY_BUDGET}")
 
     ambient = make_field(q, n)
     sub = make_field(q, g)
@@ -309,11 +309,10 @@ def shift_family(family: PolyFamily, beta, target: FieldSpec) -> PolyFamily:
 # ----------------------------------------------------------------------
 
 def is_pivot_family(polys: Sequence[OrdinaryPoly], min_roots: int,
-                    diff_degree: int,
-                    budget: int = VERIFY_EVAL_BUDGET
-                    ) -> Tuple[bool, Optional[OrdinaryPoly]]:
+                    diff_degree: int) -> Tuple[bool, Optional[OrdinaryPoly]]:
     """Check: every polynomial has >= min_roots roots in its field, and all
-    lie within degree <= diff_degree of one pivot polynomial.
+    lie within degree <= diff_degree of one pivot polynomial.  Roots are
+    counted by count_roots, so fields above KERNEL_BUDGET raise.
 
     The pivot is built from the mutual coefficients above diff_degree; if
     the members disagree anywhere up there, no pivot exists.
@@ -325,7 +324,7 @@ def is_pivot_family(polys: Sequence[OrdinaryPoly], min_roots: int,
     if any(p.spec != spec for p in polys):
         raise FieldMismatch("polynomials over different fields")
     for p in polys:
-        if p.count_roots(budget) < min_roots:
+        if p.count_roots() < min_roots:
             return False, None
     high_degrees = sorted({d for p in polys for d in p.terms
                            if d > diff_degree})

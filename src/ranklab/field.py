@@ -7,8 +7,10 @@ serial-level operations used by the hot loops; FieldElement is a thin wrapper
 providing operator syntax on top of them.
 
 Each field is reduced modulo a monic irreducible polynomial whose residue
-class x generates the multiplicative group.  Moduli come from an embedded
-table (data/moduli.txt, override with env var RANKLAB_MODULUS_TABLE) covering
+class x generates the multiplicative group; Rabin's test proves every
+modulus irreducible at construction (trial division is kept only as the
+test suite's reference).  Moduli come from an embedded table
+(data/moduli.txt, override with env var RANKLAB_MODULUS_TABLE) covering
 q in {2, 3, 5} up to extension degree 24; other fields need an explicit
 modulus.  When q^e <= 2^16 a log/antilog table pair is built eagerly and
 multiplication is O(1); a schoolbook path exists for all sizes and the two
@@ -35,9 +37,6 @@ from ranklab.errors import (
 TABLE_LIMIT = 1 << 16
 # Primitivity of x is verified exhaustively up to this field size.
 ORDER_VERIFY_LIMIT = 1 << 20
-# Trial-division irreducibility is used while the divisor count stays below
-# this; beyond it the (equally exact) Rabin test takes over.
-TRIAL_DIVISION_LIMIT = 10_000
 
 _DATA_FILE = os.path.join(os.path.dirname(__file__), "data", "moduli.txt")
 _TABLE_ENV = "RANKLAB_MODULUS_TABLE"
@@ -155,12 +154,9 @@ def _monic_polys(q: int, deg: int):
         yield tuple(coeffs)
 
 
-def _trial_division_count(q: int, e: int) -> int:
-    return sum(q ** d for d in range(1, e // 2 + 1))
-
-
 def is_irreducible_trial(modulus: Sequence[int], q: int) -> bool:
-    """Trial division against every monic polynomial of degree <= e/2."""
+    """Trial division against every monic polynomial of degree <= e/2;
+    the reference the tests hold is_irreducible_rabin to."""
     modulus = _poly_trim(modulus)
     e = len(modulus) - 1
     if e <= 1:
@@ -187,7 +183,9 @@ def _prime_factors(n: int) -> list:
 
 
 def is_irreducible_rabin(modulus: Sequence[int], q: int) -> bool:
-    """Rabin's deterministic irreducibility test."""
+    """Rabin's deterministic irreducibility test, exact at every degree:
+    f is irreducible iff x^(q^e) = x mod f and gcd(x^(q^(e/p)) - x, f) = 1
+    for each prime p | e (SIAM J. Comput. 9, 1980)."""
     modulus = _poly_trim(modulus)
     e = len(modulus) - 1
     if e <= 1:
@@ -242,7 +240,7 @@ class FieldSpec:
     shared freely between workers.
     """
 
-    __slots__ = ("q", "e", "modulus", "order", "primitive",
+    __slots__ = ("q", "e", "modulus", "order",
                  "_exp", "_log", "_qpows", "__weakref__")
 
     def __init__(self, q: int, e: int, modulus: Sequence[int]):
@@ -262,25 +260,17 @@ class FieldSpec:
         self.order = q ** e
         self._qpows = tuple(q ** i for i in range(e + 1))
 
-        if _trial_division_count(q, e) <= TRIAL_DIVISION_LIMIT:
-            ok = is_irreducible_trial(modulus, q)
-        else:
-            ok = is_irreducible_rabin(modulus, q)
-        if not ok:
+        if not is_irreducible_rabin(modulus, q):
             raise NotIrreducible(f"{modulus} is reducible over GF({q})")
 
         self._exp = None
         self._log = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()        # also proves x is primitive
-            self.primitive = True
         elif self.order <= ORDER_VERIFY_LIMIT:
             self._verify_order()
-            self.primitive = True
-        else:
-            # Too large for exhaustive verification; table entries were
-            # checked exactly by the offline generator.
-            self.primitive = True
+        # Larger fields are not re-checked for primitivity; table entries
+        # were checked exactly by the offline generator.
 
     # -- construction helpers -------------------------------------------
 
@@ -405,15 +395,7 @@ class FieldSpec:
         return s
 
     def neg(self, a: int) -> int:
-        if self.q == 2:
-            return a
-        q = self.q
-        s, shift = 0, 1
-        while a:
-            s += ((q - a % q) % q) * shift
-            a //= q
-            shift *= q
-        return s
+        return sub_digits(0, a, self.q)
 
     def sub(self, a: int, b: int) -> int:
         if self.q == 2:
@@ -621,9 +603,6 @@ def _eval_prime_poly(coeffs: Sequence[int], point: int, spec: FieldSpec) -> int:
 def _embedding_powers(src: FieldSpec, dst: FieldSpec) -> tuple:
     """Powers (im^0 .. im^{src.e-1}) of the embedded source generator."""
     _check_subfield(src, dst)
-    if src == dst:
-        g = src.generator_serial
-        return tuple(src.pow(g, i) for i in range(src.e))
     step = (dst.order - 1) // (src.order - 1)
     t = dst.pow(dst.generator_serial, step)
     sub1 = src.order - 1

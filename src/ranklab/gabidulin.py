@@ -161,6 +161,8 @@ def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
     they must be GF(q)-independent but need not lie in a shifted subfield,
     in which case none of the certified-instance claims apply.
     """
+    if n < 1:
+        raise BadDimension(f"need n >= 1, got n={n}")
     if m % n:
         raise NotASubfield(f"n={n} must divide m={m}")
     if not 1 <= k <= n:

@@ -179,9 +179,10 @@ class OrdinaryPoly:
             acc = spec.add(acc, spec.mul(c, spec.pow(x, d)))
         return acc
 
-    def count_roots(self, budget: int = KERNEL_BUDGET) -> int:
-        """Number of roots in the coefficient field, by exhaustive scan."""
-        if self.spec.order > budget:
+    def count_roots(self) -> int:
+        """Number of roots in the coefficient field, by exhaustive scan;
+        raises BudgetExceeded above KERNEL_BUDGET field elements."""
+        if self.spec.order > KERNEL_BUDGET:
             raise BudgetExceeded(
                 f"root scan over {self.spec.order} elements exceeds budget")
         return sum(1 for x in self.spec.elements()

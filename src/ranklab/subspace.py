@@ -18,7 +18,6 @@ from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift, require
 from ranklab.field import FieldElement, FieldSpec
 from ranklab.linpoly import LinearizedPoly
 
-SUBSPACE_POLY_BUDGET = 1 << 16
 ORBIT_BUDGET = 1 << 20
 GRASSMANNIAN_BUDGET = 10 ** 6
 
@@ -80,17 +79,15 @@ class Subspace:
 # Subspace polynomials
 # ----------------------------------------------------------------------
 
-def subspace_polynomial(v: Subspace,
-                        budget: int = SUBSPACE_POLY_BUDGET) -> LinearizedPoly:
+def subspace_polynomial(v: Subspace) -> LinearizedPoly:
     """Monic linearized polynomial whose root set is exactly v.
 
     Built by extending one basis vector at a time:
     P' = P(x)^q - P(b)^(q-1) * P(x).  The zero subspace gives P(x) = x.
+    It costs O(r^2) field operations for r = dim v, at any field size.
     """
     spec = v.ambient
     q = spec.q
-    if q ** v.dim > budget:
-        raise BudgetExceeded(f"q^r = {q ** v.dim} exceeds budget {budget}")
     coeffs = [1]  # P(x) = x
     for b in v.basis:
         pb = 0
@@ -154,16 +151,17 @@ def cyclic_shift(v: Subspace, alpha) -> Subspace:
     return Subspace(spec, (spec.mul(a, b) for b in v.basis))
 
 
-def orbit(v: Subspace, budget: int = ORBIT_BUDGET) -> List[Subspace]:
+def orbit(v: Subspace) -> List[Subspace]:
     """All distinct cyclic shifts of v, ordered by serialized basis.
 
     Shifts by ascending powers of the generator repeat with period equal
-    to the orbit size, so the scan stops at the first return to v.
+    to the orbit size, so the scan stops at the first return to v.  Raises
+    BudgetExceeded above ORBIT_BUDGET field elements.
     """
     spec = v.ambient
-    if spec.order > budget:
+    if spec.order > ORBIT_BUDGET:
         raise BudgetExceeded(f"orbit scan over GF({spec.q}^{spec.e}) "
-                             f"exceeds budget {budget}")
+                             f"exceeds budget {ORBIT_BUDGET}")
     gen = spec.generator_serial
     seen = {}
     current = v
@@ -224,14 +222,14 @@ def rref_patterns(n: int, r: int, num_scalars: int):
             yield tuple(tuple(row) for row in rows)
 
 
-def enumerate_grassmannian(ambient: FieldSpec, r: int,
-                           budget: int = GRASSMANNIAN_BUDGET):
-    """Every r-subspace of GF(q^n) exactly once, in canonical order."""
+def enumerate_grassmannian(ambient: FieldSpec, r: int):
+    """Every r-subspace of GF(q^n) exactly once, in canonical order; raises
+    BudgetExceeded above GRASSMANNIAN_BUDGET subspaces."""
     n = ambient.e
     count = gaussian_binomial(n, r, ambient.q)
-    if count > budget:
+    if count > GRASSMANNIAN_BUDGET:
         raise BudgetExceeded(f"Grassmannian has {count} subspaces, "
-                             f"budget {budget}")
+                             f"budget {GRASSMANNIAN_BUDGET}")
     for rows in rref_patterns(n, r, ambient.q):
         yield Subspace(ambient, [ambient.from_digits(row) for row in rows])
 

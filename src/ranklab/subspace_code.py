@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ranklab import gfmatrix
 from ranklab.errors import (
-    BudgetExceeded,
     InvariantViolation,
     RadiusTooLarge,
     ShapeMismatch,
@@ -100,12 +99,10 @@ def lifted_distance(a: LiftedSubspace, b: LiftedSubspace) -> int:
     return by_stack
 
 
-def lift_code(code: GabidulinCode,
-              budget: int = LIFT_BUDGET) -> List[LiftedSubspace]:
-    """Lift of all transposed codewords: an (n+m, q^(mk), 2d, n)_q code."""
-    if code.size > budget:
-        raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
-    out = [lift_word(w) for w in codewords(code, budget)]
+def lift_code(code: GabidulinCode) -> List[LiftedSubspace]:
+    """Lift of all transposed codewords: an (n+m, q^(mk), 2d, n)_q code;
+    raises BudgetExceeded above LIFT_BUDGET codewords."""
+    out = [lift_word(w) for w in codewords(code, LIFT_BUDGET)]
     if len({ls.packed for ls in out}) != len(out):
         raise InvariantViolation("lifting merged distinct codewords")
     return out

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from ranklab.cli import main
+from ranklab.gabidulin import prior_counting_bound
 
 
 def run(capsys, *argv):
@@ -64,6 +66,41 @@ def test_bad_config_exits_2_with_json_error(tmp_path, capsys):
     assert payload["error"] == "DivisibilityViolation"
     code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
     assert code == 2
+    # parameters out of range are rejected before any arithmetic on them
+    bounds = ["bounds", "--n", "4", "--m", "4", "--g", "2"]
+    for argv, error in [
+            (["gen-explicit", "--q", "2", "--g", "2", "--s", "0", "--n", "4",
+              "--m", "4", "--out", str(inst)], "DivisibilityViolation"),
+            (["gen-counting", "--q", "2", "--n", "0", "--m", "4", "--k", "0",
+              "--g", "2", "--out", str(inst)], "BadDimension"),
+            (bounds + ["--q", "1", "--k", "2"], "NotPrime"),
+            (bounds + ["--q", "0", "--k", "2"], "NotPrime"),
+            (bounds + ["--q", "4", "--k", "2"], "NotPrime"),
+            (bounds + ["--q", "2", "--k", "9"], "BadDimension"),
+            (bounds + ["--q", "2", "--k", "0"], "BadDimension")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err.strip())["error"] == error, argv
+    assert not inst.exists()
+
+
+def test_bounds_prints_exact_values_of_any_length(capsys):
+    # 2^(mn) bounds at n = m = 200 run past CPython's default limit of
+    # 4,300 digits for str(int); the limit is lifted only while main runs
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "bounds", "--q", "2", "--n", "200",
+                       "--m", "200", "--k", "2", "--g", "2")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    prior = prior_counting_bound(2, 200, 200, 2, 100)
+    assert prior.denominator > 10 ** 4300
+    row = next(line.split() for line in out.splitlines()
+               if line.split()[0] == "100")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert row[1] == f"{prior.numerator}/{prior.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rank_deficient_code_in_file_exits_2(tmp_path, capsys):

@@ -329,6 +329,26 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_budget_parameters_are_the_ones_the_cli_sets():
+    # an exhaustive guard that no caller tunes keeps its module constant;
+    # only the oracles that --budget reaches take the budget as a parameter
+    src = Path(__file__).resolve().parents[1] / "src" / "ranklab"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for node in top.body if owner else [top]:
+                if isinstance(node, ast.FunctionDef) \
+                        and not node.name.startswith("_") \
+                        and {"budget", "ball_budget"} & {
+                            a.arg for a in node.args.args
+                            + node.args.kwonlyargs}:
+                    found.add(f"{path.stem}.{owner}{node.name}")
+    assert found == {"gabidulin.codewords", "gabidulin.enumerate_ball",
+                     "gabidulin.exact_ball", "adversarial.verify_instance",
+                     "subspace_code.verify_lifted_instance"}
+
+
 def test_construction_invariant_raises_named_error(monkeypatch):
     # a base kernel of the wrong dimension is caught by a require() check
     monkeypatch.setattr(constructions, "kernel",
