@@ -498,8 +498,13 @@ def instance_to_dict(inst: AdversarialInstance, pretty: bool = False) -> dict:
 
 
 def _check_serials(spec, values, what: str):
+    """Each value must be a JSON integer (true/false are not) in
+    [0, q^e)."""
     for v in _list(values, what):
-        if not isinstance(v, int) or not 0 <= v < spec.order:
+        if type(v) is not int:
+            raise MalformedInstance(f"{what}: expected an integer serial, "
+                                    f"got {v!r}")
+        if not 0 <= v < spec.order:
             raise ParamMismatch(f"{what}: serial {v!r} out of range "
                                 f"for GF({spec.q}^{spec.e})")
 

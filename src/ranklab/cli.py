@@ -28,10 +28,11 @@ from ranklab.adversarial import (
     radius_window,
     verify_instance,
 )
-from ranklab.errors import BadDimension, NotPrime, RanklabError
+from ranklab.errors import DivisibilityViolation, NotPrime, RanklabError
 from ranklab.field import is_prime
 from ranklab.gabidulin import (
     BALL_BUDGET,
+    check_code_params,
     exact_ball,
     johnson_like_radius,
     prior_counting_bound,
@@ -167,8 +168,10 @@ def _cmd_bounds(args) -> int:
     q, n, m, k, g, s = args.q, args.n, args.m, args.k, args.g, args.s
     if not is_prime(q):
         raise NotPrime(f"q={q} is not prime")
-    if not 1 <= k <= n:
-        raise BadDimension(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_code_params(n, m, k)
+    if g < 1 or s < 1:
+        raise DivisibilityViolation(f"need g >= 1 and s >= 1, got g={g}, "
+                                    f"s={s}")
     d = n - k + 1
     jr = johnson_like_radius(n, m, d, 0)
     rows = []

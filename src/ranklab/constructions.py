@@ -25,7 +25,7 @@ from ranklab.errors import (
     ZeroShift,
     require,
 )
-from ranklab.field import FieldElement, FieldSpec, embed_serial, make_field
+from ranklab.field import FieldSpec, embed_serial, make_field
 from ranklab.linpoly import (
     LinearizedPoly,
     OrdinaryPoly,
@@ -263,19 +263,16 @@ def orbit_poly_family(q: int, g: int, s: int, r: int) -> PolyFamily:
 # Shifting a family into an extension field
 # ----------------------------------------------------------------------
 
-def shift_family(family: PolyFamily, beta, target: FieldSpec) -> PolyFamily:
-    """Embed the family into GF(q^m) and shift every kernel by beta.
+def shift_family(family: PolyFamily, beta: int,
+                 target: FieldSpec) -> PolyFamily:
+    """Embed the family into GF(q^m) and shift every kernel by beta, a
+    nonzero serial of GF(q^m).
 
     Coefficient j of each member becomes beta^([r]-[j]) times the embedded
     coefficient j, which is the subspace polynomial of beta times the
     embedded kernel.  Top-coefficient agreement is preserved.
     """
     src = family.spec
-    if isinstance(beta, FieldElement):
-        if beta.spec != target:
-            raise FieldMismatch("beta must live in the target field")
-        beta = beta.serial
-    beta = int(beta)
     if beta == 0:
         raise ZeroShift("cyclic shift by zero")
     if src.q != target.q or target.e % src.e:

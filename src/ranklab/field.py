@@ -1,10 +1,10 @@
 """Exact arithmetic in GF(q^e) for prime q, with canonical subfield embeddings.
 
-An element with polynomial-basis coordinates (c_0, ..., c_{e-1}) is handled
-as the packed integer ("serial") sum c_i * q^i; 0 and 1 are the additive and
-multiplicative identities.  FieldSpec carries the modulus and exposes the
-serial-level operations used by the hot loops; FieldElement is a thin wrapper
-providing operator syntax on top of them.
+A field element is its serial: the packed integer sum c_i * q^i of its
+polynomial-basis coordinates (c_0, ..., c_{e-1}); 0 and 1 are the additive
+and multiplicative identities.  Every function in ranklab takes and returns
+elements as serials.  FieldSpec carries the modulus and the arithmetic on
+serials.
 
 Each field is reduced modulo a monic irreducible polynomial whose residue
 class x generates the multiplicative group; Rabin's test proves every
@@ -25,7 +25,6 @@ import os
 from typing import Iterable, Optional, Sequence
 
 from ranklab.errors import (
-    FieldMismatch,
     NoModulusKnown,
     NotASubfield,
     NotIrreducible,
@@ -229,7 +228,7 @@ def _table_modulus(q: int, e: int) -> Optional[tuple]:
 
 
 # ----------------------------------------------------------------------
-# FieldSpec / FieldElement
+# FieldSpec
 # ----------------------------------------------------------------------
 
 class FieldSpec:
@@ -345,10 +344,6 @@ class FieldSpec:
             return (-self.modulus[0]) % self.q
         return self.q
 
-    @property
-    def generator(self) -> "FieldElement":
-        return FieldElement(self, self.generator_serial)
-
     def digits(self, a: int) -> tuple:
         out = []
         for _ in range(self.e):
@@ -361,18 +356,6 @@ class FieldSpec:
         for i, c in enumerate(digits):
             s += (c % self.q) * self._qpows[i]
         return s
-
-    def element(self, value) -> "FieldElement":
-        """Wrap a serial or coefficient sequence as a FieldElement."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise FieldMismatch("element from a different field")
-            return value
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise FieldMismatch(f"serial {value} out of range")
-            return FieldElement(self, value)
-        return FieldElement(self, self.from_digits(value))
 
     def elements(self) -> range:
         return range(self.order)
@@ -482,81 +465,6 @@ class FieldSpec:
         return f"FieldSpec(GF({self.q}^{self.e}))"
 
 
-class FieldElement:
-    """A field element: a FieldSpec plus its packed serial."""
-
-    __slots__ = ("spec", "serial")
-
-    def __init__(self, spec: FieldSpec, serial: int):
-        self.spec = spec
-        self.serial = serial
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.spec.digits(self.serial)
-
-    def _other(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldMismatch("elements from different fields")
-            return other.serial
-        if isinstance(other, int):
-            if not 0 <= other < self.spec.order:
-                raise FieldMismatch(f"serial {other} out of range")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        s = self._other(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.serial, s))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        s = self._other(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.serial, s))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.serial))
-
-    def __mul__(self, other):
-        s = self._other(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.serial, s))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        s = self._other(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(self.serial, s))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.spec, self.spec.pow(self.serial, k))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.serial == other.serial
-        if isinstance(other, int):
-            return self.serial == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.spec, self.serial))
-
-    def __bool__(self):
-        return self.serial != 0
-
-    def __repr__(self):
-        return f"GF({self.spec.q}^{self.spec.e})[{self.serial}]"
-
-
 @functools.lru_cache(maxsize=None)
 def _make_field_cached(q: int, e: int, modulus: tuple) -> FieldSpec:
     return FieldSpec(q, e, modulus)
@@ -572,11 +480,6 @@ def make_field(q: int, e: int, modulus: Optional[Sequence[int]] = None) -> Field
             raise NoModulusKnown(
                 f"no modulus for GF({q}^{e}) in the table; supply one")
     return _make_field_cached(q, e, _poly_trim(modulus))
-
-
-def frobenius(x: FieldElement, i: int) -> FieldElement:
-    """x^(q^i) as a FieldElement."""
-    return FieldElement(x.spec, x.spec.frobenius(x.serial, i))
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +523,9 @@ def _embedding_powers(src: FieldSpec, dst: FieldSpec) -> tuple:
 
 
 def embed_serial(a: int, src: FieldSpec, dst: FieldSpec) -> int:
-    """Serial-level canonical embedding GF(q^n) -> GF(q^m) for n | m."""
+    """The fixed injective homomorphism GF(q^n) -> GF(q^m), n | m, on
+    serials.  It maps the source generator to the smallest compatible power
+    of gamma^((q^m-1)/(q^n-1)) and is the identity on the prime field."""
     powers = _embedding_powers(src, dst)
     out = 0
     for c, p in zip(src.digits(a), powers):
@@ -628,12 +533,3 @@ def embed_serial(a: int, src: FieldSpec, dst: FieldSpec) -> int:
             out = dst.add(out, dst.mul(c, p))
     return out
 
-
-def embed(x: FieldElement, target: FieldSpec) -> FieldElement:
-    """The fixed injective homomorphism into an extension field.
-
-    Maps the source generator to a power of the target generator (the
-    smallest compatible power of gamma^((q^m-1)/(q^n-1))); identity on
-    the prime field.
-    """
-    return FieldElement(target, embed_serial(x.serial, x.spec, target))

@@ -152,6 +152,19 @@ class GabidulinCode:
         return tuple(table)
 
 
+def check_code_params(n: int, m: int, k: int):
+    """Reject a Gab[n, k] over GF(q^m) unless n >= 1, m >= 1, n | m and
+    1 <= k <= n; make_code and the bounds table share these checks."""
+    if n < 1:
+        raise BadDimension(f"need n >= 1, got n={n}")
+    if m < 1:
+        raise BadDimension(f"need m >= 1, got m={m}")
+    if m % n:
+        raise NotASubfield(f"n={n} must divide m={m}")
+    if not 1 <= k <= n:
+        raise BadDimension(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
 def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
               points: Optional[Sequence[int]] = None) -> GabidulinCode:
     """Gab[n, k] over GF(q^m) with evaluation points beta * (power basis of
@@ -161,12 +174,7 @@ def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
     they must be GF(q)-independent but need not lie in a shifted subfield,
     in which case none of the certified-instance claims apply.
     """
-    if n < 1:
-        raise BadDimension(f"need n >= 1, got n={n}")
-    if m % n:
-        raise NotASubfield(f"n={n} must divide m={m}")
-    if not 1 <= k <= n:
-        raise BadDimension(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_code_params(n, m, k)
     field = make_field(q, m)
     beta = field.pow(field.generator_serial, beta_exponent)
     if points is None:

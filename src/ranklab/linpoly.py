@@ -8,30 +8,23 @@ coefficient) used for divisibility checks, stride associates and root counts.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from ranklab import gfmatrix
 from ranklab.errors import BudgetExceeded, FieldMismatch, StrideViolation
-from ranklab.field import FieldElement, FieldSpec, embed_serial
+from ranklab.field import FieldSpec, embed_serial
 
 KERNEL_BUDGET = 1 << 20
 
 
-def _serial(spec: FieldSpec, value) -> int:
-    if isinstance(value, FieldElement):
-        if value.spec != spec:
-            raise FieldMismatch("coefficient from a different field")
-        return value.serial
-    return int(value)
-
-
 class LinearizedPoly:
-    """Immutable linearized polynomial over a fixed coefficient field."""
+    """Immutable linearized polynomial over a fixed coefficient field; its
+    coefficients, like every argument and result, are field serials."""
 
     __slots__ = ("spec", "coeffs")
 
-    def __init__(self, spec: FieldSpec, coeffs: Sequence = ()):
-        vals = [_serial(spec, c) for c in coeffs]
+    def __init__(self, spec: FieldSpec, coeffs: Sequence[int] = ()):
+        vals = list(coeffs)
         while vals and vals[-1] == 0:
             vals.pop()
         self.spec = spec
@@ -49,10 +42,10 @@ class LinearizedPoly:
         return cls(spec, (1,))
 
     @classmethod
-    def monomial(cls, spec: FieldSpec, i: int, coeff=1) -> "LinearizedPoly":
-        """c * x^(q^i)."""
-        c = _serial(spec, coeff)
-        return cls(spec, (0,) * i + (c,))
+    def monomial(cls, spec: FieldSpec, i: int,
+                 coeff: int = 1) -> "LinearizedPoly":
+        """coeff * x^(q^i)."""
+        return cls(spec, (0,) * i + (coeff,))
 
     # -- shape -------------------------------------------------------------
 
@@ -84,14 +77,6 @@ class LinearizedPoly:
             y = spec.frobenius(y, 1)
         return acc
 
-    def evaluate(self, x: Union[FieldElement, int]):
-        """Image of x under the GF(q)-linear map; same kind as the input."""
-        if isinstance(x, FieldElement):
-            if x.spec != self.spec:
-                raise FieldMismatch("point from a different field")
-            return FieldElement(self.spec, self.evaluate_serial(x.serial))
-        return self.evaluate_serial(x)
-
     # -- ring-module operations ----------------------------------------------
 
     def _same(self, other: "LinearizedPoly"):
@@ -116,10 +101,9 @@ class LinearizedPoly:
         spec = self.spec
         return LinearizedPoly(spec, [spec.neg(c) for c in self.coeffs])
 
-    def scale(self, c) -> "LinearizedPoly":
-        s = _serial(self.spec, c)
+    def scale(self, c: int) -> "LinearizedPoly":
         spec = self.spec
-        return LinearizedPoly(spec, [spec.mul(s, a) for a in self.coeffs])
+        return LinearizedPoly(spec, [spec.mul(c, a) for a in self.coeffs])
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)

@@ -15,7 +15,7 @@ from typing import Iterable, List
 
 from ranklab import gfmatrix
 from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift, require
-from ranklab.field import FieldElement, FieldSpec
+from ranklab.field import FieldSpec
 from ranklab.linpoly import LinearizedPoly
 
 ORBIT_BUDGET = 1 << 20
@@ -24,15 +24,13 @@ GRASSMANNIAN_BUDGET = 10 ** 6
 
 class Subspace:
     """An r-dimensional GF(q)-subspace of GF(q^n), spanned by the given
-    serials or FieldElements and kept as its canonical basis of serials."""
+    serials and kept as its canonical basis of serials."""
 
     __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: FieldSpec, elements: Iterable):
+    def __init__(self, ambient: FieldSpec, elements: Iterable[int]):
         self.ambient = ambient
-        self.basis = gfmatrix.rref(
-            [el.serial if isinstance(el, FieldElement) else int(el)
-             for el in elements], ambient.q)
+        self.basis = gfmatrix.rref(list(elements), ambient.q)
 
     @classmethod
     def zero(cls, ambient: FieldSpec) -> "Subspace":
@@ -58,9 +56,8 @@ class Subspace:
             out.append(s)
         return out
 
-    def contains(self, element) -> bool:
-        s = element.serial if isinstance(element, FieldElement) else int(element)
-        return len(gfmatrix.basis(self.basis + (s,), self.ambient.q)) \
+    def contains(self, element: int) -> bool:
+        return len(gfmatrix.basis(self.basis + (element,), self.ambient.q)) \
             == self.dim
 
     def __eq__(self, other):
@@ -142,13 +139,12 @@ def subspace_polynomial_product(v: Subspace) -> LinearizedPoly:
 # Cyclic shifts and orbits
 # ----------------------------------------------------------------------
 
-def cyclic_shift(v: Subspace, alpha) -> Subspace:
-    """The subspace alpha * v = {alpha x : x in v}."""
+def cyclic_shift(v: Subspace, alpha: int) -> Subspace:
+    """The subspace alpha * v = {alpha x : x in v}, alpha a nonzero serial."""
     spec = v.ambient
-    a = alpha.serial if isinstance(alpha, FieldElement) else int(alpha)
-    if a == 0:
+    if alpha == 0:
         raise ZeroShift("cyclic shift by zero")
-    return Subspace(spec, (spec.mul(a, b) for b in v.basis))
+    return Subspace(spec, (spec.mul(alpha, b) for b in v.basis))
 
 
 def orbit(v: Subspace) -> List[Subspace]:

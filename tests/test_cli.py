@@ -77,7 +77,17 @@ def test_bad_config_exits_2_with_json_error(tmp_path, capsys):
             (bounds + ["--q", "0", "--k", "2"], "NotPrime"),
             (bounds + ["--q", "4", "--k", "2"], "NotPrime"),
             (bounds + ["--q", "2", "--k", "9"], "BadDimension"),
-            (bounds + ["--q", "2", "--k", "0"], "BadDimension")]:
+            (bounds + ["--q", "2", "--k", "0"], "BadDimension"),
+            (["bounds", "--q", "2", "--n", "4", "--m", "-4", "--k", "2",
+              "--g", "2"], "BadDimension"),
+            (["bounds", "--q", "2", "--n", "4", "--m", "6", "--k", "2",
+              "--g", "2"], "NotASubfield"),
+            (["bounds", "--q", "2", "--n", "4", "--m", "4", "--k", "2",
+              "--g", "0"], "DivisibilityViolation"),
+            (["bounds", "--q", "2", "--n", "4", "--m", "4", "--k", "2",
+              "--g", "-2", "--s", "-1"], "DivisibilityViolation"),
+            (bounds + ["--q", "2", "--k", "2", "--s", "0"],
+             "DivisibilityViolation")]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert json.loads(err.strip())["error"] == error, argv
@@ -425,11 +435,24 @@ def _string_degenerate(data):
     data["degenerate"] = "yes"
 
 
+# JSON true equals the serial 1 in Python; the loader must not take it as one
+def _boolean_center_serial(data):
+    assert data["center"][0] == 1
+    data["center"][0] = True
+
+
+def _boolean_eval_point(data):
+    assert data["code"]["eval_points"][0] == 1
+    data["code"]["eval_points"][0] = True
+
+
 @pytest.mark.parametrize("command", ["verify", "lift-verify", "ball"])
 @pytest.mark.parametrize("malform", [_top_level_array, _string_dimension,
                                      _string_radius, _unknown_family_param,
                                      _unknown_kind, _unknown_format,
-                                     _string_degenerate])
+                                     _string_degenerate,
+                                     _boolean_center_serial,
+                                     _boolean_eval_point])
 def test_malformed_file_exits_2_with_one_line_error(tmp_path, capsys,
                                                     malform, command):
     inst, data = _gen_gab41(tmp_path, capsys)

@@ -12,9 +12,7 @@ from ranklab.errors import (
     NotPrime,
 )
 from ranklab.field import (
-    embed,
     embed_serial,
-    frobenius,
     is_irreducible_rabin,
     is_irreducible_trial,
     make_field,
@@ -78,11 +76,12 @@ def test_trial_and_rabin_agree():
 
 def test_frobenius_identity_and_orbit():
     f = make_field(2, 4)
-    g = f.generator
-    assert frobenius(g, 0) == g
-    assert frobenius(g, 4) == g  # full-field orbit closes
+    g = f.generator_serial
+    assert f.frobenius(0, 1) == 0
+    assert f.frobenius(g, 0) == g
+    assert f.frobenius(g, 4) == g  # full-field orbit closes
     # squaring oracle: frobenius(gamma, 1) equals gamma * gamma
-    assert frobenius(g, 1).serial == f.mul(g.serial, g.serial) == 4
+    assert f.frobenius(g, 1) == f.mul(g, g) == 4
 
 
 def test_frobenius_is_prime_field_linear():
@@ -107,14 +106,16 @@ def test_embed_fixes_zero_and_one():
 
 def test_embed_gf4_generator_is_gamma5():
     src, dst = make_field(2, 2), make_field(2, 4)
-    im = embed(src.generator, dst)
-    assert im.serial == dst.pow(dst.generator_serial, 5) == 6
-    assert (im * im * im).serial == 1  # order-3 element
+    im = embed_serial(src.generator_serial, src, dst)
+    assert im == dst.pow(dst.generator_serial, 5) == 6
+    assert dst.mul(im, im) != 1
+    assert dst.mul(dst.mul(im, im), im) == 1  # order-3 element
 
 
 def test_embed_non_divisor_rejected():
+    src, dst = make_field(2, 3), make_field(2, 4)
     with pytest.raises(NotASubfield):
-        embed(make_field(2, 3).generator, make_field(2, 4))
+        embed_serial(src.generator_serial, src, dst)
 
 
 @pytest.mark.parametrize("q,n,m", [
@@ -165,23 +166,8 @@ def test_serial_packing_roundtrip():
     f = make_field(3, 3)
     for s in f.elements():
         assert f.from_digits(f.digits(s)) == s
-    el = f.element((2, 1, 0))
-    assert el.serial == 2 + 1 * 3
-    assert el.coeffs == (2, 1, 0)
-
-
-def test_element_operators():
-    f = make_field(2, 4)
-    g = f.generator
-    assert g * g ** -1 == f.element(1)
-    assert (g + g).serial == 0
-    assert (g - g).serial == 0
-    assert g / g == f.element(1)
-    assert -g == g  # characteristic 2
-    h = make_field(3, 2).generator
-    assert (-h + h).serial == 0
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+    assert f.from_digits((2, 1, 0)) == 2 + 1 * 3 == 5
+    assert f.digits(5) == (2, 1, 0)
 
 
 def test_field_inverses_exhaustive():
@@ -189,6 +175,17 @@ def test_field_inverses_exhaustive():
         f = make_field(q, e)
         for a in f.nonzero():
             assert f.mul(a, f.inv(a)) == 1
+    f = make_field(2, 4)
+    g = f.generator_serial
+    assert f.mul(g, f.pow(g, -1)) == 1
+    assert f.div(g, g) == 1
+    assert f.add(g, g) == f.sub(g, g) == 0
+    assert f.neg(g) == g  # characteristic 2
+    f9 = make_field(3, 2)
+    h = f9.generator_serial
+    assert f9.add(f9.neg(h), h) == 0
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
 
 
 def test_modulus_table_env_override(tmp_path, monkeypatch):
@@ -206,5 +203,5 @@ def test_entire_modulus_table_constructs():
     for q in (2, 3, 5):
         for e in range(1, 25):
             f = make_field(q, e)
-            g = f.generator
-            assert (g * g ** -1).serial == 1
+            g = f.generator_serial
+            assert f.mul(g, f.inv(g)) == 1
