@@ -28,7 +28,12 @@ from ranklab.adversarial import (
     radius_window,
     verify_instance,
 )
-from ranklab.errors import DivisibilityViolation, NotPrime, RanklabError
+from ranklab.errors import (
+    BadParameters,
+    DivisibilityViolation,
+    NotPrime,
+    RanklabError,
+)
 from ranklab.field import is_prime
 from ranklab.gabidulin import (
     BALL_BUDGET,
@@ -119,6 +124,17 @@ def _frac_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _check_ranges(args):
+    """Reject a budget below 1 and a negative radius before any file is
+    read or oracle run: a mistyped value is a bad parameter, not a verdict."""
+    if getattr(args, "budget", 1) < 1:
+        raise BadParameters(f"--budget must be at least 1, got {args.budget}")
+    for flag, value in (("--tau", getattr(args, "tau", None)),
+                        ("--tau-s", getattr(args, "tau_s", None))):
+        if value is not None and value < 0:
+            raise BadParameters(f"{flag} must be at least 0, got {value}")
 
 
 def _cmd_gen(args, explicit: bool) -> int:
@@ -237,6 +253,7 @@ def _run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_ranges(args)
         if args.command == "gen-counting":
             return _cmd_gen(args, explicit=False)
         if args.command == "gen-explicit":

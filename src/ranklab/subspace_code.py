@@ -151,15 +151,15 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     code = inst.code
     if code.size <= budget:
         rank_count = len(exact_ball(code, inst.center, inst.tau, budget))
-        # d_s <= tau_s iff rank[center rows; word rows] <= n + half; the
-        # center rows' basis is built once and copied per word
+        # d_s <= tau_s iff rank[center rows; word rows] <= n + half; on the
+        # columns permuted to [X | I], _walk yields row j as w_j + q^(m+j)
         q, n = code.q, code.n
         exceeds = gfmatrix.rank_test(q)
-        start = gfmatrix.basis(lifted_center.packed, q)
-        units, shift = [q ** j for j in range(n)], q ** n
-        count = sum(1 for w in _walk(code, (0,) * n)
-                    if not exceeds([u + c * shift for u, c in zip(units, w)],
-                                   n + half, start))
+        tops = [q ** (code.m + j) for j in range(n)]
+        start = gfmatrix.basis(
+            [c + t for c, t in zip(inst.center.coords, tops)], q)
+        count = sum(1 for rows in _walk(code, tops)
+                    if not exceeds(rows, n + half, start))
         if half == inst.tau and count != rank_count:
             raise InvariantViolation(
                 f"lifted ball has {count} words, rank ball {rank_count}")

@@ -223,6 +223,43 @@ def test_option_a_subcommand_does_not_read_exits_2(tmp_path, capsys):
         assert main(argv + unread) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lift-verify", "--tau-s", "-1"], ["lift-verify", "--tau-s", "-2"],
+    ["ball", "--tau", "-1"]] + [
+    [command, "--budget", budget] for command in ("verify", "lift-verify",
+                                                  "ball")
+    for budget in ("0", "-1")])
+def test_negative_radius_or_budget_below_1_exits_2(tmp_path, capsys, argv):
+    # a mistyped radius or budget is a bad parameter, not a verdict on the
+    # file and not a switch that turns the oracle checks off
+    inst, _ = _gen_gab41(tmp_path, capsys)
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--in", str(inst),
+                         "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BadParameters"
+    assert not out_file.exists()
+
+
+def test_radius_0_and_budget_1_stay_valid(tmp_path, capsys):
+    inst, _ = _gen_gab41(tmp_path, capsys)
+    assert run(capsys, "ball", "--in", str(inst), "--tau", "0")[:2] \
+        == (0, "0\n")
+    # no codeword lies at lifted distance 0 from the non-codeword center
+    code, out, _ = run(capsys, "lift-verify", "--in", str(inst),
+                       "--tau-s", "0")
+    assert code == 1
+    assert "lifted_distances_within_radius: fail" in out.splitlines()
+    for command, check in (("verify", "ball_oracle_containment"),
+                           ("lift-verify", "ball_relation_inequality")):
+        code, out, _ = run(capsys, command, "--in", str(inst),
+                           "--budget", "1")
+        assert code == 0
+        assert f"{check}: skipped" in out.splitlines()
+    assert run(capsys, "ball", "--in", str(inst), "--budget", "16")[:2] \
+        == (0, "5\n")
+
+
 def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     args = ["gen-counting", "--q", "2", "--n", "6", "--m", "6", "--k", "3",
             "--g", "2", "--seed", "7"]

@@ -192,10 +192,12 @@ HOIST_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 2),
 @pytest.mark.parametrize("q, n, m, k, s", HOIST_CODES, ids=[
     "-".join(map(str, c[1:] if c[0] == 2 else c)) for c in HOIST_CODES])
 def test_lifted_count_with_hoisted_center_basis(q, n, m, k, s):
-    # the lifted count starts every word's elimination from the center
-    # rows' basis; it must match stacking all rows afresh, a fresh
-    # lifted_distance per word and (distances double exactly) the
-    # rank-level ball
+    # the lifted count extends the center rows' basis by each word's rows,
+    # its columns permuted to [X | I]; at every subspace radius, also where
+    # floor(tau_s/2) != tau, it must match the reference rank of the
+    # stacked [I | X] digit rows (an elimination outside gfmatrix) and a
+    # lifted_distance per word, and at floor(tau_s/2) == tau the rank-level
+    # ball, as distances double exactly
     rng = random.Random(f"hoist:{n}:{m}:{k}:{s}" if q == 2
                         else f"hoist:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
@@ -204,17 +206,25 @@ def test_lifted_count_with_hoisted_center_basis(q, n, m, k, s):
         center = RankWord(code.field, tuple(rng.randrange(q ** m)
                                             for _ in range(code.n)))
         tau = rng.randrange(1, code.min_distance)
-        report = verify_lifted_instance(dataclasses.replace(
-            inst, code=code, center=center, tau=tau, codewords=()))
-        check = {c.name: c for c in report.checks}["ball_relation_inequality"]
         lc = lift_word(center)
-        fresh = sum(1 for w in codewords(code)
-                    if not gfmatrix.rank_test(q)(
-                        lc.packed + lift_word(w).packed, code.n + tau))
-        by_distance = sum(1 for w in codewords(code)
-                          if lifted_distance(lc, lift_word(w)) <= 2 * tau)
-        assert check.measured == fresh == by_distance == check.expected \
-            == len(enumerate_ball(code, center, tau))
+        lifted = [lift_word(w) for w in codewords(code)]
+        # half the subspace distance of each word from the center
+        by_reference = [reference.rank(lc.rows + lw.rows, q) - code.n
+                        for lw in lifted]
+        by_distance = [lifted_distance(lc, lw) // 2 for lw in lifted]
+        assert by_reference == by_distance
+        ball = len(enumerate_ball(code, center, tau))
+        for tau_s in (2 * tau - 1, 2 * tau, 2 * tau + 1, 2 * tau + 2):
+            report = verify_lifted_instance(dataclasses.replace(
+                inst, code=code, center=center, tau=tau, codewords=()),
+                tau_s=tau_s)
+            check = {c.name: c
+                     for c in report.checks}["ball_relation_inequality"]
+            half = tau_s // 2
+            assert check.measured == sum(h <= half for h in by_reference)
+            assert check.expected == ball
+            if half == tau:
+                assert check.measured == ball
 
 
 @pytest.mark.parametrize("q", [2, 3])

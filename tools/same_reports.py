@@ -2,16 +2,22 @@
 """Write every benchmark instance's CLI outputs, for a byte-for-byte diff.
 
 For each instance of every workload in bench/workloads.py, at seed 1, this
-runs `gen-*`, `verify --out`, `lift-verify --out`, `ball --out` and
-`bounds --out` (with the instance's q, n, m, k, g and s) with the ranklab
-found in SRC/src and writes into OUTDIR:
+runs `gen-*`, `verify --out`, `lift-verify --out`, `lift-verify --tau-s
+<2 tau + 2> --out` (tau the instance radius; floor(tau_s/2) = tau + 1, where
+the lifted count is not held equal to the rank-level ball), `ball --out`
+and `bounds --out` (with the instance's q, n, m, k, g and s) with the
+ranklab found in SRC/src and writes into OUTDIR:
 
-    <instance>.instance.json       the gen output
-    <instance>.verify.json         the verify report
-    <instance>.lift-verify.json    the lift-verify report
-    <instance>.ball.json           the exact ball at the instance radius
-    <instance>.bounds.json         the bound table
-    <instance>.<stage>.log         exit code, stdout and stderr of each call
+    <instance>.instance.json          the gen output
+    <instance>.verify.json            the verify report
+    <instance>.lift-verify.json       the lift-verify report
+    <instance>.lift-verify-wide.json  the lift-verify report at 2 tau + 2
+    <instance>.ball.json              the exact ball at the instance radius
+    <instance>.bounds.json            the bound table
+    <instance>.<stage>.log            exit code, stdout and stderr of each
+                                      call, stage being one of gen, verify,
+                                      lift-verify, lift-verify-wide, ball
+                                      and bounds
 
 A code over the ball budget writes no ball file; its ball log records the
 exit code 2 and the BudgetExceeded error.
@@ -30,6 +36,7 @@ same one; each run imports only the ranklab of its SRC.
 
 import contextlib
 import io
+import json
 import os
 import sys
 import time
@@ -47,6 +54,26 @@ def run_stage(cli, argv):
             rc = f"{type(exc).__name__}: {exc}"
     return f"exit: {rc}\n--- stdout\n{out.getvalue()}--- stderr\n" \
            f"{err.getvalue()}"
+
+
+def stages(inst, path):
+    """(stage, argv) of each CLI call on one instance, gen first.  A
+    generator, so that the radius of the wide lift-verify is read from the
+    file only after gen has written it."""
+    name = inst.name
+    yield "gen", inst.gen_argv(SEED, path)
+    for s in ("verify", "lift-verify"):
+        yield s, [s, "--in", path, "--out", f"{name}.{s}.json"]
+    with open(path, encoding="ascii") as fh:
+        tau = json.load(fh)["tau"]
+    yield "lift-verify-wide", ["lift-verify", "--in", path, "--tau-s",
+                               str(2 * tau + 2),
+                               "--out", f"{name}.lift-verify-wide.json"]
+    yield "ball", ["ball", "--in", path, "--out", f"{name}.ball.json"]
+    yield "bounds", [
+        "bounds", "--q", str(inst.q), "--n", str(inst.n), "--m", str(inst.m),
+        "--k", str(inst.dim), "--g", str(inst.g), "--s", str(inst.s),
+        "--out", f"{name}.bounds.json"]
 
 
 def main(argv=None) -> int:
@@ -69,15 +96,8 @@ def main(argv=None) -> int:
     for workload in WORKLOADS.values():
         for inst in workload.instances:
             t0 = time.perf_counter()
-            path = f"{inst.name}.instance.json"
-            stages = [("gen", inst.gen_argv(SEED, path))]
-            stages += [(s, [s, "--in", path, "--out", f"{inst.name}.{s}.json"])
-                       for s in ("verify", "lift-verify", "ball")]
-            stages.append(("bounds", [
-                "bounds", "--q", str(inst.q), "--n", str(inst.n),
-                "--m", str(inst.m), "--k", str(inst.dim), "--g", str(inst.g),
-                "--s", str(inst.s), "--out", f"{inst.name}.bounds.json"]))
-            for stage, stage_argv in stages:
+            for stage, stage_argv in stages(inst,
+                                            f"{inst.name}.instance.json"):
                 with open(f"{inst.name}.{stage}.log", "w",
                           encoding="utf-8") as fh:
                     fh.write(run_stage(cli, stage_argv))
