@@ -7,8 +7,9 @@ expansion over GF(q) (coordinate i becomes column i), and rank weight is the
 rank of that matrix.  Every scan of the code is one walk over its q^(mk)
 messages in q-ary Gray order (_walk), never over the ambient space.  The
 rank ball has two exact oracles: enumerate_ball walks every codeword, and
-ball_by_supports solves one GF(q) system per error support of rank <= tau,
-sum_{t<=tau} [n,t]_q of them; exact_ball runs whichever does less work.
+ball_by_supports walks the sum_{t<=tau} [n,t]_q error supports of rank
+<= tau depth first, each extending its parent's GF(q) elimination by m
+columns; exact_ball runs whichever does less work.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
@@ -32,6 +33,7 @@ from ranklab.errors import (
     BudgetExceeded,
     ContextMismatch,
     DegreeTooHigh,
+    InvariantViolation,
     NegativeDiscriminant,
     NotASubfield,
     RadiusTooLarge,
@@ -39,7 +41,7 @@ from ranklab.errors import (
 )
 from ranklab.field import FieldSpec, embed_serial, make_field, sub_digits
 from ranklab.linpoly import LinearizedPoly
-from ranklab.subspace import gaussian_binomial, rref_patterns
+from ranklab.subspace import gaussian_binomial
 
 BALL_BUDGET = 1 << 22
 
@@ -308,38 +310,86 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
     return [RankWord(code.field, c) for c in found]
 
 
+def _extend_support(ech: dict, cols: list, q: int) -> dict:
+    """A copy of the echelon basis ech extended by the _unpack'ed syndrome
+    columns of one more support row; InvariantViolation unless every one
+    of them is new."""
+    child = dict(ech)
+    gfmatrix._extend(cols, child, len(cols), q)
+    if len(child) - len(ech) < len(cols):
+        raise InvariantViolation("a support's syndrome columns are dependent")
+    return child
+
+
 def ball_by_supports(code: GabidulinCode, center: RankWord,
                      tau: int) -> List[RankWord]:
     """The ball of enumerate_ball by Ourivski-Johansson basis enumeration.
 
     An error center - c of rank t is a * B: B is the t x n RREF basis of
-    its row space over GF(q), a is in GF(q^m)^t.  For each B with t <= tau
-    one GF(q) system in mt unknowns, sum x_si _syndrome(x^i b_s) =
-    _syndrome(center), is solved; a counts only if its entries are
+    its row space over GF(q), a is in GF(q^m)^t, and the mt GF(q) digits
+    x_si of a solve sum x_si _syndrome(x^i b_s) = _syndrome(center).  Row
+    s of B depends only on its pivot and on the pivots of the rows below
+    it, so a depth-first walk that picks the last row first, then rows
+    with ever smaller pivots, reaches every B with t <= tau once, at depth
+    t.  Each node copies its parent's echelon basis of syndrome columns,
+    eliminates the m columns x^i b of its new row b into it, and reduces
+    its parent's residue of _syndrome(center) further.  Below d the code
+    is MRD, so all m columns are new; InvariantViolation where they are
+    not.  A zero residue, a hit, is solved again from scratch by
+    gfmatrix.coordinates on the node's mt columns, InvariantViolation if
+    that finds no solution; a counts only if its entries are
     GF(q)-independent, so each word is found once, under its error's row
-    space.  Below d the code is MRD and the mt columns are independent;
-    gfmatrix.coordinates raises InvariantViolation where they are not.
+    space.  Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
-    field, q, n, m = code.field, code.q, code.n, code.m
+    field, q, n = code.field, code.q, code.n
     table = code._syndrome_table
     target = _syndrome(code, center.coords)
     found = []
-    for t in range(tau + 1):
-        for rows in rref_patterns(n, t, q):
-            cols = [c for row in rows
-                    for c in table[sum(x * q ** j for j, x in enumerate(row))]]
-            x = gfmatrix.coordinates(cols, target, q)
-            if x is None:
-                continue
-            a = [x // field.order ** s % field.order for s in range(t)]
-            if len(gfmatrix.basis(a, q)) < t:
-                continue
-            err = [0] * n
-            for a_s, row in zip(a, rows):
-                err = [field.add(e, field.mul(a_s, b))
-                       for e, b in zip(err, row)]
-            found.append(tuple(map(field.sub, center.coords, err)))
+    unpacked = {}     # row b -> its m syndrome columns, _unpack'ed
+
+    def hit(rows):
+        t = len(rows)
+        x = gfmatrix.coordinates([c for b in rows for c in table[b]],
+                                 target, q)
+        if x is None:
+            raise InvariantViolation(
+                f"support {rows} holds the syndrome by one elimination "
+                "and not by the other")
+        a = [x // field.order ** s % field.order for s in range(t)]
+        if len(gfmatrix.basis(a, q)) < t:
+            return
+        err = [0] * n
+        for a_s, b in zip(a, rows):
+            err = [field.add(e, field.mul(a_s, b // q ** j % q))
+                   for j, e in enumerate(err)]
+        found.append(tuple(map(field.sub, center.coords, err)))
+
+    def visit(rows, pivots, ech, residue):
+        if not residue:
+            hit(rows)
+        if len(rows) == tau:
+            return
+        # the new row: pivot p below every pivot so far, free entries at
+        # the columns right of p that are no pivot of the rows below
+        for p in range(pivots[-1] if pivots else n):
+            children = [q ** p]
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    children = [b + c * q ** j
+                                for b in children for c in range(q)]
+            for b in children:
+                cols = unpacked.get(b)
+                if cols is None:
+                    cols = unpacked[b] = [gfmatrix._unpack(v, q)
+                                          for v in table[b]]
+                child = _extend_support(ech, cols, q)
+                # a residue ends in a nonzero digit, so the children
+                # sharing it pop nothing off it in place
+                visit(rows + [b], pivots + (p,), child,
+                      gfmatrix._reduce(residue, child, q))
+
+    visit([], (), {}, gfmatrix._unpack(target, q))
     found.sort()
     return [RankWord(field, c) for c in found]
 

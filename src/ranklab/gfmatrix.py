@@ -81,11 +81,35 @@ def _store_digits(lists: Iterable[List[int]], basis: dict, room: int,
     return room < 0
 
 
-def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
-    """_eliminate_gf2 for any prime q."""
+def _unpack(v: int, q: int):
+    """v in the form the elimination stores for q: the int itself for
+    q = 2, its _digits list otherwise."""
+    return v if q == 2 else _digits(v, q)
+
+
+def _extend(vecs: Iterable, basis: dict, room: int, q: int) -> bool:
+    """_eliminate on vectors already _unpack'ed."""
     if q == 2:
         return _eliminate_gf2(vecs, basis, room)
-    return _store_digits((_digits(v, q) for v in vecs), basis, room, q)
+    return _store_digits(vecs, basis, room, q)
+
+
+def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
+    """_eliminate_gf2 for any prime q."""
+    return _extend(vecs if q == 2 else (_digits(v, q) for v in vecs),
+                   basis, room, q)
+
+
+def _reduce(v, basis: dict, q: int):
+    """An _unpack'ed v less basis vectors for as long as one has v's top
+    nonzero digit: falsy iff v lies in the span of basis."""
+    if q != 2:
+        return _reduce_digits(v, basis, q)
+    b = basis.get(v.bit_length())
+    while b:
+        v ^= b
+        b = basis.get(v.bit_length())
+    return v
 
 
 def _pack(top_first: Iterable[int], q: int) -> int:

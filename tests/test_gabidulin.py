@@ -31,6 +31,7 @@ from ranklab.adversarial import (
 )
 from ranklab.field import make_field
 from ranklab.linpoly import LinearizedPoly
+from ranklab.subspace import gaussian_binomial
 from ranklab import gabidulin
 from ranklab.gabidulin import (
     GabidulinCode,
@@ -38,6 +39,7 @@ from ranklab.gabidulin import (
     _walk,
     ball_by_supports,
     codewords,
+    contains,
     encode,
     enumerate_ball,
     evaluate_word,
@@ -325,26 +327,76 @@ def test_exact_ball_budget_is_enumerate_ball_budget():
         exact_ball(code, RankWord(code.field, (0,) * 3), 1)
 
 
-def test_ball_by_supports_raises_on_dependent_columns():
+@pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
+def test_ball_by_supports_expands_each_support_once(q, n, m, k, s,
+                                                    monkeypatch):
+    # one child elimination per support of dimension 1..tau, none for
+    # the root (the empty support) and none for the re-solve at a hit
+    rng = random.Random(f"expand:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    center = RankWord(code.field, tuple(rng.randrange(code.field.order)
+                                        for _ in range(code.n)))
+    extend = gabidulin._extend_support
+    calls = []
+    monkeypatch.setattr(gabidulin, "_extend_support",
+                        lambda *a: calls.append(a) or extend(*a))
+    for tau in range(code.min_distance):
+        calls.clear()
+        ball_by_supports(code, center, tau)
+        assert len(calls) == sum(gaussian_binomial(code.n, t, q)
+                                 for t in range(1, tau + 1)), tau
+
+
+def test_ball_by_supports_raises_on_dependent_columns(monkeypatch):
     # at t = d a support of a minimum-weight codeword has dependent columns
     code = make_code(2, 4, 4, 2)
     center = RankWord(code.field, (3, 0, 7, 12))
     assert len(ball_by_supports(code, center, 2)) == 29
-    with pytest.raises(InvariantViolation):
-        ball_by_supports(code, center, code.min_distance)
+    cases = [(code, center, code.min_distance)]
+    for q, n, m, k in [(3, 4, 4, 2), (5, 2, 4, 1)]:
+        odd = make_code(q, n, m, k)
+        center = RankWord(odd.field, tuple(range(1, n + 1)))
+        assert ball_by_supports(odd, center, odd.min_distance - 1) \
+            == enumerate_ball(odd, center, odd.min_distance - 1)
+        cases.append((odd, center, odd.min_distance))
     # a syndrome that forgets x^i leaves every support dependent
     flat = make_code(3, 2, 4, 1)
     flat.__dict__["_syndrome_table"] = tuple(
         (row[0],) * 4 for row in flat._syndrome_table)
+    cases.append((flat, RankWord(flat.field, (1, 2)), 1))
+    for case in cases:
+        with pytest.raises(InvariantViolation):
+            ball_by_supports(*case)
+    # the walk's own elimination raises, not only the re-solve at a hit
+    monkeypatch.setattr(gfmatrix, "coordinates", lambda *a: 0)
+    for case in cases:
+        with pytest.raises(InvariantViolation):
+            ball_by_supports(*case)
+
+
+@pytest.mark.parametrize("q, n, m, k", [(2, 4, 4, 2), (3, 4, 4, 2),
+                                        (5, 2, 4, 1)])
+def test_ball_by_supports_raises_where_the_re_solve_disagrees(q, n, m, k,
+                                                               monkeypatch):
+    # a zero residue in the walk that the hit's own elimination does not
+    # confirm stops the oracle at that first hit; no word is dropped
+    code = make_code(q, n, m, k)
+    center = RankWord(code.field, tuple(range(3, n + 3)))
+    tau = code.min_distance - 1
+    assert not contains(code, center) and enumerate_ball(code, center, tau)
+    calls = []
+    monkeypatch.setattr(gfmatrix, "coordinates",
+                        lambda *a: calls.append(a))
     with pytest.raises(InvariantViolation):
-        ball_by_supports(flat, RankWord(flat.field, (1, 2)), 1)
+        ball_by_supports(code, center, tau)
+    assert len(calls) == 1
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BALL_SIZES = json.loads((BENCH / "ball_sizes.json").read_text())
-# the supports oracle takes about 30 s and 20 s on these two (308,993 and
-# 45,256 supports, against 2^16 and 3^6 codewords); exact_ball runs brute
-# force on both, so only that oracle is checked here
+# the supports oracle takes about 6-10 s and 4-6 s on these two (308,993
+# and 45,256 supports, against 2^16 and 3^6 codewords); exact_ball runs
+# brute force on both, so only that oracle is checked here
 DENSE_SUPPORTS = {"q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3"}
 
 

@@ -13,14 +13,19 @@ ranklab found in SRC/src and writes into OUTDIR:
     <instance>.lift-verify.json       the lift-verify report
     <instance>.lift-verify-wide.json  the lift-verify report at 2 tau + 2
     <instance>.ball.json              the exact ball at the instance radius
+    <instance>.ball-wide.json         the same ball, with the budget raised
+                                      to the code's size (see below)
     <instance>.bounds.json            the bound table
     <instance>.<stage>.log            exit code, stdout and stderr of each
                                       call, stage being one of gen, verify,
-                                      lift-verify, lift-verify-wide, ball
-                                      and bounds
+                                      lift-verify, lift-verify-wide, ball,
+                                      ball-wide and bounds
 
 A code over the ball budget writes no ball file; its ball log records the
-exit code 2 and the BudgetExceeded error.
+exit code 2 and the BudgetExceeded error.  Where such a code has at most
+WIDE_SUPPORTS error supports of rank <= tau (sum_{t<=tau} [n,t]_q),
+`ball --budget <q^(mk)> --out` also runs, so the supports oracle reaches
+the byte diff on a code beyond brute force.
 
 Paths handed to the CLI are relative to OUTDIR, so the logs do not name it.
 Two source trees give the same reports iff `diff -r` of their OUTDIRs is
@@ -43,6 +48,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 1
+WIDE_SUPPORTS = 1 << 18
 
 
 def run_stage(cli, argv):
@@ -58,8 +64,11 @@ def run_stage(cli, argv):
 
 def stages(inst, path):
     """(stage, argv) of each CLI call on one instance, gen first.  A
-    generator, so that the radius of the wide lift-verify is read from the
-    file only after gen has written it."""
+    generator, so that the radius of the wide lift-verify and of the wide
+    ball is read from the file only after gen has written it."""
+    from ranklab.gabidulin import BALL_BUDGET
+    from ranklab.subspace import gaussian_binomial
+
     name = inst.name
     yield "gen", inst.gen_argv(SEED, path)
     for s in ("verify", "lift-verify"):
@@ -70,6 +79,12 @@ def stages(inst, path):
                                str(2 * tau + 2),
                                "--out", f"{name}.lift-verify-wide.json"]
     yield "ball", ["ball", "--in", path, "--out", f"{name}.ball.json"]
+    size = inst.q ** (inst.m * inst.dim)
+    supports = sum(gaussian_binomial(inst.n, t, inst.q)
+                   for t in range(tau + 1))
+    if size > BALL_BUDGET and supports <= WIDE_SUPPORTS:
+        yield "ball-wide", ["ball", "--in", path, "--budget", str(size),
+                            "--out", f"{name}.ball-wide.json"]
     yield "bounds", [
         "bounds", "--q", str(inst.q), "--n", str(inst.n), "--m", str(inst.m),
         "--k", str(inst.dim), "--g", str(inst.g), "--s", str(inst.s),
