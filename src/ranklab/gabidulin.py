@@ -41,7 +41,7 @@ from ranklab.errors import (
 )
 from ranklab.field import FieldSpec, embed_serial, make_field, sub_digits
 from ranklab.linpoly import LinearizedPoly
-from ranklab.subspace import gaussian_binomial
+from ranklab.subspace import gaussian_binomial, rref_walk
 
 BALL_BUDGET = 1 << 22
 
@@ -327,19 +327,17 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
 
     An error center - c of rank t is a * B: B is the t x n RREF basis of
     its row space over GF(q), a is in GF(q^m)^t, and the mt GF(q) digits
-    x_si of a solve sum x_si _syndrome(x^i b_s) = _syndrome(center).  Row
-    s of B depends only on its pivot and on the pivots of the rows below
-    it, so a depth-first walk that picks the last row first, then rows
-    with ever smaller pivots, reaches every B with t <= tau once, at depth
-    t.  Each node copies its parent's echelon basis of syndrome columns,
-    eliminates the m columns x^i b of its new row b into it, and reduces
-    its parent's residue of _syndrome(center) further.  Below d the code
-    is MRD, so all m columns are new; InvariantViolation where they are
-    not.  A zero residue, a hit, is solved again from scratch by
-    gfmatrix.coordinates on the node's mt columns, InvariantViolation if
-    that finds no solution; a counts only if its entries are
-    GF(q)-independent, so each word is found once, under its error's row
-    space.  Output is sorted by coordinate serials.
+    x_si of a solve sum x_si _syndrome(x^i b_s) = _syndrome(center).  The
+    supports B with t <= tau come from rref_walk(n, range(tau + 1), q).
+    Each copies its parent's echelon basis of syndrome columns, eliminates
+    the m columns x^i b of its new row b into it, and reduces its parent's
+    residue of _syndrome(center) further.  Below d the code is MRD, so all
+    m columns are new; InvariantViolation where they are not.  A zero
+    residue, a hit, is solved again from scratch by gfmatrix.coordinates
+    on the node's mt columns, InvariantViolation if that finds no
+    solution; a counts only if its entries are GF(q)-independent, so each
+    word is found once, under its error's row space.  Output is sorted by
+    coordinate serials.
     """
     _check_code_context(code, center)
     field, q, n = code.field, code.q, code.n
@@ -365,31 +363,20 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
                    for j, e in enumerate(err)]
         found.append(tuple(map(field.sub, center.coords, err)))
 
-    def visit(rows, pivots, ech, residue):
-        if not residue:
+    # state[t]: echelon basis and residue of the support rows[:t]
+    state = [({}, gfmatrix._unpack(target, q))]
+    for rows in rref_walk(n, range(tau + 1), q):
+        t = len(rows)
+        if t:
+            b = rows[-1]
+            if b not in unpacked:
+                unpacked[b] = [gfmatrix._unpack(v, q) for v in table[b]]
+            ech = _extend_support(state[t - 1][0], unpacked[b], q)
+            # a residue ends in a nonzero digit, so the children sharing
+            # it pop nothing off it in place
+            state[t:] = [(ech, gfmatrix._reduce(state[t - 1][1], ech, q))]
+        if not state[t][1]:
             hit(rows)
-        if len(rows) == tau:
-            return
-        # the new row: pivot p below every pivot so far, free entries at
-        # the columns right of p that are no pivot of the rows below
-        for p in range(pivots[-1] if pivots else n):
-            children = [q ** p]
-            for j in range(p + 1, n):
-                if j not in pivots:
-                    children = [b + c * q ** j
-                                for b in children for c in range(q)]
-            for b in children:
-                cols = unpacked.get(b)
-                if cols is None:
-                    cols = unpacked[b] = [gfmatrix._unpack(v, q)
-                                          for v in table[b]]
-                child = _extend_support(ech, cols, q)
-                # a residue ends in a nonzero digit, so the children
-                # sharing it pop nothing off it in place
-                visit(rows + [b], pivots + (p,), child,
-                      gfmatrix._reduce(residue, child, q))
-
-    visit([], (), {}, gfmatrix._unpack(target, q))
     found.sort()
     return [RankWord(field, c) for c in found]
 

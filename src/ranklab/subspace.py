@@ -5,7 +5,8 @@ A subspace is stored as its canonical basis, gfmatrix.rref() of any
 spanning set of field serials: a serial is its GF(q)-coordinate vector
 packed base q, so the basis is serials too.  Equality, hashing and the
 order of an orbit or a family all read that tuple of serials; the pivot
-convention behind it lives in gfmatrix alone.
+convention behind it lives in gfmatrix alone.  rref_walk is the one RREF
+enumerator: the Grassmannian, the family and the ball's supports walk it.
 """
 
 from __future__ import annotations
@@ -195,39 +196,54 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     return acc
 
 
-def rref_patterns(n: int, r: int, num_scalars: int):
-    """All r x n RREF matrices with entries in range(num_scalars).
+def rref_walk(n: int, depths: range, base: int):
+    """Every t x n RREF matrix with t in depths and entries in range(base),
+    depth first, as one list of rows updated in place: read it, keep none.
 
-    Pivot-column patterns in lexicographic order; free entries run through
-    the scalar range in odometer order.  Entry values are opaque scalars,
-    so this enumerates subspaces over any coefficient field of that size.
+    Row entry j is digit j base `base`, so for base q a row is a GF(q^n)
+    serial whose pivot is its lowest nonzero digit.  The walk picks the
+    last row first, then rows with ever smaller pivots: a row depends only
+    on its own pivot and those of the rows below it.  It yields, in
+    pre-order, every matrix on the path to one with t in depths, once and
+    after rows[:-1], so a consumer can build state[t] from state[t - 1]
+    and rows[-1].  A row with pivot p leaves room for p more rows, so a
+    child at depth t + 1 takes only pivots p >= depths.start - t - 1.
     """
-    if r == 0:
-        yield ()
+    lo, hi = max(depths.start, 0), min(depths.stop, n + 1)
+    if lo >= hi:
         return
-    for pivots in itertools.combinations(range(n), r):
-        free = [(i, j) for i in range(r) for j in range(n)
-                if j > pivots[i] and j not in pivots]
-        base = [[0] * n for _ in range(r)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        for values in itertools.product(range(num_scalars), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, j), val in zip(free, values):
-                rows[i][j] = val
-            yield tuple(tuple(row) for row in rows)
+    rows, pivots, todo = [], [n], []    # pivots[t + 1]: pivot of rows[t]
+    while True:
+        yield rows
+        t = len(rows)
+        if t + 1 < hi:
+            # the children, pushed last first: a pivot p below the last,
+            # free entries right of p off the pivots, rightmost fastest
+            for p in reversed(range(max(lo - t - 1, 0), pivots[-1])):
+                kids = [base ** p]
+                for j in range(p + 1, n):
+                    if j not in pivots:
+                        kids = [b + c * base ** j
+                                for b in kids for c in range(base)]
+                todo += [(t, p, b) for b in reversed(kids)]
+        if not todo:
+            return
+        t, p, b = todo.pop()
+        rows[t:], pivots[t + 1:] = [b], [p]
 
 
 def enumerate_grassmannian(ambient: FieldSpec, r: int):
-    """Every r-subspace of GF(q^n) exactly once, in canonical order; raises
+    """Every r-subspace of GF(q^n) exactly once, in the order of
+    rref_walk(n, range(r, r + 1), q), none for r outside [0, n]; raises
     BudgetExceeded above GRASSMANNIAN_BUDGET subspaces."""
     n = ambient.e
     count = gaussian_binomial(n, r, ambient.q)
     if count > GRASSMANNIAN_BUDGET:
         raise BudgetExceeded(f"Grassmannian has {count} subspaces, "
                              f"budget {GRASSMANNIAN_BUDGET}")
-    for rows in rref_patterns(n, r, ambient.q):
-        yield Subspace(ambient, [ambient.from_digits(row) for row in rows])
+    for rows in rref_walk(n, range(r, r + 1), ambient.q):
+        if len(rows) == r:
+            yield Subspace(ambient, rows)
 
 
 # ----------------------------------------------------------------------

@@ -260,6 +260,23 @@ def test_radius_0_and_budget_1_stay_valid(tmp_path, capsys):
         == (0, "5\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "lift-verify"])
+def test_negative_radius_in_file_fails_without_error(tmp_path, capsys,
+                                                     command):
+    # the ball at tau = -1 is empty: no support walk reaches the depth d
+    # where the syndrome columns turn dependent
+    inst = tmp_path / "inst.json"
+    assert main(["gen-explicit", "--q", "2", "--g", "2", "--s", "1",
+                 "--n", "6", "--m", "6", "--out", str(inst)]) == 0
+    data = json.loads(inst.read_text())
+    data["tau"] = -1
+    inst.write_text(json.dumps(data))
+    capsys.readouterr()
+    code, out, err = run(capsys, command, "--in", str(inst))
+    assert (code, err) == (1, "")
+    assert "FAILED" in out.splitlines()
+
+
 def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     args = ["gen-counting", "--q", "2", "--n", "6", "--m", "6", "--k", "3",
             "--g", "2", "--seed", "7"]

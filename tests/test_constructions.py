@@ -130,6 +130,7 @@ def test_orbit_base_poly_gf64():
     p = orbit_base_poly(2, 2, 1, 4)
     assert p.coeffs == (1, 0, 1, 0, 1)
     assert kernel(p, F64).dim == 4
+    assert divides_check(p, field_vanishing_poly(F64))
 
 
 def test_orbit_base_poly_divisibility_error():

@@ -294,6 +294,17 @@ def test_ball_by_supports_equals_enumerate_ball(q, n, m, k, s):
                 == enumerate_ball(code, center, tau)
 
 
+@pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
+def test_every_ball_oracle_is_empty_at_negative_radius(q, n, m, k, s):
+    rng = random.Random(f"negative:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    word = next(iter(codewords(code)))
+    for center in (word, RankWord(code.field, tuple(
+            rng.randrange(code.field.order) for _ in range(code.n)))):
+        for oracle in (enumerate_ball, ball_by_supports, exact_ball):
+            assert oracle(code, center, -1) == [], oracle
+
+
 def test_exact_ball_dispatch_compares_supports_with_codewords(monkeypatch):
     calls = []
     monkeypatch.setattr(gabidulin, "ball_by_supports",

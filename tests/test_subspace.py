@@ -14,6 +14,7 @@ from ranklab.subspace import (
     gaussian_binomial,
     intersection,
     orbit,
+    rref_walk,
     subspace_distance,
     subspace_polynomial,
     subspace_polynomial_product,
@@ -57,16 +58,12 @@ def test_incremental_matches_product_form():
 
 
 def test_incremental_matches_product_form_on_odd_q():
-    # every subspace of GF(3^3) and GF(5^2), and seeded lines and planes
-    # of GF(5^3): the signs of P(b)^(q-1) matter only for odd q
-    spaces = [v for q, n in ((3, 3), (5, 2))
+    # every subspace of GF(3^3), GF(5^2) and GF(5^3): the signs of
+    # P(b)^(q-1) matter only for odd q
+    spaces = [v for q, n in ((3, 3), (5, 2), (5, 3))
               for r in range(n + 1)
               for v in enumerate_grassmannian(make_field(q, n), r)]
-    assert len(spaces) == 28 + 8
-    rng = random.Random(16)
-    f125 = make_field(5, 3)
-    for r in (1, 2):
-        spaces += rng.sample(list(enumerate_grassmannian(f125, r)), 10)
+    assert len(spaces) == 28 + 8 + 64
     for v in spaces:
         assert subspace_polynomial(v) == subspace_polynomial_product(v), v
 
@@ -175,6 +172,54 @@ def test_enumerate_grassmannian_counts():
     assert [s.dim for s in enumerate_grassmannian(F16, 0)] == [0]
     full = list(enumerate_grassmannian(F16, 4))
     assert full == [Subspace.full(F16)]
+
+
+def test_enumerate_grassmannian_is_empty_outside_0_to_n():
+    for r in (-2, -1, 5, 6):
+        assert gaussian_binomial(4, r, 2) == 0
+        assert list(enumerate_grassmannian(F16, r)) == []
+
+
+def _digits(row, n, base):
+    return tuple(row // base ** j % base for j in range(n))
+
+
+# (n, base) with at most 15,000 RREF matrices of every depth: base 4 and
+# 8 are the GF(q^g) scalars the subfield-linear family walks over
+WALK_GRID = [(n, base) for base in (2, 3, 4, 5, 8) for n in range(6)
+             if sum(gaussian_binomial(n, t, base) for t in range(n + 1))
+             <= 15000]
+
+
+@pytest.mark.parametrize("n, base", WALK_GRID)
+def test_rref_walk_yields_each_matrix_once_after_its_parent(n, base):
+    for lo in range(-1, n + 2):
+        for hi in range(lo, n + 3):
+            depths = range(lo, hi)
+            nodes = [tuple(rows) for rows in rref_walk(n, depths, base)]
+            seen = set()
+            for rows in nodes:
+                assert rows not in seen
+                assert not rows or rows[:-1] in seen
+                seen.add(rows)
+            leaves = [rows for rows in nodes if len(rows) in depths]
+            for t in depths:
+                assert sum(len(rows) == t for rows in leaves) \
+                    == gaussian_binomial(n, t, base), (depths, t)
+            # pruned: every node is on the path to a matrix in depths
+            assert seen == {rows[:t] for rows in leaves
+                            for t in range(len(rows) + 1)}, depths
+            if hi == lo + 1 and 0 <= lo <= n:
+                assert len(nodes) <= (lo + 1) * gaussian_binomial(n, lo,
+                                                                   base)
+
+
+@pytest.mark.parametrize("n, base", [(n, base) for n, base in WALK_GRID
+                                     if base in (2, 3, 5)])
+def test_rref_walk_matrices_are_reference_rref(n, base):
+    for rows in rref_walk(n, range(n + 1), base):
+        digits = [_digits(b, n, base) for b in rows]
+        assert sorted(digits) == sorted(reference.rref(digits, base))
 
 
 def test_enumerate_grassmannian_distinct_and_budget():
