@@ -70,29 +70,34 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--q", "--n", "--m", "--k", "--g"):
         p.add_argument(flag, type=int, required=True)
     add_gen_options(p)
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("gen-explicit",
                        help="build an explicit-route instance")
     for flag in ("--q", "--g", "--s", "--n", "--m"):
         p.add_argument(flag, type=int, required=True)
     add_gen_options(p)
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("verify", help="re-verify an instance file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", help="write the report JSON here")
     add_budget(p)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("ball", help="exact ball oracle count")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tau", type=int, help="override the instance radius")
     p.add_argument("--out", help="write the codeword list here")
     add_budget(p)
+    p.set_defaults(run=_cmd_ball)
 
     p = sub.add_parser("bounds", help="print the bound table")
     for flag in ("--q", "--n", "--m", "--k", "--g"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--out", help="write the table as JSON here")
+    p.set_defaults(run=_cmd_bounds)
 
     p = sub.add_parser("lift-verify",
                        help="subspace-level checks of an instance file")
@@ -101,11 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="subspace radius (default 2*tau)")
     p.add_argument("--out", help="write the report JSON here")
     add_budget(p)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("compare-radius",
                        help="our radius vs the prior square-root radius")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_compare_radius)
 
     return parser
 
@@ -137,8 +144,8 @@ def _check_ranges(args):
             raise BadParameters(f"{flag} must be at least 0, got {value}")
 
 
-def _cmd_gen(args, explicit: bool) -> int:
-    if explicit:
+def _cmd_gen(args) -> int:
+    if args.command == "gen-explicit":
         inst = build_explicit_instance(args.q, args.g, args.s, args.n,
                                        args.m, args.beta_exp)
     else:
@@ -254,19 +261,7 @@ def _run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_ranges(args)
-        if args.command == "gen-counting":
-            return _cmd_gen(args, explicit=False)
-        if args.command == "gen-explicit":
-            return _cmd_gen(args, explicit=True)
-        if args.command in ("verify", "lift-verify"):
-            return _cmd_verify(args)
-        if args.command == "ball":
-            return _cmd_ball(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "compare-radius":
-            return _cmd_compare_radius(args)
-        return 2
+        return args.run(args)
     except (RanklabError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -93,26 +93,22 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], q: int) -> tuple:
     return _poly_trim(out)
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], q: int) -> tuple:
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    lead_inv = pow(b[-1], q - 2, q) if q > 2 else 1
-    quo = [0] * max(0, len(rem) - db)
-    while len(_poly_trim(rem)) - 1 >= db and _poly_trim(rem):
-        rem = list(_poly_trim(rem))
-        shift = len(rem) - 1 - db
-        factor = (rem[-1] * lead_inv) % q
-        quo[shift] = factor
-        for j, bj in enumerate(b):
-            rem[shift + j] = (rem[shift + j] - factor * bj) % q
-    return _poly_trim(quo), _poly_trim(rem)
-
-
 def _poly_mod(a: Sequence[int], m: Sequence[int], q: int) -> tuple:
-    return _poly_divmod(a, m, q)[1]
+    """The remainder of a modulo m over GF(q)."""
+    m = _poly_trim(m)
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(_poly_trim(a))
+    dm = len(m) - 1
+    lead_inv = pow(m[-1], q - 2, q)
+    while len(rem) > dm:
+        shift = len(rem) - 1 - dm
+        factor = rem[-1] * lead_inv % q
+        for j, mj in enumerate(m):
+            rem[shift + j] = (rem[shift + j] - factor * mj) % q
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(rem)
 
 
 def _poly_mulmod(a, b, m, q) -> tuple:
@@ -295,9 +291,6 @@ class FieldSpec:
 
     def _times_generator(self):
         """O(e) multiply-by-x closure used to walk the power table."""
-        if self.e == 1:
-            g = self.generator_serial
-            return lambda a: self._mul_schoolbook(a, g)
         q = self.q
         top_pow = self._qpows[self.e - 1]
         # x^e reduced: for each possible top coordinate t, the packed
@@ -446,8 +439,6 @@ class FieldSpec:
 
     def frobenius(self, a: int, i: int) -> int:
         """a^(q^i); the identity map when i is a multiple of e."""
-        if a == 0:
-            return 0
         return self.pow(a, self.q ** (i % self.e))
 
     # -- identity ----------------------------------------------------------

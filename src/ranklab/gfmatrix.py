@@ -3,7 +3,7 @@ loop: XOR on bitsets for q = 2, digit lists keyed by their top nonzero
 digit for odd q.
 
 Every function takes GF(q) vectors packed base q (digit j is the
-coefficient of q^j), as GF(q^m) serials and lifted rows [I | X] are
+coefficient of q^j), as GF(q^m) serials and lifted rows [X | I] are
 stored; solve() alone takes matrix rows, and packs them itself.  basis()
 gives the rank, rank_test(q) stops once the rank passes a limit, from a
 copy of a start basis, and tagged_basis()/reduce_tagged() eliminate a set

@@ -17,6 +17,18 @@ from ranklab.field import FieldSpec, embed_serial
 KERNEL_BUDGET = 1 << 20
 
 
+def evaluate(spec: FieldSpec, coeffs: Sequence[int], x: int) -> int:
+    """sum_i coeffs[i] * x^(q^i): the value at x of the linearized
+    polynomial with these coefficient serials."""
+    acc = 0
+    y = x
+    for a in coeffs:
+        if a:
+            acc = spec.add(acc, spec.mul(a, y))
+        y = spec.frobenius(y, 1)
+    return acc
+
+
 class LinearizedPoly:
     """Immutable linearized polynomial over a fixed coefficient field; its
     coefficients, like every argument and result, are field serials."""
@@ -68,14 +80,7 @@ class LinearizedPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_serial(self, x: int) -> int:
-        spec = self.spec
-        acc = 0
-        y = x
-        for a in self.coeffs:
-            if a:
-                acc = spec.add(acc, spec.mul(a, y))
-            y = spec.frobenius(y, 1)
-        return acc
+        return evaluate(self.spec, self.coeffs, x)
 
     # -- ring-module operations ----------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import Iterable, List
 from ranklab import gfmatrix
 from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift, require
 from ranklab.field import FieldSpec
-from ranklab.linpoly import LinearizedPoly
+from ranklab.linpoly import LinearizedPoly, evaluate
 
 ORBIT_BUDGET = 1 << 20
 GRASSMANNIAN_BUDGET = 10 ** 6
@@ -88,13 +88,7 @@ def subspace_polynomial(v: Subspace) -> LinearizedPoly:
     q = spec.q
     coeffs = [1]  # P(x) = x
     for b in v.basis:
-        pb = 0
-        y = b
-        for a in coeffs:
-            if a:
-                pb = spec.add(pb, spec.mul(a, y))
-            y = spec.frobenius(y, 1)
-        factor = spec.pow(pb, q - 1)
+        factor = spec.pow(evaluate(spec, coeffs, b), q - 1)
         new = [0] * (len(coeffs) + 1)
         for i, a in enumerate(coeffs):
             new[i + 1] = spec.frobenius(a, 1)

@@ -13,11 +13,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ranklab import gfmatrix
-from ranklab.errors import (
-    InvariantViolation,
-    RadiusTooLarge,
-    ShapeMismatch,
-)
+from ranklab.adversarial import CheckResult, VerificationReport, instance_bound
+from ranklab.errors import InvariantViolation, ShapeMismatch
 from ranklab.field import sub_digits
 from ranklab.gabidulin import (
     BALL_BUDGET,
@@ -26,8 +23,8 @@ from ranklab.gabidulin import (
     _walk,
     codewords,
     exact_ball,
+    prior_counting_bound,
 )
-from ranklab.subspace import gaussian_binomial
 
 LIFT_BUDGET = 1 << 18          # lift_code keeps every lifted subspace
 
@@ -35,8 +32,9 @@ LIFT_BUDGET = 1 << 18          # lift_code keeps every lifted subspace
 @dataclass(frozen=True)
 class LiftedSubspace:
     """Rowspace of [I_n | X] inside GF(q)^(n+m), stored as the n rows of
-    that RREF packed base q: row j is q^j + sum_i X[j][i] q^(n+i) (bit j =
-    column j for q = 2)."""
+    that RREF with the columns in the order [X | I_n], packed base q: row j
+    is sum_i X[j][i] q^i + q^(m+j), so a word's row j is its serial w_j
+    plus q^(m+j).  Permuting columns changes no rank or distance."""
 
     q: int
     n: int
@@ -49,13 +47,15 @@ class LiftedSubspace:
 
     @property
     def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """The rows [I_n | X] as digit tuples."""
-        q = self.q
-        return tuple(tuple(v // q ** j % q for j in range(self.n + self.m))
+        """The rows [I_n | X] as digit tuples: the identity digits
+        m..m+n-1 first, then the m digits of X."""
+        q, m = self.q, self.m
+        order = (*range(m, m + self.n), *range(m))
+        return tuple(tuple(v // q ** j % q for j in order)
                      for v in self.packed)
 
     def payload(self) -> Tuple[Tuple[int, ...], ...]:
-        """The matrix X recovered from the stored [I_n | X]."""
+        """The matrix X: the last m digits of each row of [I_n | X]."""
         return tuple(r[self.n:] for r in self.rows)
 
 
@@ -68,16 +68,16 @@ def lift(x_rows: Sequence[Sequence[int]], q: int) -> LiftedSubspace:
     if any(len(r) != m for r in x_rows):
         raise ShapeMismatch("ragged matrix")
     return LiftedSubspace(q=q, n=n, m=m, packed=tuple(
-        q ** j + sum(v % q * q ** (n + i) for i, v in enumerate(r))
+        sum(v % q * q ** i for i, v in enumerate(r)) + q ** (m + j)
         for j, r in enumerate(x_rows)))
 
 
 def lift_word(w: RankWord) -> LiftedSubspace:
     """Lift of the transposed matrix of w: row j of X holds the m digits of
-    coordinate j, so packed row j is q^j + w_j q^n."""
-    q, n = w.spec.q, len(w.coords)
-    return LiftedSubspace(q=q, n=n, m=w.spec.e, packed=tuple(
-        q ** j + c * q ** n for j, c in enumerate(w.coords)))
+    coordinate j, so packed row j is w_j + q^(m+j)."""
+    q, m = w.spec.q, w.spec.e
+    return LiftedSubspace(q=q, n=len(w.coords), m=m, packed=tuple(
+        c + q ** (m + j) for j, c in enumerate(w.coords)))
 
 
 def lifted_distance(a: LiftedSubspace, b: LiftedSubspace) -> int:
@@ -110,13 +110,10 @@ def lift_code(code: GabidulinCode) -> List[LiftedSubspace]:
 
 def prior_lifted_bound(q: int, n: int, m: int, k: int,
                        tau_s: int) -> Fraction:
-    """Earlier existential bound at subspace radius tau_s:
-    [n, floor(tau_s/2)]_q / q^(m(n - k - floor(tau_s/2)))."""
-    half = tau_s // 2
-    if half >= n - k + 1:
-        raise RadiusTooLarge(f"floor(tau_s/2)={half} not below d={n - k + 1}")
-    return Fraction(gaussian_binomial(n, half, q),
-                    q ** (m * (n - k - half)))
+    """Earlier existential bound at subspace radius tau_s: the rank-level
+    prior_counting_bound at tau = floor(tau_s/2), since [n, n-t]_q =
+    [n, t]_q."""
+    return prior_counting_bound(q, n, m, k, tau_s // 2)
 
 
 def verify_lifted_instance(inst, tau_s: Optional[int] = None,
@@ -131,9 +128,6 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     radius tau, which the lifted code carries over unchanged.  Returns a
     VerificationReport.
     """
-    from ranklab.adversarial import (
-        CheckResult, VerificationReport, instance_bound)
-
     if tau_s is None:
         tau_s = 2 * inst.tau
     half = tau_s // 2
@@ -151,14 +145,13 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     code = inst.code
     if code.size <= budget:
         rank_count = len(exact_ball(code, inst.center, inst.tau, budget))
-        # d_s <= tau_s iff rank[center rows; word rows] <= n + half; on the
-        # columns permuted to [X | I], _walk yields row j as w_j + q^(m+j)
+        # d_s <= tau_s iff rank[center rows; word rows] <= n + half; the
+        # walk from the zero word's rows yields each codeword's rows
         q, n = code.q, code.n
         exceeds = gfmatrix.rank_test(q)
-        tops = [q ** (code.m + j) for j in range(n)]
-        start = gfmatrix.basis(
-            [c + t for c, t in zip(inst.center.coords, tops)], q)
-        count = sum(1 for rows in _walk(code, tops)
+        start = gfmatrix.basis(lifted_center.packed, q)
+        zero = lift_word(RankWord(code.field, (0,) * n))
+        count = sum(1 for rows in _walk(code, zero.packed)
                     if not exceeds(rows, n + half, start))
         if half == inst.tau and count != rank_count:
             raise InvariantViolation(

@@ -154,11 +154,15 @@ def test_generator_has_full_multiplicative_order(q, e):
 
 
 def test_mul_paths_agree():
+    # the prime fields walk their log tables by the same multiply-by-x
+    # step as the extensions, so every pair is checked there
     rng = random.Random(2)
-    for q, e in [(2, 4), (2, 8), (3, 4), (5, 3)]:
+    for q, e in [(2, 1), (3, 1), (5, 1), (2, 4), (2, 8), (3, 4), (5, 3)]:
         f = make_field(q, e)
-        for _ in range(200):
-            a, b = rng.randrange(f.order), rng.randrange(f.order)
+        pairs = (itertools.product(range(f.order), repeat=2) if e == 1 else
+                 [(rng.randrange(f.order), rng.randrange(f.order))
+                  for _ in range(200)])
+        for a, b in pairs:
             assert f.mul(a, b) == f._mul_schoolbook(a, b)
 
 

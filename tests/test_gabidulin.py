@@ -54,6 +54,7 @@ from ranklab.gabidulin import (
     rank_distance,
     rank_weight,
 )
+from ranklab.subspace_code import lift_word
 
 import reference
 
@@ -123,15 +124,16 @@ def test_walk_visits_every_codeword_once_one_step_apart(q, n, m, k, s):
     start = tuple(rng.randrange(f.order) for _ in range(code.n))
     shifted = {tuple(map(f.sub, w, start)) for w in _walk(code, start)}
     assert shifted == set(words)
-    # the lifted count walks from tops[j] = q^(m+j), one digit above the
-    # field per coordinate: every step adds below q^m, so the walk yields
-    # tops[j] + c_j for every codeword c, in the order of codewords()
-    tops = [q ** (m + j) for j in range(code.n)]
-    assert [tuple(w) for w in _walk(code, tops)] == [
-        tuple(t + c for t, c in zip(tops, w)) for w in words]
+    # the lifted count walks from the zero word's lifted rows q^(m+j), one
+    # digit above the field per coordinate: every step adds below q^m, so
+    # the walk yields lift_word(c).packed for every codeword c, in the
+    # order of codewords()
+    zero = lift_word(RankWord(f, (0,) * code.n)).packed
+    assert [tuple(w) for w in _walk(code, zero)] == [
+        lift_word(RankWord(f, w)).packed for w in words]
     # digit-wise addition carries the out-of-field digit unchanged
     for a, b in zip(start, reversed(start)):
-        for t in tops:
+        for t in zero:
             assert f.add(t + a, b) == f.add(a, t + b) == t + f.add(a, b)
 
 

@@ -80,11 +80,9 @@ def test_subspace_polynomial_has_no_size_limit():
     assert subspace_polynomial(Subspace.full(f)) == field_vanishing_poly(f)
 
 
-def test_kernel_roundtrip_sampled_gf64():
-    rng = random.Random(15)
+def test_kernel_roundtrip_gf64():
     for r in (2, 3):
-        pool = list(enumerate_grassmannian(F64, r))
-        for v in rng.sample(pool, 12):
+        for v in enumerate_grassmannian(F64, r):
             assert kernel(subspace_polynomial(v), F64) == v
 
 
@@ -100,9 +98,7 @@ def test_cyclic_shift_by_one_and_inverse():
 def test_shift_identity_coefficient_form():
     # coefficient j of P_{aV} equals a^([r]-[j]) * (coefficient j of P_V)
     rng = random.Random(11)
-    spaces = list(enumerate_grassmannian(F64, 2))
-    for _ in range(50):
-        v = rng.choice(spaces)
+    for v in enumerate_grassmannian(F64, 2):
         a = rng.randrange(1, F64.order)
         p = subspace_polynomial(v)
         shifted = subspace_polynomial(cyclic_shift(v, a))
@@ -240,7 +236,7 @@ def test_distance_axioms():
 
 def test_distance_two_routes_agree():
     rng = random.Random(12)
-    spaces = list(enumerate_grassmannian(F64, 3))
+    spaces = sorted(enumerate_grassmannian(F64, 3), key=lambda v: v.basis)
     for _ in range(60):
         u, v = rng.choice(spaces), rng.choice(spaces)
         d1 = subspace_distance(u, v)
@@ -252,8 +248,8 @@ def test_distance_two_routes_agree():
 
 def test_distance_is_a_metric_on_samples():
     rng = random.Random(13)
-    pool = list(enumerate_grassmannian(F16, 1)) + \
-        list(enumerate_grassmannian(F16, 2))
+    pool = sorted([*enumerate_grassmannian(F16, 1),
+                   *enumerate_grassmannian(F16, 2)], key=lambda v: v.basis)
     for _ in range(80):
         u, v, w = (rng.choice(pool) for _ in range(3))
         duv = subspace_distance(u, v)
@@ -265,7 +261,7 @@ def test_distance_is_a_metric_on_samples():
 
 def test_intersection_is_contained_in_both():
     rng = random.Random(14)
-    pool = list(enumerate_grassmannian(F64, 3))
+    pool = sorted(enumerate_grassmannian(F64, 3), key=lambda v: v.basis)
     for _ in range(20):
         u, v = rng.choice(pool), rng.choice(pool)
         w = intersection(u, v)

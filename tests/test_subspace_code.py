@@ -27,6 +27,7 @@ from ranklab.gabidulin import (
     make_code,
     puncture,
 )
+from ranklab.subspace import gaussian_binomial
 from ranklab.subspace_code import (
     lift,
     lift_code,
@@ -192,8 +193,8 @@ HOIST_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 2),
 @pytest.mark.parametrize("q, n, m, k, s", HOIST_CODES, ids=[
     "-".join(map(str, c[1:] if c[0] == 2 else c)) for c in HOIST_CODES])
 def test_lifted_count_with_hoisted_center_basis(q, n, m, k, s):
-    # the lifted count extends the center rows' basis by each word's rows,
-    # its columns permuted to [X | I]; at every subspace radius, also where
+    # the lifted count extends the basis of the center's packed rows by
+    # each word's packed rows; at every subspace radius, also where
     # floor(tau_s/2) != tau, it must match the reference rank of the
     # stacked [I | X] digit rows (an elimination outside gfmatrix) and a
     # lifted_distance per word, and at floor(tau_s/2) == tau the rank-level
@@ -276,6 +277,22 @@ def test_prior_lifted_bound_values():
     assert prior_lifted_bound(2, 6, 6, 3, 6) == Fraction(1395)
     with pytest.raises(RadiusTooLarge):
         prior_lifted_bound(2, 6, 6, 3, 8)
+    # [n, t]_q / q^(m(n-k-t)) at t = floor(tau_s/2), odd tau_s included,
+    # up to the first t at d = n-k+1, where the bound raises
+    for q in (2, 3, 5):
+        for n in range(1, 7):
+            for m in (n, 2 * n):
+                for k in range(1, n + 1):
+                    d = n - k + 1
+                    for tau_s in range(2 * d + 2):
+                        t = tau_s // 2
+                        if t >= d:
+                            with pytest.raises(RadiusTooLarge):
+                                prior_lifted_bound(q, n, m, k, tau_s)
+                        else:
+                            assert prior_lifted_bound(q, n, m, k, tau_s) \
+                                == Fraction(gaussian_binomial(n, t, q),
+                                            q ** (m * (n - k - t)))
 
 
 def test_lift_verify_budget_defaults_agree():
