@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from ranklab import gfmatrix
 from ranklab.errors import (
     BadDimension,
     BadParameters,
@@ -444,8 +445,6 @@ def _list(value, what: str) -> list:
 
 
 def code_from_dict(d: dict) -> GabidulinCode:
-    from ranklab import gfmatrix
-
     d = _object(d, "code")
     q, n, m, k = (_int(d, key) for key in ("q", "n", "m", "k"))
     if not 1 <= k <= n:

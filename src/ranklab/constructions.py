@@ -1,8 +1,8 @@
 """The two families of subspace polynomials behind the adversarial instances.
 
-subfield_linear_family walks the r-subspaces of GF(q^n) linear over the
-subfield GF(q^g), as RREF matrices over GF(q^g) from subspace.rref_walk;
-their polynomials have nonzero coefficients only at indices divisible by g.
+subfield_linear_family grows the polynomials of the GF(q^g)-linear
+r-subspaces of GF(q^n) along subspace.rref_walk over GF(q^g), each from its
+parent's; they have nonzero coefficients only at indices divisible by g.
 pigeonhole_subfamily extracts the largest bucket agreeing on the topmost
 coefficients.  orbit_poly_family builds the fully explicit family indexed
 by orbit representatives of GF(q^(gs)) and checks that every member's root
@@ -33,11 +33,10 @@ from ranklab.linpoly import (
     kernel,
 )
 from ranklab.subspace import (
-    Subspace,
     cyclic_shift,
+    extend_polynomial,
     gaussian_binomial,
     rref_walk,
-    subspace_polynomial,
 )
 
 FAMILY_BUDGET = 10 ** 5
@@ -91,11 +90,11 @@ class PolyFamily:
 def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
     """Subspace polynomials of all r-subspaces that are GF(q^g)-linear.
 
-    Enumerates the Grassmannian of (r/g)-subspaces of a (n/g)-space over
-    GF(q^g) and maps each through the canonical subfield identification of
-    GF(q^g)^(n/g) with GF(q^n).  Every returned polynomial has nonzero
-    coefficients only at indices divisible by g.  Raises BudgetExceeded
-    above FAMILY_BUDGET members.
+    Walks the (r/g) x (n/g) RREF matrices over GF(q^g) and extends each
+    parent's polynomial by the new row's g GF(q)-basis vectors in GF(q^n)
+    (canonical subfield identification), so members come in walk order.
+    Every returned polynomial has nonzero coefficients only at indices
+    divisible by g.  Raises BudgetExceeded above FAMILY_BUDGET members.
     """
     if g < 2 or not (0 < r < n):
         raise DivisibilityViolation(f"need g >= 2 and 0 < r < n, got "
@@ -117,8 +116,8 @@ def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
     sub_gen_pows = [scalar_image[sub.pow(sub.generator_serial, t)]
                     for t in range(g)]
 
-    pairs = []
-    spans = [[]]    # spans[t] spans the GF(q^g)-span of rows[:t] over GF(q)
+    members = []
+    polys = [[1]]   # polys[t]: the subspace polynomial of rows[:t]
     for rows in rref_walk(n // g, range(r // g, r // g + 1), sub.order):
         t = len(rows)
         if t:
@@ -126,22 +125,20 @@ def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
             for pw in gamma_pows:
                 row, w = divmod(row, sub.order)
                 h = ambient.add(h, ambient.mul(scalar_image[w], pw))
-            spans[t:] = [spans[t - 1] + [ambient.mul(u, h)
-                                         for u in sub_gen_pows]]
+            coeffs = polys[t - 1]
+            for u in sub_gen_pows:
+                coeffs = extend_polynomial(ambient, coeffs, ambient.mul(u, h))
+            polys[t:] = [coeffs]
         if t == r // g:
-            space = Subspace(ambient, spans[t])
-            require(space.dim == r, "pattern span is not an r-subspace")
-            poly = subspace_polynomial(space)
-            require(all(c == 0 for i, c in enumerate(poly.coeffs) if i % g),
+            require(all(c == 0 for i, c in enumerate(polys[t]) if i % g),
                     "coefficient off the g-stride")
-            pairs.append((space.basis, poly))
-    require(len(pairs) == size, "family size is not [n/g, r/g]_(q^g)")
-    pairs.sort(key=lambda t: t[0])
+            members.append(LinearizedPoly(ambient, polys[t]))
+    require(len(members) == size, "family size is not [n/g, r/g]_(q^g)")
 
     params = FamilyParams(q=q, n=n, r=r, g=g, s=1, ell=(n - r) // g - 1)
     mutual = (1,) + (0,) * (g - 1)
     return PolyFamily(params=params, kind="subfield", spec=ambient,
-                      members=tuple(p for _, p in pairs), mutual_top=mutual)
+                      members=tuple(members), mutual_top=mutual)
 
 
 def pigeonhole_subfamily(family: PolyFamily, ell: int) -> PolyFamily:

@@ -4,8 +4,8 @@ cyclic shifts and orbits, Grassmannian enumeration, subspace distance.
 A subspace is stored as its canonical basis, gfmatrix.rref() of any
 spanning set of field serials: a serial is its GF(q)-coordinate vector
 packed base q, so the basis is serials too.  Equality, hashing and the
-order of an orbit or a family all read that tuple of serials; the pivot
-convention behind it lives in gfmatrix alone.  rref_walk is the one RREF
+order of an orbit read that tuple of serials; the pivot convention
+behind it lives in gfmatrix alone.  rref_walk is the one RREF
 enumerator: the Grassmannian, the family and the ball's supports walk it.
 """
 
@@ -77,25 +77,28 @@ class Subspace:
 # Subspace polynomials
 # ----------------------------------------------------------------------
 
-def subspace_polynomial(v: Subspace) -> LinearizedPoly:
-    """Monic linearized polynomial whose root set is exactly v.
+def extend_polynomial(spec: FieldSpec, coeffs: List[int],
+                      b: int) -> List[int]:
+    """Coefficients of P(x)^q - P(b)^(q-1) * P(x): the subspace polynomial
+    of U + <b> from that of U.  Raises InvariantViolation when P(b) = 0,
+    that is when b lies in U."""
+    value = evaluate(spec, coeffs, b)
+    require(value != 0, "extending vector lies in the subspace")
+    factor = spec.pow(value, spec.q - 1)
+    new = [0] + [spec.frobenius(a, 1) for a in coeffs]
+    for i, a in enumerate(coeffs):
+        new[i] = spec.sub(new[i], spec.mul(factor, a))
+    return new
 
-    Built by extending one basis vector at a time:
-    P' = P(x)^q - P(b)^(q-1) * P(x).  The zero subspace gives P(x) = x.
-    It costs O(r^2) field operations for r = dim v, at any field size.
-    """
-    spec = v.ambient
-    q = spec.q
+
+def subspace_polynomial(v: Subspace) -> LinearizedPoly:
+    """Monic linearized polynomial with root set exactly v: extend_polynomial
+    folded over v.basis from P(x) = x (x for the zero subspace); O(r^2)
+    field operations at any field size."""
     coeffs = [1]  # P(x) = x
     for b in v.basis:
-        factor = spec.pow(evaluate(spec, coeffs, b), q - 1)
-        new = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            new[i + 1] = spec.frobenius(a, 1)
-        for i, a in enumerate(coeffs):
-            new[i] = spec.sub(new[i], spec.mul(factor, a))
-        coeffs = new
-    return LinearizedPoly(spec, coeffs)
+        coeffs = extend_polynomial(v.ambient, coeffs, b)
+    return LinearizedPoly(v.ambient, coeffs)
 
 
 def subspace_polynomial_product(v: Subspace) -> LinearizedPoly:

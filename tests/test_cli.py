@@ -318,13 +318,13 @@ def test_reports_match_pinned_bytes(tmp_path, capsys, q, beta_exp):
 
 
 # SHA-256 of counting instance files, g = 2: their codewords come in the
-# order of the family's canonical subspace bases, so a change to that
-# canonical form moves them
+# order of the family's members, that of the RREF walk over GF(q^g), so a
+# change to that walk moves them
 PINNED_COUNTING = {
     (2, 6, 6, 3, 5):
-        "2a7b524e11afc5b4045174dcf84dfa254013df67a7efa87029e5849622671873",
+        "c0e7fdb43cbab0e3a4828132db917aa611f902a4b852d06c255f615494a1af7d",
     (3, 4, 4, 2, 7):
-        "fe293d47f942d2eae244e6b43a753c479efa2108e7ddb042cad04b80c023bcc6",
+        "d923b0ceda93b233ff9c39bb9eb4b5fa056541b74f2f8a6f725b4087d9accfaa",
 }
 
 

@@ -34,6 +34,7 @@ from ranklab.subspace import (
     gaussian_binomial,
     orbit,
     subspace_polynomial,
+    subspace_polynomial_product,
 )
 
 F16 = make_field(2, 4)
@@ -66,8 +67,11 @@ def test_subfield_family_matches_pattern_scan():
 
 
 @pytest.mark.parametrize("q,n,r,g", [(2, 4, 2, 2), (2, 6, 2, 2),
-                                     (2, 6, 3, 3), (3, 4, 2, 2)])
+                                     (2, 6, 3, 3), (3, 4, 2, 2),
+                                     (5, 4, 2, 2), (2, 6, 4, 2)])
 def test_members_satisfy_all_three_subspace_poly_conditions(q, n, r, g):
+    # and each member, grown along the walk, equals the product over the
+    # elements of its kernel
     fam = subfield_linear_family(q, n, r, g)
     ambient = fam.spec
     vanishing = field_vanishing_poly(ambient)
@@ -75,6 +79,21 @@ def test_members_satisfy_all_three_subspace_poly_conditions(q, n, r, g):
         assert divides_check(m, vanishing)
         assert expand(m).count_roots() == q ** r
         assert kernel(m, ambient).dim == r
+        assert m == subspace_polynomial_product(kernel(m, ambient))
+
+
+def test_subfield_family_refuses_a_dependent_row(monkeypatch):
+    # the walk's rows are independent; a walk that repeats a row must be
+    # caught by the polynomial step, which replaced the dimension check,
+    # before the family's size check could
+    def fake_walk(n, depths, base):
+        yield []
+        yield [1]
+        yield [1, 1]
+
+    monkeypatch.setattr(constructions, "rref_walk", fake_walk)
+    with pytest.raises(InvariantViolation, match="lies in the subspace"):
+        subfield_linear_family(2, 8, 4, 2)
 
 
 def test_subfield_family_divisibility_errors():

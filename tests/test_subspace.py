@@ -1,16 +1,23 @@
 """Subspaces: canonical form, polynomials, shifts, orbits, the metric."""
 
+import itertools
 import random
 
 import pytest
 
-from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift
+from ranklab.errors import (
+    AmbientMismatch,
+    BudgetExceeded,
+    InvariantViolation,
+    ZeroShift,
+)
 from ranklab.field import make_field
 from ranklab.linpoly import LinearizedPoly, field_vanishing_poly, kernel
 from ranklab.subspace import (
     Subspace,
     cyclic_shift,
     enumerate_grassmannian,
+    extend_polynomial,
     gaussian_binomial,
     intersection,
     orbit,
@@ -66,6 +73,27 @@ def test_incremental_matches_product_form_on_odd_q():
     assert len(spaces) == 28 + 8 + 64
     for v in spaces:
         assert subspace_polynomial(v) == subspace_polynomial_product(v), v
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (5, 2)])
+def test_extend_polynomial_folds_to_subspace_polynomial(q, n):
+    # any order of U's basis gives the same polynomial; a vector already
+    # in the span so far (zero, a basis vector, a sum of two) is refused
+    f = make_field(q, n)
+    for r in range(1, n + 1):
+        for v in enumerate_grassmannian(f, r):
+            p = subspace_polynomial(v)
+            for basis in itertools.permutations(v.basis):
+                coeffs = [1]
+                for b in basis:
+                    coeffs = extend_polynomial(f, coeffs, b)
+                assert LinearizedPoly(f, coeffs) == p
+            inside = [0, *v.basis]
+            if r >= 2:
+                inside.append(f.add(v.basis[0], v.basis[1]))
+            for b in inside:
+                with pytest.raises(InvariantViolation):
+                    extend_polynomial(f, list(p.coeffs), b)
 
 
 def test_full_space_polynomial_is_vanishing_poly():
