@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -480,9 +480,7 @@ def instance_to_dict(inst: AdversarialInstance, pretty: bool = False) -> dict:
         "degenerate": inst.degenerate,
         "family": {
             "kind": fam.kind,
-            "params": {"q": fam.params.q, "n": fam.params.n,
-                       "r": fam.params.r, "g": fam.params.g,
-                       "s": fam.params.s, "ell": fam.params.ell},
+            "params": asdict(fam.params),
             "mutual_top": list(fam.mutual_top),
             "members": [list(m.coeffs) for m in fam.members],
         },

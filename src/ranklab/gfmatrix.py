@@ -10,9 +10,9 @@ copy of a start basis, and tagged_basis()/reduce_tagged() eliminate a set
 of vectors once and then reduce any number of targets against it
 (coordinates() is the two in one call), and nullspace() reads their linear
 relations off the same tagged elimination.  rref() is the canonical basis of
-a span: column j is digit j, so a pivot is a vector's lowest nonzero
-digit; this module is the only place that convention lives.  Results are
-plain ints and tuples so they can be hashed and compared.
+a span: each vector's pivot is its top nonzero digit, the key the loop
+stores it under; this module is the only place that convention lives.
+Results are plain ints and tuples so they can be hashed and compared.
 """
 
 from __future__ import annotations
@@ -227,53 +227,37 @@ def _width(vecs: Sequence[int], q: int) -> int:
     return w
 
 
-def _reverse(v: int, width: int, q: int) -> int:
-    """v with digit j moved to digit width - 1 - j."""
-    if q == 2:
-        return int(format(v, f"0{width}b")[::-1], 2)
-    out = 0
-    for _ in range(width):
-        v, x = divmod(v, q)
-        out = out * q + x
-    return out
-
-
 def rref(vecs: Sequence[int], q: int) -> Tuple[int, ...]:
-    """The reduced echelon basis of packed GF(q) vectors, column j being
-    digit j: each vector's pivot is its lowest nonzero digit, scaled to 1
-    and zero in every other vector, in ascending pivot order.  This is the
-    canonical basis of their span.
-
-    The one top-digit loop builds it on the vectors with their digits
-    reversed over the common width, so a pivot becomes a top digit."""
-    width = _width(vecs, q)
-    ech = basis([_reverse(v, width, q) for v in vecs], q)
+    """The reduced echelon basis of packed GF(q) vectors: each vector's
+    pivot is its top nonzero digit, scaled to 1 and zero in every other
+    vector, in ascending pivot order.  This is the canonical basis of their
+    span, the basis() that the one top-digit loop builds with each vector
+    cleared at the other keys."""
+    ech = basis(vecs, q)
     out = []
-    for h in sorted(ech, reverse=True):
+    for h in sorted(ech):
         top = q ** (h - 1)
         v = ech[h] if q == 2 else _pack(reversed(ech[h]), q)
-        out.append(_reverse(top + _clear(v - top, ech, q), width, q))
+        out.append(top + _clear(v - top, ech, q))
     return tuple(out)
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int],
           q: int) -> Optional[Tuple[int, ...]]:
     """One solution of rows * x = rhs, or None (free variables set to 0),
-    read off rref([rows | rhs]) packed with column j as digit j.  Nothing in
-    ranklab calls it; it keeps its rows, the one exception to packed
+    read off rref([rows | rhs]) packed top first: column j is digit n - j
+    and rhs digit 0, so a vector below q is an inconsistent row.  Nothing
+    in ranklab calls it; it keeps its rows, the one exception to packed
     vectors, because bench/tracing.py probes it."""
     if not rows:
         return ()
     n = len(rows[0])
     x = [0] * n
-    for v in rref([_pack((c % q for c in reversed([*r, b])), q)
+    for v in rref([_pack((c % q for c in (*r, b)), q)
                    for r, b in zip(rows, rhs)], q):
-        col = 0
-        while not v % q ** (col + 1):
-            col += 1
-        if col == n:
-            return None  # inconsistent
-        x[col] = v // q ** n
+        if v < q:
+            return None
+        x[n + 1 - _width([v], q)] = v % q
     return tuple(x)
 
 
@@ -283,7 +267,8 @@ def intersection(vecs_a: Sequence[int], vecs_b: Sequence[int],
     if not vecs_a or not vecs_b:
         return ()
     shift = q ** _width([*vecs_a, *vecs_b], q)
-    # [A | A; B | 0] with the left block in the low digits: the vectors of
-    # its rref that are zero there carry the intersection's rref above
-    return tuple(v // shift for v in rref(
-        [a + a * shift for a in vecs_a] + list(vecs_b), q) if not v % shift)
+    # [A | A; B | 0] with the shared block in the high digits: the vectors
+    # of its rref below shift are the intersection's rref
+    return tuple(v for v in rref([a * shift + a for a in vecs_a]
+                                 + [b * shift for b in vecs_b], q)
+                 if v < shift)

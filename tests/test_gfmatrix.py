@@ -31,6 +31,14 @@ def _unpack(v, q, width):
     return tuple(v // q ** j % q for j in range(width))
 
 
+def _reference_rref(rows, q):
+    """rref()'s canonical form from the reference loop: a pivot is a top
+    digit, so reverse the columns, take the reference rref, reverse each
+    row back and pack it, in ascending order."""
+    return tuple(sorted(_pack(r[::-1], q) for r in reference.rref(
+        [tuple(row)[::-1] for row in rows], q)))
+
+
 def _span(rows, q, width):
     """Every vector of the row space, as tuples mod q."""
     out = set()
@@ -50,8 +58,7 @@ def test_rref_and_rank_match_the_reference(q):
             for _ in range(20):
                 a = _matrix(rng, q, rows, cols, density)
                 packed = [_pack(r, q) for r in a]
-                assert gfmatrix.rref(packed, q) == tuple(
-                    _pack(r, q) for r in reference.rref(a, q)), a
+                assert gfmatrix.rref(packed, q) == _reference_rref(a, q), a
                 assert len(gfmatrix.basis(packed, q)) \
                     == reference.rank(a, q), a
     assert gfmatrix.rref([], q) == () == gfmatrix.rref([0, 0], q)
@@ -74,7 +81,7 @@ def test_rref_is_invariant_under_row_permutation_and_scaling(q):
         assert gfmatrix.rref(list(r) + packed, q) == r
         r = [_unpack(v, q, cols) for v in r]
         for row in r:
-            pivot = next(i for i, x in enumerate(row) if x)
+            pivot = max(i for i, x in enumerate(row) if x)
             assert row[pivot] == 1
             assert sum(other[pivot] != 0 for other in r) == 1
 
@@ -184,9 +191,9 @@ def test_intersection_and_contains_match_element_sets(q, n):
             f, [rng.randrange(f.order) for _ in range(rng.randrange(4))])
             for _ in range(2))
         eu, ev = (_span([f.digits(b) for b in w.basis], q, n) for w in (u, v))
-        meet = [f.digits(b)
-                for b in gfmatrix.intersection(u.basis, v.basis, q)]
-        assert tuple(meet) == reference.rref(meet, q)
+        packed = gfmatrix.intersection(u.basis, v.basis, q)
+        meet = [f.digits(b) for b in packed]
+        assert packed == _reference_rref(meet, q)
         assert _span(meet, q, n) == eu & ev
         for s in range(f.order):
             assert u.contains(s) == (f.digits(s) in eu)
@@ -198,6 +205,5 @@ def test_subspace_basis_is_the_reference_rref_of_its_digit_rows(q, n):
     f = make_field(q, n)
     for _ in range(60):
         elements = [rng.randrange(f.order) for _ in range(rng.randrange(6))]
-        assert Subspace(f, elements).basis == tuple(
-            f.from_digits(r)
-            for r in reference.rref([f.digits(s) for s in elements], q))
+        assert Subspace(f, elements).basis == _reference_rref(
+            [f.digits(s) for s in elements], q)
