@@ -5,7 +5,9 @@ oracles, puncturing, and the bound calculators.
 A word is a length-n vector of GF(q^m) serials; its matrix form is the m x n
 expansion over GF(q) (coordinate i becomes column i), and rank weight is the
 rank of that matrix.  Every scan of the code is one walk over its q^(mk)
-messages in q-ary Gray order (_walk), never over the ambient space.  The
+messages in q-ary Gray order (_walk), never over the ambient space; on
+q = 2, _sliced_walk yields the codewords bit-sliced, 2^LANE_BITS to a
+batch, and takes each batch's high message bits from that walk.  The
 rank ball has two exact oracles: enumerate_ball walks every codeword, and
 ball_by_supports walks the sum_{t<=tau} [n,t]_q error supports of rank
 <= tau depth first, each extending its parent's GF(q) elimination by m
@@ -44,6 +46,7 @@ from ranklab.linpoly import LinearizedPoly
 from ranklab.subspace import gaussian_binomial, rref_walk
 
 BALL_BUDGET = 1 << 22
+LANE_BITS = 12          # a batch of _sliced_walk holds 2^12 codewords
 
 
 @dataclass(frozen=True)
@@ -211,15 +214,18 @@ def encode(code: GabidulinCode, message: LinearizedPoly) -> RankWord:
     return evaluate_word(code, message)
 
 
-def _walk(code: GabidulinCode, start: Sequence[int]) -> Iterator[List[int]]:
-    """start + c for every codeword c, as one list updated in place, in
+def _walk(code: GabidulinCode, start: Sequence[int],
+          low: int = 0) -> Iterator[List[int]]:
+    """start + c for every codeword c whose message digits below low are
+    zero (every codeword at low = 0), as one list updated in place, in
     modular q-ary Gray order of the messages: step i adds basis
-    contribution t, the number of trailing zero base-q digits of i."""
-    contribs = code._basis_contributions
+    contribution low + t, t the number of trailing zero base-q digits of
+    i."""
+    contribs = code._basis_contributions[low:]
     q, n, add = code.q, code.n, code.field.add
     word = list(start)
     yield word
-    for i in range(1, code.size):
+    for i in range(1, q ** len(contribs)):
         if q == 2:
             vec = contribs[(i & -i).bit_length() - 1]
             for j in range(n):
@@ -230,6 +236,36 @@ def _walk(code: GabidulinCode, start: Sequence[int]) -> Iterator[List[int]]:
                 t, r = t + 1, r // q
             word[:] = map(add, word, contribs[t])
         yield word
+
+
+def _sliced_walk(
+        code: GabidulinCode) -> Iterator[Tuple[int, List[List[int]]]]:
+    """Every codeword of a code over GF(2^m), bit-sliced in batches of
+    lanes = 2^b codewords, b = min(mk, LANE_BITS): yields (lanes, slices),
+    where bit L of slices[j][p] is digit p of coordinate j of lane L's
+    codeword.  Lane L's message has L in its b low bits and the batch's
+    high part above them, which _walk visits over contributions b.. in
+    Gray order.  Each digit of a codeword is GF(2)-linear in the message
+    bits, so the slices of the low part are XORs of the lane patterns of
+    the b low bits, built once per call; a batch XORs all ones into the
+    slices where its high part has the bit."""
+    contribs = code._basis_contributions
+    m = code.m
+    b = min(len(contribs), LANE_BITS)
+    lanes = 1 << b
+    full = (1 << lanes) - 1
+    low = [[0] * m for _ in range(code.n)]
+    for i, c in enumerate(contribs[:b]):
+        # bit L of the pattern is bit i of L: runs of 2^i zeros, 2^i ones
+        pattern = full // ((1 << (1 << i)) + 1) << (1 << i)
+        for row, cj in zip(low, c):
+            for p in range(m):
+                if cj >> p & 1:
+                    row[p] ^= pattern
+    for high in _walk(code, (0,) * code.n, b):
+        yield lanes, [[s ^ full if h >> p & 1 else s
+                       for p, s in enumerate(row)]
+                      for h, row in zip(high, low)]
 
 
 def codewords(code: GabidulinCode,

@@ -13,6 +13,13 @@ relations off the same tagged elimination.  rref() is the canonical basis of
 a span: each vector's pivot is its top nonzero digit, the key the loop
 stores it under; this module is the only place that convention lives.
 Results are plain ints and tuples so they can be hashed and compared.
+
+Next to that loop, rank_gf2_lanes_exceed() runs the same top-digit
+elimination over GF(2) bit-sliced: bit L of each int is one digit in lane
+L, so one pass tests the rank of thousands of independent sets of vectors,
+each pivot's presence a lane mask.  It exists for the lifted count on
+q = 2, where the codewords of one batch share every operation and a call
+per word costs far more in interpreter overhead than in XORs.
 """
 
 from __future__ import annotations
@@ -195,9 +202,6 @@ def rank_test(q: int) -> Callable[..., bool]:
     """exceeds(vecs, limit, start=None): True iff the GF(q) rank of
     start's vectors and vecs is > limit; start is a basis(), which each
     call extends in a copy.  Resolve it once, outside a loop over words."""
-    if q == 2:
-        return rank_gf2_exceeds
-
     def exceeds(vecs, limit, start=None):
         start = start or {}
         return _eliminate(vecs, dict(start), limit - len(start), q)
@@ -215,6 +219,61 @@ def rank_gf2_exceeds(vecs: Sequence[int], limit: int,
     if start:
         return _eliminate_gf2(vecs, dict(start), limit - len(start))
     return _eliminate_gf2(vecs, {}, limit)
+
+
+def rank_gf2_lanes_exceed(start: Sequence[int],
+                          vecs: Iterable[Sequence[int]], limit: int,
+                          lanes: int) -> int:
+    """rank_gf2_exceeds in lanes independent lanes at once, bit-sliced:
+    bit L of vecs[i][p] is digit p of vector i in lane L, and the packed
+    vectors of start lie in every lane.  Returns the mask of the lanes
+    whose rank of start and vecs is > limit.
+
+    The loop is _eliminate_gf2's, top digit first, with each pivot's
+    presence a mask: at digit p, the lanes where v has the digit and a
+    pivot (v[p] & held[p]) subtract it, and in the rest v becomes the
+    pivot.  ge[r] masks the lanes of rank >= r, for r up to limit + 1,
+    below the vector width; it stops once every lane passes the limit."""
+    full = (1 << lanes) - 1
+    vecs = [list(v) for v in vecs]
+    width = max([len(v) for v in vecs] + [v.bit_length() for v in start],
+                default=0)
+    if limit < 0:
+        return full
+    if limit >= width:
+        return 0
+    held = [0] * width
+    # rows[p][i], i < p: digit i of the pivot at p, in the lanes of held[p]
+    rows = [[0] * p for p in range(width)]
+    ech = basis(start, 2)
+    for h, b in ech.items():
+        held[h - 1] = full
+        rows[h - 1] = [full if b >> i & 1 else 0 for i in range(h - 1)]
+    ge = [full if r <= len(ech) else 0 for r in range(limit + 2)]
+    if ge[-1] == full:
+        return full
+    for v in vecs:
+        v += [0] * (width - len(v))
+        live = full ^ ge[-1]          # lanes still reducing v
+        for p in range(width - 1, -1, -1):
+            x = v[p] & live
+            if not x:
+                continue
+            hit = x & held[p]
+            if hit:
+                v[:p] = [a ^ (b & hit) for a, b in zip(v, rows[p])]
+            new = x ^ hit
+            if new:
+                rows[p] = [a | (b & new) for a, b in zip(rows[p], v)]
+                held[p] |= new
+                live ^= new
+                for r in range(limit + 1, 0, -1):
+                    ge[r] |= ge[r - 1] & new
+                if ge[-1] == full:
+                    return full
+                if not live:
+                    break
+    return ge[-1]
 
 
 def _width(vecs: Sequence[int], q: int) -> int:

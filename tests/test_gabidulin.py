@@ -36,6 +36,7 @@ from ranklab import gabidulin
 from ranklab.gabidulin import (
     GabidulinCode,
     RankWord,
+    _sliced_walk,
     _walk,
     ball_by_supports,
     codewords,
@@ -109,7 +110,8 @@ WALK_CODES = [(2, 4, 4, 2, 0), (3, 2, 2, 1, 0), (5, 2, 2, 1, 0),
 
 
 @pytest.mark.parametrize("q, n, m, k, s", WALK_CODES)
-def test_walk_visits_every_codeword_once_one_step_apart(q, n, m, k, s):
+def test_walk_visits_every_codeword_once_one_step_apart(monkeypatch, q, n, m,
+                                                      k, s):
     rng = random.Random(f"walk:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     f = code.field
@@ -124,10 +126,10 @@ def test_walk_visits_every_codeword_once_one_step_apart(q, n, m, k, s):
     start = tuple(rng.randrange(f.order) for _ in range(code.n))
     shifted = {tuple(map(f.sub, w, start)) for w in _walk(code, start)}
     assert shifted == set(words)
-    # the lifted count walks from the zero word's lifted rows q^(m+j), one
-    # digit above the field per coordinate: every step adds below q^m, so
-    # the walk yields lift_word(c).packed for every codeword c, in the
-    # order of codewords()
+    # on odd q the lifted count walks from the zero word's lifted rows
+    # q^(m+j), one digit above the field per coordinate: every step adds
+    # below q^m, so the walk yields lift_word(c).packed for every codeword
+    # c, in the order of codewords()
     zero = lift_word(RankWord(f, (0,) * code.n)).packed
     assert [tuple(w) for w in _walk(code, zero)] == [
         lift_word(RankWord(f, w)).packed for w in words]
@@ -135,6 +137,24 @@ def test_walk_visits_every_codeword_once_one_step_apart(q, n, m, k, s):
     for a, b in zip(start, reversed(start)):
         for t in zero:
             assert f.add(t + a, b) == f.add(a, t + b) == t + f.add(a, b)
+    # on q = 2 the sliced walk holds every codeword once across its
+    # lanes, in batches of 2, 8 and 2^LANE_BITS lanes (one batch where
+    # mk is smaller); lane L of the first batch has message L
+    if q == 2:
+        for bits in (1, 3, gabidulin.LANE_BITS):
+            monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
+            batches = [[tuple(sum((x >> lane & 1) << p
+                                  for p, x in enumerate(row))
+                              for row in slices) for lane in range(lanes)]
+                       for lanes, slices in _sliced_walk(code)]
+            assert all(len(b) == 2 ** min(m * k, bits) for b in batches)
+            assert sorted(w for b in batches for w in b) == sorted(words)
+            for lane, w in enumerate(batches[0]):
+                expect = (0,) * code.n
+                for i, c in enumerate(code._basis_contributions):
+                    if lane >> i & 1:
+                        expect = tuple(map(f.add, expect, c))
+                assert w == expect
 
 
 def test_rank_weight_values():

@@ -207,3 +207,31 @@ def test_subspace_basis_is_the_reference_rref_of_its_digit_rows(q, n):
         elements = [rng.randrange(f.order) for _ in range(rng.randrange(6))]
         assert Subspace(f, elements).basis == _reference_rref(
             [f.digits(s) for s in elements], q)
+
+
+def test_lane_elimination_matches_rank_gf2_in_every_lane():
+    # bit L of vecs[i][p] is digit p of vector i in lane L: the mask of
+    # rank_gf2_lanes_exceed, from a start basis and without one, at every
+    # limit from -1 to the width + 1, against rank_gf2 and the reference
+    # rank of each lane's unpacked vectors; start and vecs stay unchanged
+    rng = random.Random(19)
+    for _ in range(200):
+        lanes = rng.randrange(1, 65)
+        width = rng.randrange(1, 9)
+        start = [rng.randrange(2 ** width)
+                 for _ in range(rng.choice((0, rng.randrange(1, 5))))]
+        vecs = [[rng.getrandbits(lanes) for _ in range(rng.randrange(width))]
+                for _ in range(rng.randrange(7))]
+        kept = (list(start), [list(v) for v in vecs])
+        ranks = []
+        for lane in range(lanes):
+            unpacked = [sum((s >> lane & 1) << p for p, s in enumerate(v))
+                        for v in vecs]
+            rank = gfmatrix.rank_gf2(start + unpacked)
+            assert rank == reference.rank(
+                [_unpack(v, 2, width) for v in start + unpacked], 2)
+            ranks.append(rank)
+        for limit in range(-1, width + 2):
+            assert gfmatrix.rank_gf2_lanes_exceed(start, vecs, limit, lanes) \
+                == sum(1 << lane for lane, r in enumerate(ranks) if r > limit)
+        assert (start, vecs) == kept

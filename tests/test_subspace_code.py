@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ranklab import constructions, gfmatrix, subspace_code
+from ranklab import constructions, gabidulin, gfmatrix, subspace_code
 from ranklab.errors import InvariantViolation, RadiusTooLarge, ShapeMismatch
 from ranklab.adversarial import build_counting_instance, build_explicit_instance
 from ranklab.field import make_field
@@ -192,40 +192,57 @@ HOIST_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 2),
 
 @pytest.mark.parametrize("q, n, m, k, s", HOIST_CODES, ids=[
     "-".join(map(str, c[1:] if c[0] == 2 else c)) for c in HOIST_CODES])
-def test_lifted_count_with_hoisted_center_basis(q, n, m, k, s):
-    # the lifted count extends the basis of the center's packed rows by
-    # each word's packed rows; at every subspace radius, also where
-    # floor(tau_s/2) != tau, it must match the reference rank of the
-    # stacked [I | X] digit rows (an elimination outside gfmatrix) and a
-    # lifted_distance per word, and at floor(tau_s/2) == tau the rank-level
-    # ball, as distances double exactly
+def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
+    # the lifted count tests rank[center rows; word rows] <= n +
+    # floor(tau_s/2); at every subspace radius, also where floor(tau_s/2)
+    # != tau, it must match the reference rank of the stacked [I | X]
+    # digit rows (an elimination outside gfmatrix) and a lifted_distance
+    # per word, and at floor(tau_s/2) == tau the rank-level ball, as
+    # distances double exactly.  On q = 2 it eliminates batches of
+    # 2^LANE_BITS codewords at once, here also 2 and 8, so that several
+    # batches, each a high part walked by _walk, are counted; a center
+    # that is a codeword puts a lane at rank 0, tau_s = 2n counts every
+    # lane and tau_s = -1 none
     rng = random.Random(f"hoist:{n}:{m}:{k}:{s}" if q == 2
                         else f"hoist:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     inst = build_explicit_instance(2, 2, 1, 4, 4)
+    words = list(codewords(code))
+    lifted = [lift_word(w) for w in words]
+    cases = []
     for _ in range(4):
         center = RankWord(code.field, tuple(rng.randrange(q ** m)
                                             for _ in range(code.n)))
-        tau = rng.randrange(1, code.min_distance)
+        cases.append((center, rng.randrange(1, code.min_distance)))
+    cases.append((rng.choice(words), rng.randrange(1, code.min_distance)))
+    lane_bits = (1, 3, gabidulin.LANE_BITS) if q == 2 \
+        else (gabidulin.LANE_BITS,)
+    for center, tau in cases:
         lc = lift_word(center)
-        lifted = [lift_word(w) for w in codewords(code)]
         # half the subspace distance of each word from the center
         by_reference = [reference.rank(lc.rows + lw.rows, q) - code.n
                         for lw in lifted]
         by_distance = [lifted_distance(lc, lw) // 2 for lw in lifted]
         assert by_reference == by_distance
         ball = len(enumerate_ball(code, center, tau))
-        for tau_s in (2 * tau - 1, 2 * tau, 2 * tau + 1, 2 * tau + 2):
-            report = verify_lifted_instance(dataclasses.replace(
-                inst, code=code, center=center, tau=tau, codewords=()),
-                tau_s=tau_s)
-            check = {c.name: c
-                     for c in report.checks}["ball_relation_inequality"]
-            half = tau_s // 2
-            assert check.measured == sum(h <= half for h in by_reference)
-            assert check.expected == ball
-            if half == tau:
-                assert check.measured == ball
+        for bits in lane_bits:
+            monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
+            for tau_s in (2 * tau - 1, 2 * tau, 2 * tau + 1, 2 * tau + 2,
+                          2 * code.n, -1):
+                report = verify_lifted_instance(dataclasses.replace(
+                    inst, code=code, center=center, tau=tau, codewords=()),
+                    tau_s=tau_s)
+                check = {c.name: c
+                         for c in report.checks}["ball_relation_inequality"]
+                half = tau_s // 2
+                assert check.measured == sum(h <= half for h in by_reference)
+                assert check.expected == ball
+                if half == tau:
+                    assert check.measured == ball
+                if tau_s == 2 * code.n:
+                    assert check.measured == len(words)
+                if tau_s == -1:
+                    assert check.measured == 0
 
 
 @pytest.mark.parametrize("q", [2, 3])

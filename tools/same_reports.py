@@ -4,22 +4,29 @@
 For each instance of every workload in bench/workloads.py, at seed 1, this
 runs `gen-*`, `verify --out`, `lift-verify --out`, `lift-verify --tau-s
 <2 tau + 2> --out` (tau the instance radius; floor(tau_s/2) = tau + 1, where
-the lifted count is not held equal to the rank-level ball), `ball --out`
-and `bounds --out` (with the instance's q, n, m, k, g and s) with the
-ranklab found in SRC/src and writes into OUTDIR:
+the lifted count is not held equal to the rank-level ball), `lift-verify
+--tau-s <2 tau - 1> --out` (floor(tau_s/2) = tau - 1, where the lifted count
+falls below the rank-level ball, so the report fails with exit 1), `ball
+--out` and `bounds --out` (with the instance's q, n, m, k, g and s) with
+the ranklab found in SRC/src and writes into OUTDIR:
 
-    <instance>.instance.json          the gen output
-    <instance>.verify.json            the verify report
-    <instance>.lift-verify.json       the lift-verify report
-    <instance>.lift-verify-wide.json  the lift-verify report at 2 tau + 2
-    <instance>.ball.json              the exact ball at the instance radius
-    <instance>.ball-wide.json         the same ball, with the budget raised
-                                      to the code's size (see below)
-    <instance>.bounds.json            the bound table
-    <instance>.<stage>.log            exit code, stdout and stderr of each
-                                      call, stage being one of gen, verify,
-                                      lift-verify, lift-verify-wide, ball,
-                                      ball-wide and bounds
+    <instance>.instance.json            the gen output
+    <instance>.verify.json              the verify report
+    <instance>.lift-verify.json         the lift-verify report
+    <instance>.lift-verify-wide.json    the lift-verify report at 2 tau + 2
+    <instance>.lift-verify-narrow.json  the lift-verify report at 2 tau - 1
+    <instance>.ball.json                the exact ball at the instance
+                                        radius
+    <instance>.ball-wide.json           the same ball, with the budget
+                                        raised to the code's size (see
+                                        below)
+    <instance>.bounds.json              the bound table
+    <instance>.<stage>.log              exit code, stdout and stderr of
+                                        each call, stage being one of gen,
+                                        verify, lift-verify,
+                                        lift-verify-wide,
+                                        lift-verify-narrow, ball, ball-wide
+                                        and bounds
 
 A code over the ball budget writes no ball file; its ball log records the
 exit code 2 and the BudgetExceeded error.  Where such a code has at most
@@ -64,8 +71,9 @@ def run_stage(cli, argv):
 
 def stages(inst, path):
     """(stage, argv) of each CLI call on one instance, gen first.  A
-    generator, so that the radius of the wide lift-verify and of the wide
-    ball is read from the file only after gen has written it."""
+    generator, so that the radius of the wide and narrow lift-verify and
+    of the wide ball is read from the file only after gen has written
+    it."""
     from ranklab.gabidulin import BALL_BUDGET
     from ranklab.subspace import gaussian_binomial
 
@@ -75,9 +83,10 @@ def stages(inst, path):
         yield s, [s, "--in", path, "--out", f"{name}.{s}.json"]
     with open(path, encoding="ascii") as fh:
         tau = json.load(fh)["tau"]
-    yield "lift-verify-wide", ["lift-verify", "--in", path, "--tau-s",
-                               str(2 * tau + 2),
-                               "--out", f"{name}.lift-verify-wide.json"]
+    for s, tau_s in (("lift-verify-wide", 2 * tau + 2),
+                     ("lift-verify-narrow", 2 * tau - 1)):
+        yield s, ["lift-verify", "--in", path, "--tau-s", str(tau_s),
+                  "--out", f"{name}.{s}.json"]
     yield "ball", ["ball", "--in", path, "--out", f"{name}.ball.json"]
     size = inst.q ** (inst.m * inst.dim)
     supports = sum(gaussian_binomial(inst.n, t, inst.q)
