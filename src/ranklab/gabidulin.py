@@ -5,13 +5,13 @@ oracles, puncturing, and the bound calculators.
 A word is a length-n vector of GF(q^m) serials; its matrix form is the m x n
 expansion over GF(q) (coordinate i becomes column i), and rank weight is the
 rank of that matrix.  Every scan of the code is one walk over its q^(mk)
-messages in q-ary Gray order (_walk), never over the ambient space; on
-q = 2, _sliced_walk yields the codewords bit-sliced, 2^LANE_BITS to a
-batch, and takes each batch's high message bits from that walk.  The
-rank ball has two exact oracles: enumerate_ball walks every codeword, and
-ball_by_supports walks the sum_{t<=tau} [n,t]_q error supports of rank
-<= tau depth first, each extending its parent's GF(q) elimination by m
-columns; exact_ball runs whichever does less work.
+messages in q-ary Gray order (_walk), never over the ambient space;
+_lane_walk yields the codewords side by side in the lanes of one int, up
+to 2^LANE_BITS to a batch, and takes each batch's high message digits
+from that walk.  The rank ball has two exact oracles: enumerate_ball walks
+every codeword, and ball_by_supports walks the sum_{t<=tau} [n,t]_q error
+supports of rank <= tau depth first, each extending its parent's GF(q)
+elimination by m columns; exact_ball runs whichever does less work.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
@@ -46,7 +46,7 @@ from ranklab.linpoly import LinearizedPoly
 from ranklab.subspace import gaussian_binomial, rref_walk
 
 BALL_BUDGET = 1 << 22
-LANE_BITS = 12          # a batch of _sliced_walk holds 2^12 codewords
+LANE_BITS = 12          # a batch of _lane_walk holds <= 2^12 codewords
 
 
 @dataclass(frozen=True)
@@ -238,34 +238,42 @@ def _walk(code: GabidulinCode, start: Sequence[int],
         yield word
 
 
-def _sliced_walk(
+def _lane_walk(
         code: GabidulinCode) -> Iterator[Tuple[int, List[List[int]]]]:
-    """Every codeword of a code over GF(2^m), bit-sliced in batches of
-    lanes = 2^b codewords, b = min(mk, LANE_BITS): yields (lanes, slices),
-    where bit L of slices[j][p] is digit p of coordinate j of lane L's
-    codeword.  Lane L's message has L in its b low bits and the batch's
-    high part above them, which _walk visits over contributions b.. in
-    Gray order.  Each digit of a codeword is GF(2)-linear in the message
-    bits, so the slices of the low part are XORs of the lane patterns of
-    the b low bits, built once per call; a batch XORs all ones into the
-    slices where its high part has the bit."""
+    """Every codeword, in batches of lanes = q^b codewords side by side,
+    b the largest with q^b <= 2^LANE_BITS and b <= mk: yields (lanes,
+    slices), where lane L of slices[j][p], a lane int of
+    gfmatrix.lane_layout(lanes, q), is digit p of coordinate j of lane L's
+    codeword.  Lane L's message has L's base-q digits as its b low digits
+    and the batch's high part above them, which _walk visits over
+    contributions b.. in Gray order.  Each digit of a codeword is
+    GF(q)-linear in the message digits, so the slices of the low part are
+    sums of the lane patterns of the b low digits, each a repunit multiple
+    of one block, built once per call; a batch adds each digit d of its
+    high part to every lane, as d ones."""
     contribs = code._basis_contributions
-    m = code.m
-    b = min(len(contribs), LANE_BITS)
-    lanes = 1 << b
-    full = (1 << lanes) - 1
+    q, m = code.q, code.m
+    b = 0
+    while b < len(contribs) and q ** (b + 1) <= 1 << LANE_BITS:
+        b += 1
+    lay = gfmatrix.lane_layout(q ** b, q)
+    w, add, digits = lay.w, lay.add, code.field.digits
     low = [[0] * m for _ in range(code.n)]
     for i, c in enumerate(contribs[:b]):
-        # bit L of the pattern is bit i of L: runs of 2^i zeros, 2^i ones
-        pattern = full // ((1 << (1 << i)) + 1) << (1 << i)
+        # lane L holds digit i of L: runs of q^i lanes holding 0, 1, ..,
+        # q - 1, the block of q^(i+1) lanes repeated q^(b-i-1) times
+        block = gfmatrix.lane_layout(q ** i, q).ones * sum(
+            d << d * q ** i * w for d in range(q))
+        pattern = lay.tile(block, q ** (i + 1))
+        times = [d * pattern for d in range(q)]
         for row, cj in zip(low, c):
-            for p in range(m):
-                if cj >> p & 1:
-                    row[p] ^= pattern
+            for p, d in enumerate(digits(cj)):
+                if d:
+                    row[p] = add(row[p], times[d])
     for high in _walk(code, (0,) * code.n, b):
-        yield lanes, [[s ^ full if h >> p & 1 else s
-                       for p, s in enumerate(row)]
-                      for h, row in zip(high, low)]
+        yield lay.count, [[add(s, lay.digit[d]) if d else s
+                           for s, d in zip(row, digits(h))]
+                          for h, row in zip(high, low)]
 
 
 def codewords(code: GabidulinCode,

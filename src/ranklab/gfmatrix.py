@@ -5,26 +5,30 @@ digit for odd q.
 Every function takes GF(q) vectors packed base q (digit j is the
 coefficient of q^j), as GF(q^m) serials and lifted rows [X | I] are
 stored; solve() alone takes matrix rows, and packs them itself.  basis()
-gives the rank, rank_test(q) stops once the rank passes a limit, from a
-copy of a start basis, and tagged_basis()/reduce_tagged() eliminate a set
-of vectors once and then reduce any number of targets against it
+gives the rank, rank_gf2_exceeds() stops once a GF(2) rank passes a limit,
+from a copy of a start basis, and tagged_basis()/reduce_tagged() eliminate
+a set of vectors once and then reduce any number of targets against it
 (coordinates() is the two in one call), and nullspace() reads their linear
 relations off the same tagged elimination.  rref() is the canonical basis of
 a span: each vector's pivot is its top nonzero digit, the key the loop
 stores it under; this module is the only place that convention lives.
 Results are plain ints and tuples so they can be hashed and compared.
 
-Next to that loop, rank_gf2_lanes_exceed() runs the same top-digit
-elimination over GF(2) bit-sliced: bit L of each int is one digit in lane
-L, so one pass tests the rank of thousands of independent sets of vectors,
-each pivot's presence a lane mask.  It exists for the lifted count on
-q = 2, where the codewords of one batch share every operation and a call
-per word costs far more in interpreter overhead than in XORs.
+Next to that loop, rank_lanes_exceed() runs the same top-digit elimination
+over any GF(q) across lanes: a LaneLayout packs one digit of each of
+thousands of independent sets of vectors into one int, lane L the w-bit
+field at bit w L, so one pass tests all their ranks, each pivot's presence
+a lane mask.  On q = 2 a lane is one bit and a row operation one XOR; on
+odd q a lane has a guard bit above q(q - 1), and a row operation is an
+add, then a reduction mod q read off the guard bits.  It exists for the
+lifted count, where the codewords of one batch share every operation and
+a call per word costs far more in interpreter overhead than in arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ranklab.errors import InvariantViolation
 
@@ -198,16 +202,6 @@ def basis(vecs: Sequence[int], q: int) -> dict:
     return out
 
 
-def rank_test(q: int) -> Callable[..., bool]:
-    """exceeds(vecs, limit, start=None): True iff the GF(q) rank of
-    start's vectors and vecs is > limit; start is a basis(), which each
-    call extends in a copy.  Resolve it once, outside a loop over words."""
-    def exceeds(vecs, limit, start=None):
-        start = start or {}
-        return _eliminate(vecs, dict(start), limit - len(start), q)
-    return exceeds
-
-
 def rank_gf2(vecs: Sequence[int]) -> int:
     """Rank of vectors packed as ints over GF(2)."""
     return len(basis(vecs, 2))
@@ -215,43 +209,112 @@ def rank_gf2(vecs: Sequence[int]) -> int:
 
 def rank_gf2_exceeds(vecs: Sequence[int], limit: int,
                      start: Optional[Dict[int, int]] = None) -> bool:
-    """rank_test(2), without a dispatch layer."""
+    """True iff the GF(2) rank of start's vectors and vecs is > limit;
+    start is a basis(), which each call extends in a copy."""
     if start:
         return _eliminate_gf2(vecs, dict(start), limit - len(start))
     return _eliminate_gf2(vecs, {}, limit)
 
 
-def rank_gf2_lanes_exceed(start: Sequence[int],
-                          vecs: Iterable[Sequence[int]], limit: int,
-                          lanes: int) -> int:
-    """rank_gf2_exceeds in lanes independent lanes at once, bit-sliced:
-    bit L of vecs[i][p] is digit p of vector i in lane L, and the packed
-    vectors of start lie in every lane.  Returns the mask of the lanes
-    whose rank of start and vecs is > limit.
+class LaneLayout:
+    """count independent GF(q) digits side by side in one int, a lane int:
+    lane L is the w-bit field at bit w L.  On q = 2, w = 1 and lanes add by
+    XOR.  On odd q a lane holds a digit 0..q-1 between operations and at
+    most q(q - 1) within one, and w = bit_length(q(q - 1)) + 1: the top
+    bit, the guard, is never part of a value, so adding a constant below
+    2^(w-1) to every lane carries into that lane's guard and no further.
+    mod() and split() read their answers off the guard bits."""
 
-    The loop is _eliminate_gf2's, top digit first, with each pivot's
-    presence a mask: at digit p, the lanes where v has the digit and a
-    pivot (v[p] & held[p]) subtract it, and in the rest v becomes the
-    pivot.  ge[r] masks the lanes of rank >= r, for r up to limit + 1,
-    below the vector width; it stops once every lane passes the limit."""
-    full = (1 << lanes) - 1
+    def __init__(self, count: int, q: int):
+        self.count, self.q = count, q
+        self.w = w = 1 if q == 2 else (q * (q - 1)).bit_length() + 1
+        self.ones = ones = _repunit(w, count)
+        self.full = ones * ((1 << w) - 1)
+        self._guard = guard = ones << w - 1
+        # (off, q 2^i), i descending: a lane plus off reaches its guard
+        # exactly when the lane is >= q 2^i
+        self._steps = [(guard - (q << i) * ones, q << i)
+                       for i in range((q - 1).bit_length() - 1, -1, -1)]
+        self.digit = tuple(c * ones for c in range(q))    # c in every lane
+        self._below = guard - ones    # 2^(w-1) - 1 in every lane
+
+    def tile(self, block: int, period: int) -> int:
+        """block, a lane int of period lanes, repeated across all lanes;
+        period divides count."""
+        return block * _repunit(period * self.w, self.count // period)
+
+    def mod(self, x: int) -> int:
+        """x with each lane reduced mod q, on odd q: q 2^i comes off every
+        lane that reaches it, for i descending, as in long division."""
+        guard, top = self._guard, self.w - 1
+        for off, sub in self._steps:
+            x -= ((x + off & guard) >> top) * sub
+        return x
+
+    def add(self, x: int, y: int) -> int:
+        """Lane-wise x + y mod q, each lane of y at most (q - 1)^2."""
+        return x ^ y if self.q == 2 else self.mod(x + y)
+
+    def split(self, x: int) -> List[Tuple[int, int]]:
+        """(c, mask) for each c in 1..q-1 that some lane of x holds, mask
+        all w bits of those lanes: a lane of x ^ c ones is zero exactly
+        where adding 2^(w-1) - 1 leaves its guard clear, and a guard bit g
+        fills its lane as 2g - g / 2^(w-1)."""
+        guard, below, top = self._guard, self._below, self.w - 1
+        out = []
+        for c in range(1, self.q):
+            eq = (x ^ self.digit[c]) + below & guard ^ guard
+            if eq:
+                out.append((c, (eq << 1) - (eq >> top)))
+        return out
+
+
+def _repunit(period: int, copies: int) -> int:
+    """copies ones, period bits apart."""
+    return ((1 << period * copies) - 1) // ((1 << period) - 1)
+
+
+@lru_cache(maxsize=None)
+def lane_layout(lanes: int, q: int) -> LaneLayout:
+    """The LaneLayout of lanes lanes over GF(q), built once."""
+    return LaneLayout(lanes, q)
+
+
+def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
+                      limit: int, lanes: int, q: int) -> int:
+    """The GF(q) rank test in lanes independent lanes at once: lane L of
+    vecs[i][p], a lane int of lane_layout(lanes, q), is digit p of vector
+    i in lane L, and the packed vectors of start lie in every lane.
+    Returns the lane int with 1 in each lane whose rank of start and vecs
+    is > limit.
+
+    The loop is _eliminate's, top digit first, with each pivot's presence
+    a mask: at digit p, the lanes where v has a digit c != 0 and a pivot
+    subtract c times it, and in the rest v, scaled by 1/c, becomes the
+    pivot.  On q = 2 that is one XOR under the mask; on odd q the lanes
+    are split by c and add (q - c) times the pivot row, then reduce mod q.
+    ge[r] masks the lanes of rank >= r, for r up to limit + 1, below the
+    vector width; it stops once every lane passes the limit."""
+    lay = lane_layout(lanes, q)
+    ones, full, digit = lay.ones, lay.full, lay.digit
     vecs = [list(v) for v in vecs]
-    width = max([len(v) for v in vecs] + [v.bit_length() for v in start],
-                default=0)
+    width = max([len(v) for v in vecs] + [_width(start, q)])
     if limit < 0:
-        return full
+        return ones
     if limit >= width:
         return 0
     held = [0] * width
     # rows[p][i], i < p: digit i of the pivot at p, in the lanes of held[p]
     rows = [[0] * p for p in range(width)]
-    ech = basis(start, 2)
+    ech = basis(start, q)
     for h, b in ech.items():
         held[h - 1] = full
-        rows[h - 1] = [full if b >> i & 1 else 0 for i in range(h - 1)]
+        rows[h - 1] = [digit[b >> i & 1 if q == 2 else b[i]]
+                       for i in range(h - 1)]
     ge = [full if r <= len(ech) else 0 for r in range(limit + 2)]
     if ge[-1] == full:
-        return full
+        return ones
+    mod = lay.mod
     for v in vecs:
         v += [0] * (width - len(v))
         live = full ^ ge[-1]          # lanes still reducing v
@@ -259,21 +322,38 @@ def rank_gf2_lanes_exceed(start: Sequence[int],
             x = v[p] & live
             if not x:
                 continue
-            hit = x & held[p]
-            if hit:
-                v[:p] = [a ^ (b & hit) for a, b in zip(v, rows[p])]
-            new = x ^ hit
+            if q == 2:
+                hit = x & held[p]
+                if hit:
+                    v[:p] = [a ^ (b & hit) for a, b in zip(v, rows[p])]
+                new = x ^ hit
+                if new:
+                    rows[p] = [a | (b & new) for a, b in zip(rows[p], v)]
+            else:
+                hits, news, new = [], [], 0
+                for c, mask in lay.split(x):
+                    hit = mask & held[p]
+                    if hit:
+                        hits.append((q - c, hit))
+                    if hit != mask:
+                        news.append((_inv_mod(c, q), mask ^ hit))
+                        new |= mask ^ hit
+                if hits:
+                    v[:p] = [mod(a + sum(k * (b & h) for k, h in hits))
+                             for a, b in zip(v, rows[p])]
+                if new:
+                    rows[p] = [a | mod(sum(k * (b & h) for k, h in news))
+                               for a, b in zip(rows[p], v)]
             if new:
-                rows[p] = [a | (b & new) for a, b in zip(rows[p], v)]
                 held[p] |= new
                 live ^= new
                 for r in range(limit + 1, 0, -1):
                     ge[r] |= ge[r - 1] & new
                 if ge[-1] == full:
-                    return full
+                    return ones
                 if not live:
                     break
-    return ge[-1]
+    return ge[-1] & ones
 
 
 def _width(vecs: Sequence[int], q: int) -> int:

@@ -7,11 +7,11 @@ its transposed matrix: row j of X holds the digits of coordinate j.
 
 The lifted count of verify_lifted_instance tests every codeword's lift
 against the lifted center, d_s <= tau_s iff rank[center rows; word rows]
-<= n + floor(tau_s/2).  On q = 2 it takes the codewords bit-sliced in
-batches (gabidulin._sliced_walk), lays each lane's rows out as lift_word
-does, [X | I_n] with an all-ones identity slice, and eliminates a whole
-batch in one gfmatrix.rank_gf2_lanes_exceed call; on odd q it extends the
-center's basis by each word's packed rows in turn.
+<= n + floor(tau_s/2).  It takes the codewords in batches of thousands
+side by side (gabidulin._lane_walk), lays each lane's rows out as lift_word
+does, [X | I_n] with an identity slice of ones, and eliminates a whole
+batch, stacked on the center's rows, in one gfmatrix.rank_lanes_exceed
+call, on every q.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from ranklab.gabidulin import (
     BALL_BUDGET,
     GabidulinCode,
     RankWord,
-    _sliced_walk,
-    _walk,
+    _lane_walk,
     codewords,
     exact_ball,
     prior_counting_bound,
@@ -156,22 +155,14 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
         rank_count = len(exact_ball(code, inst.center, inst.tau, budget))
         # d_s <= tau_s iff rank[center rows; word rows] <= n + half
         q, n = code.q, code.n
-        if q == 2:
-            # lane L's row j: its m slices of coordinate j, then the
-            # identity slice at m + j
-            count = 0
-            for lanes, slices in _sliced_walk(code):
-                full = (1 << lanes) - 1
-                rows = [[*s, *(0,) * j, full] for j, s in enumerate(slices)]
-                count += lanes - gfmatrix.rank_gf2_lanes_exceed(
-                    lifted_center.packed, rows, n + half, lanes).bit_count()
-        else:
-            # the walk from the zero word's rows yields each codeword's rows
-            exceeds = gfmatrix.rank_test(q)
-            start = gfmatrix.basis(lifted_center.packed, q)
-            zero = lift_word(RankWord(code.field, (0,) * n))
-            count = sum(1 for rows in _walk(code, zero.packed)
-                        if not exceeds(rows, n + half, start))
+        # lane L's row j: its m slices of coordinate j, then the identity
+        # slice, 1 in every lane, at m + j
+        count = 0
+        for lanes, slices in _lane_walk(code):
+            ones = gfmatrix.lane_layout(lanes, q).ones
+            rows = [[*s, *(0,) * j, ones] for j, s in enumerate(slices)]
+            count += lanes - gfmatrix.rank_lanes_exceed(
+                lifted_center.packed, rows, n + half, lanes, q).bit_count()
         if half == inst.tau and count != rank_count:
             raise InvariantViolation(
                 f"lifted ball has {count} words, rank ball {rank_count}")

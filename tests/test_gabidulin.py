@@ -36,7 +36,7 @@ from ranklab import gabidulin
 from ranklab.gabidulin import (
     GabidulinCode,
     RankWord,
-    _sliced_walk,
+    _lane_walk,
     _walk,
     ball_by_supports,
     codewords,
@@ -55,7 +55,6 @@ from ranklab.gabidulin import (
     rank_distance,
     rank_weight,
 )
-from ranklab.subspace_code import lift_word
 
 import reference
 
@@ -126,35 +125,26 @@ def test_walk_visits_every_codeword_once_one_step_apart(monkeypatch, q, n, m,
     start = tuple(rng.randrange(f.order) for _ in range(code.n))
     shifted = {tuple(map(f.sub, w, start)) for w in _walk(code, start)}
     assert shifted == set(words)
-    # on odd q the lifted count walks from the zero word's lifted rows
-    # q^(m+j), one digit above the field per coordinate: every step adds
-    # below q^m, so the walk yields lift_word(c).packed for every codeword
-    # c, in the order of codewords()
-    zero = lift_word(RankWord(f, (0,) * code.n)).packed
-    assert [tuple(w) for w in _walk(code, zero)] == [
-        lift_word(RankWord(f, w)).packed for w in words]
-    # digit-wise addition carries the out-of-field digit unchanged
-    for a, b in zip(start, reversed(start)):
-        for t in zero:
-            assert f.add(t + a, b) == f.add(a, t + b) == t + f.add(a, b)
-    # on q = 2 the sliced walk holds every codeword once across its
-    # lanes, in batches of 2, 8 and 2^LANE_BITS lanes (one batch where
-    # mk is smaller); lane L of the first batch has message L
-    if q == 2:
-        for bits in (1, 3, gabidulin.LANE_BITS):
-            monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
-            batches = [[tuple(sum((x >> lane & 1) << p
-                                  for p, x in enumerate(row))
-                              for row in slices) for lane in range(lanes)]
-                       for lanes, slices in _sliced_walk(code)]
-            assert all(len(b) == 2 ** min(m * k, bits) for b in batches)
-            assert sorted(w for b in batches for w in b) == sorted(words)
-            for lane, w in enumerate(batches[0]):
-                expect = (0,) * code.n
-                for i, c in enumerate(code._basis_contributions):
-                    if lane >> i & 1:
-                        expect = tuple(map(f.add, expect, c))
-                assert w == expect
+    # the lane walk holds every codeword once across its lanes, in batches
+    # of q^b lanes, q^b <= 2^LANE_BITS: one lane at LANE_BITS = 1 on odd
+    # q, several batches at 1 and 3, one batch where mk is smaller; lane L
+    # of the first batch has L's base-q digits as its message digits
+    for bits in (1, 3, gabidulin.LANE_BITS):
+        monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
+        b = min(m * k, max(e for e in range(bits + 1) if q ** e <= 2 ** bits))
+        w = gfmatrix.lane_layout(q ** b, q).w
+        batches = [[tuple(sum((x >> lane * w & (1 << w) - 1) * q ** p
+                              for p, x in enumerate(row))
+                          for row in slices) for lane in range(lanes)]
+                   for lanes, slices in _lane_walk(code)]
+        assert all(len(batch) == q ** b for batch in batches)
+        assert sorted(x for batch in batches for x in batch) == sorted(words)
+        for lane, word in enumerate(batches[0]):
+            expect = (0,) * code.n
+            for i, c in enumerate(code._basis_contributions):
+                for _ in range(lane // q ** i % q):
+                    expect = tuple(map(f.add, expect, c))
+            assert word == expect
 
 
 def test_rank_weight_values():

@@ -209,29 +209,39 @@ def test_subspace_basis_is_the_reference_rref_of_its_digit_rows(q, n):
             [f.digits(s) for s in elements], q)
 
 
-def test_lane_elimination_matches_rank_gf2_in_every_lane():
-    # bit L of vecs[i][p] is digit p of vector i in lane L: the mask of
-    # rank_gf2_lanes_exceed, from a start basis and without one, at every
-    # limit from -1 to the width + 1, against rank_gf2 and the reference
-    # rank of each lane's unpacked vectors; start and vecs stay unchanged
-    rng = random.Random(19)
+@pytest.mark.parametrize("q", QS)
+def test_lane_elimination_matches_rank_gf2_in_every_lane(q):
+    # lane L of vecs[i][p] is digit p of vector i in lane L: the mask of
+    # rank_lanes_exceed, from a start basis and without one, at every limit
+    # from -1 to the width + 1, against basis and the reference rank of each
+    # lane's unpacked vectors; start and vecs stay unchanged.  Some lanes
+    # hold q - 1 in every digit but the top one, which is q - 1 or 1: two
+    # such vectors with top digit 1 and one length take a reduction to
+    # q(q - 1), its largest value.  Most lane counts are not powers of q
+    rng = random.Random(19 if q == 2 else f"lanes:{q}")
     for _ in range(200):
         lanes = rng.randrange(1, 65)
-        width = rng.randrange(1, 9)
-        start = [rng.randrange(2 ** width)
+        w = gfmatrix.lane_layout(lanes, q).w
+        width = rng.randrange(1, 9 if q == 2 else 6)
+        start = [rng.randrange(q ** width)
                  for _ in range(rng.choice((0, rng.randrange(1, 5))))]
-        vecs = [[rng.getrandbits(lanes) for _ in range(rng.randrange(width))]
-                for _ in range(rng.randrange(7))]
+        lens = [rng.randrange(width) for _ in range(rng.randrange(7))]
+        top = {lane for lane in range(lanes) if rng.random() < 0.2}
+        digits = [[[q - 1] * (n - 1) + [rng.choice((1, q - 1))] if n
+                   and lane in top else [rng.randrange(q) for _ in range(n)]
+                   for n in lens] for lane in range(lanes)]
+        vecs = [[sum(digits[lane][i][p] << lane * w for lane in range(lanes))
+                 for p in range(n)] for i, n in enumerate(lens)]
         kept = (list(start), [list(v) for v in vecs])
         ranks = []
         for lane in range(lanes):
-            unpacked = [sum((s >> lane & 1) << p for p, s in enumerate(v))
-                        for v in vecs]
-            rank = gfmatrix.rank_gf2(start + unpacked)
+            unpacked = [_pack(d, q) for d in digits[lane]]
+            rank = len(gfmatrix.basis(start + unpacked, q))
             assert rank == reference.rank(
-                [_unpack(v, 2, width) for v in start + unpacked], 2)
+                [_unpack(v, q, width) for v in start + unpacked], q)
             ranks.append(rank)
         for limit in range(-1, width + 2):
-            assert gfmatrix.rank_gf2_lanes_exceed(start, vecs, limit, lanes) \
-                == sum(1 << lane for lane, r in enumerate(ranks) if r > limit)
+            assert gfmatrix.rank_lanes_exceed(start, vecs, limit, lanes, q) \
+                == sum(1 << lane * w for lane, r in enumerate(ranks)
+                       if r > limit)
         assert (start, vecs) == kept

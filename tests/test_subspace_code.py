@@ -198,11 +198,12 @@ def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
     # != tau, it must match the reference rank of the stacked [I | X]
     # digit rows (an elimination outside gfmatrix) and a lifted_distance
     # per word, and at floor(tau_s/2) == tau the rank-level ball, as
-    # distances double exactly.  On q = 2 it eliminates batches of
-    # 2^LANE_BITS codewords at once, here also 2 and 8, so that several
-    # batches, each a high part walked by _walk, are counted; a center
-    # that is a codeword puts a lane at rank 0, tau_s = 2n counts every
-    # lane and tau_s = -1 none
+    # distances double exactly.  It eliminates batches of q^b <=
+    # 2^LANE_BITS codewords at once, here also at 2^LANE_BITS = 2 and 8,
+    # so that several batches, each a high part walked by _walk, and on
+    # odd q batches of one lane, are counted; a center that is a codeword
+    # puts a lane at rank 0, tau_s = 2n counts every lane and tau_s = -1
+    # none
     rng = random.Random(f"hoist:{n}:{m}:{k}:{s}" if q == 2
                         else f"hoist:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
@@ -215,8 +216,6 @@ def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
                                             for _ in range(code.n)))
         cases.append((center, rng.randrange(1, code.min_distance)))
     cases.append((rng.choice(words), rng.randrange(1, code.min_distance)))
-    lane_bits = (1, 3, gabidulin.LANE_BITS) if q == 2 \
-        else (gabidulin.LANE_BITS,)
     for center, tau in cases:
         lc = lift_word(center)
         # half the subspace distance of each word from the center
@@ -225,7 +224,7 @@ def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
         by_distance = [lifted_distance(lc, lw) // 2 for lw in lifted]
         assert by_reference == by_distance
         ball = len(enumerate_ball(code, center, tau))
-        for bits in lane_bits:
+        for bits in (1, 3, gabidulin.LANE_BITS):
             monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
             for tau_s in (2 * tau - 1, 2 * tau, 2 * tau + 1, 2 * tau + 2,
                           2 * code.n, -1):
@@ -265,7 +264,8 @@ def _unpack(v, q, width):
 def test_rank_gf2_exceeds_from_a_start_basis():
     # the early-exit rank test of packed vectors, from a start basis and
     # afresh, against the reference rref of the stacked rows, on q in
-    # {2, 3, 5}
+    # {2, 3, 5}: rank_gf2_exceeds on q = 2, and on every q
+    # rank_lanes_exceed in one lane, whose digits are the vectors' own
     rng = random.Random(31)
     for q in (2, 3, 5):
         for _ in range(300):
@@ -278,8 +278,10 @@ def test_rank_gf2_exceeds_from_a_start_basis():
             rank = reference.rank([_unpack(x, q, width) for x in a + v], q)
             assert len(start) == reference.rank(
                 [_unpack(x, q, width) for x in a], q)
-            exceeds = gfmatrix.rank_test(q)
-            assert exceeds(v, limit, start) == exceeds(a + v, limit) \
+            assert gfmatrix.rank_lanes_exceed(
+                a, [_unpack(x, q, width) for x in v], limit, 1, q) \
+                == gfmatrix.rank_lanes_exceed(
+                    [], [_unpack(x, q, width) for x in a + v], limit, 1, q) \
                 == (rank > limit)
             if q == 2:
                 assert gfmatrix.rank_gf2_exceeds(v, limit, start=start) \
