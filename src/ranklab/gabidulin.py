@@ -355,11 +355,11 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
 
 
 def _extend_support(ech: dict, cols: list, q: int) -> dict:
-    """A copy of the echelon basis ech extended by the _unpack'ed syndrome
+    """A copy of the echelon basis ech extended by the _spread syndrome
     columns of one more support row; InvariantViolation unless every one
     of them is new."""
     child = dict(ech)
-    gfmatrix._extend(cols, child, len(cols), q)
+    gfmatrix._eliminate(cols, child, len(cols), q)
     if len(child) - len(ech) < len(cols):
         raise InvariantViolation("a support's syndrome columns are dependent")
     return child
@@ -388,7 +388,7 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     table = code._syndrome_table
     target = _syndrome(code, center.coords)
     found = []
-    unpacked = {}     # row b -> its m syndrome columns, _unpack'ed
+    spread = {}     # row b -> its m syndrome columns, gfmatrix._spread
 
     def hit(rows):
         t = len(rows)
@@ -408,16 +408,14 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
         found.append(tuple(map(field.sub, center.coords, err)))
 
     # state[t]: echelon basis and residue of the support rows[:t]
-    state = [({}, gfmatrix._unpack(target, q))]
+    state = [({}, gfmatrix._spread(target, q))]
     for rows in rref_walk(n, range(tau + 1), q):
         t = len(rows)
         if t:
             b = rows[-1]
-            if b not in unpacked:
-                unpacked[b] = [gfmatrix._unpack(v, q) for v in table[b]]
-            ech = _extend_support(state[t - 1][0], unpacked[b], q)
-            # a residue ends in a nonzero digit, so the children sharing
-            # it pop nothing off it in place
+            if b not in spread:
+                spread[b] = [gfmatrix._spread(v, q) for v in table[b]]
+            ech = _extend_support(state[t - 1][0], spread[b], q)
             state[t:] = [(ech, gfmatrix._reduce(state[t - 1][1], ech, q))]
         if not state[t][1]:
             hit(rows)

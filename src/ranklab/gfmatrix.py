@@ -1,10 +1,14 @@
 """Dense exact linear algebra over prime fields GF(q), on one elimination
-loop: XOR on bitsets for q = 2, digit lists keyed by their top nonzero
-digit for odd q.
+loop over vectors held as ints, each keyed by its top nonzero digit: digit
+j is the w-bit field at bit w j, w the digit width of a LaneLayout, so on
+q = 2 a vector is its bitset and a row operation one XOR, and on odd q a
+row operation is an add and the layout's guard-bit reduction mod q.
 
 Every function takes GF(q) vectors packed base q (digit j is the
 coefficient of q^j), as GF(q^m) serials and lifted rows [X | I] are
-stored; solve() alone takes matrix rows, and packs them itself.  basis()
+stored, and returns them so; solve() alone takes matrix rows, and packs
+them itself.  The dicts of basis() and tagged_basis() hold the loop's own
+form: callers read their size or pass them back.  basis()
 gives the rank, rank_gf2_exceeds() stops once a GF(2) rank passes a limit,
 from a copy of a start basis, and tagged_basis()/reduce_tagged() eliminate
 a set of vectors once and then reduce any number of targets against it
@@ -15,14 +19,12 @@ stores it under; this module is the only place that convention lives.
 Results are plain ints and tuples so they can be hashed and compared.
 
 Next to that loop, rank_lanes_exceed() runs the same top-digit elimination
-over any GF(q) across lanes: a LaneLayout packs one digit of each of
-thousands of independent sets of vectors into one int, lane L the w-bit
-field at bit w L, so one pass tests all their ranks, each pivot's presence
-a lane mask.  On q = 2 a lane is one bit and a row operation one XOR; on
-odd q a lane has a guard bit above q(q - 1), and a row operation is an
-add, then a reduction mod q read off the guard bits.  It exists for the
-lifted count, where the codewords of one batch share every operation and
-a call per word costs far more in interpreter overhead than in arithmetic.
+with the same digit arithmetic turned sideways: lane L of a lane int holds
+one digit of the L-th of thousands of independent sets of vectors, so one
+pass tests all their ranks, each pivot's presence a lane mask.  It exists
+for the lifted count, where the codewords of one batch share every
+operation and a call per word costs far more in interpreter overhead than
+in arithmetic.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ def _inv_mod(a: int, q: int) -> int:
 def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
                    room: int) -> bool:
     """Add vecs to basis (bit length -> vector); True iff > room are new."""
+    # _eliminate's q = 2 case, kept apart and as it is: rank_gf2_exceeds
+    # runs it once per codeword of the q = 2 ball scan, and folding it into
+    # the odd-q loop, or routing _clear's XOR through LaneLayout.add,
+    # made the benchmark's q = 2 verify and lift-verify stages 10-35% slower
     for v in vecs:
         while v:
             h = v.bit_length()
@@ -54,98 +60,92 @@ def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
     return room < 0
 
 
-def _digits(v: int, q: int) -> List[int]:
-    d = []
-    while v:
-        d.append(v % q)
-        v //= q
-    return d
-
-
-def _reduce_digits(d: List[int], basis: dict, q: int) -> List[int]:
-    """Subtract basis vectors from the digit list d (least significant
-    first; popped in place) for as long as one has d's top nonzero digit."""
-    while True:
-        while d and not d[-1]:
-            d.pop()
-        b = basis.get(len(d))
-        if b is None:
-            return d
-        c = d[-1]
-        d = [(x - c * y) % q for x, y in zip(d, b)]
-
-
-def _store_digits(lists: Iterable[List[int]], basis: dict, room: int,
-                  q: int) -> bool:
-    """_eliminate for odd q on digit lists (least significant first): keyed
-    by length, each stored top digit scaled to 1."""
-    for d in lists:
-        d = _reduce_digits(d, basis, q)
-        if d:
-            if d[-1] != 1:
-                inv = _inv_mod(d[-1], q)
-                d = [x * inv % q for x in d]
-            basis[len(d)] = d
+def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
+    """_eliminate_gf2 for any prime q, on _spread vectors: each stored top
+    digit is scaled to 1."""
+    if q == 2:
+        return _eliminate_gf2(vecs, basis, room)
+    w = lane_layout(1, q).w
+    for v in vecs:
+        v = _reduce(v, basis, q)
+        if v:
+            h = (v.bit_length() + w - 1) // w
+            c = v >> w * (h - 1)
+            if c != 1:
+                v = lane_layout(h, q).mod(v * _inv_mod(c, q))
+            basis[h] = v
             room -= 1
             if room < 0:
                 return True
     return room < 0
 
 
-def _unpack(v: int, q: int):
-    """v in the form the elimination stores for q: the int itself for
-    q = 2, its _digits list otherwise."""
-    return v if q == 2 else _digits(v, q)
-
-
-def _extend(vecs: Iterable, basis: dict, room: int, q: int) -> bool:
-    """_eliminate on vectors already _unpack'ed."""
+def _reduce(v: int, basis: dict, q: int) -> int:
+    """A _spread v less basis vectors for as long as one has v's top
+    nonzero digit: zero iff v lies in the span of basis."""
     if q == 2:
-        return _eliminate_gf2(vecs, basis, room)
-    return _store_digits(vecs, basis, room, q)
-
-
-def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
-    """_eliminate_gf2 for any prime q."""
-    return _extend(vecs if q == 2 else (_digits(v, q) for v in vecs),
-                   basis, room, q)
-
-
-def _reduce(v, basis: dict, q: int):
-    """An _unpack'ed v less basis vectors for as long as one has v's top
-    nonzero digit: falsy iff v lies in the span of basis."""
-    if q != 2:
-        return _reduce_digits(v, basis, q)
-    b = basis.get(v.bit_length())
-    while b:
-        v ^= b
         b = basis.get(v.bit_length())
+        while b:
+            v ^= b
+            b = basis.get(v.bit_length())
+        return v
+    w = lane_layout(1, q).w
+    while v:
+        h = (v.bit_length() + w - 1) // w
+        b = basis.get(h)
+        if b is None:
+            break
+        v = lane_layout(h, q).mod(v + (q - (v >> w * (h - 1))) * b)
     return v
 
 
-def _pack(top_first: Iterable[int], q: int) -> int:
-    out = 0
-    for x in top_first:
-        out = out * q + x
-    return out
-
-
 def _clear(v: int, basis: dict, q: int) -> int:
-    """v less each basis vector times v's digit at its key, from the top
-    key down: zero at every key, and linear in v, where stopping at the
-    first top digit without a basis vector, as _eliminate does, is not."""
+    """A _spread v less each basis vector times v's digit at its key, from
+    the top key down: zero at every key, and linear in v, where stopping at
+    the first top digit without a basis vector, as _eliminate does, is not.
+    On odd q a row operation at key h reduces with the layout of h lanes:
+    the basis vector has no digit above h, so the operation leaves v's
+    digits above h, which a target of reduce_tagged may hold, as they
+    are."""
     keys = sorted(basis, reverse=True)
     if q == 2:
         for h in keys:
             if v >> h - 1 & 1:
                 v ^= basis[h]
         return v
-    d = _digits(v, q)
     for h in keys:
-        c = d[h - 1] if h <= len(d) else 0
+        lay = lane_layout(h, q)
+        c = (v & lay.full) >> lay.w * (h - 1)
         if c:
-            d[:h] = [(x - c * y) % q for x, y in zip(d, basis[h])]
-    return _pack(reversed(d), q)
+            v = lay.mod(v + (q - c) * basis[h])
+    return v
+
+
+def _spread(v: int, q: int) -> int:
+    """v, packed base q, in the form the elimination loop stores: digit j
+    in the w-bit field at bit w j, w = lane_layout(1, q).w, so v itself on
+    q = 2."""
+    if q == 2:
+        return v
+    w = lane_layout(1, q).w
+    out = shift = 0
+    while v:
+        v, d = divmod(v, q)
+        out |= d << shift
+        shift += w
+    return out
+
+
+def _pack(x: int, q: int) -> int:
+    """The packed base-q int of a reduced _spread x."""
+    if q == 2:
+        return x
+    w = lane_layout(1, q).w
+    mask = (1 << w) - 1
+    out = 0
+    for shift in range((x.bit_length() - 1) // w * w, -1, -w):
+        out = out * q + (x >> shift & mask)
+    return out
 
 
 def _tagged(vecs: Sequence[int], q: int) -> dict:
@@ -164,8 +164,7 @@ def nullspace(vecs: Sequence[int], q: int) -> Tuple[int, ...]:
     {x : sum_i x_i vecs[i] = 0} over GF(q): the tag digits of the _tagged
     vectors whose top digit is a tag."""
     ech = _tagged(vecs, q)
-    return tuple(ech[h] if q == 2 else _pack(reversed(ech[h]), q)
-                 for h in sorted(ech) if h <= len(vecs))
+    return tuple(_pack(ech[h], q) for h in sorted(ech) if h <= len(vecs))
 
 
 def tagged_basis(vecs: Sequence[int], q: int) -> dict:
@@ -185,7 +184,8 @@ def reduce_tagged(tagged: dict, target: int, q: int) -> Tuple[int, int]:
     target and zero exactly on the span of vecs; the tag digits then read
     -(q - 1) x_i = x_i, with sum_i x_i vecs[i] = target."""
     shift = q ** len(tagged)
-    return divmod(_clear(target * shift, tagged, q), shift)
+    return divmod(_pack(_clear(_spread(target * shift, q), tagged, q), q),
+                  shift)
 
 
 def coordinates(vecs: Sequence[int], target: int, q: int) -> Optional[int]:
@@ -198,7 +198,8 @@ def coordinates(vecs: Sequence[int], target: int, q: int) -> Optional[int]:
 def basis(vecs: Sequence[int], q: int) -> dict:
     """Echelon basis of packed GF(q) vectors; its size is their rank."""
     out: dict = {}
-    _eliminate(vecs, out, len(vecs), q)
+    _eliminate(vecs if q == 2 else [_spread(v, q) for v in vecs], out,
+               len(vecs), q)
     return out
 
 
@@ -223,7 +224,12 @@ class LaneLayout:
     most q(q - 1) within one, and w = bit_length(q(q - 1)) + 1: the top
     bit, the guard, is never part of a value, so adding a constant below
     2^(w-1) to every lane carries into that lane's guard and no further.
-    mod() and split() read their answers off the guard bits."""
+    mod() and split() read their answers off the guard bits.
+
+    The scalar loop stores each vector in this form too, digit j in lane
+    j, and a row operation at key h is lane_layout(h, q).mod() of v plus a
+    multiple of the pivot: w and lane arithmetic mod q are defined here
+    alone."""
 
     def __init__(self, count: int, q: int):
         self.count, self.q = count, q
@@ -296,7 +302,7 @@ def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
     ge[r] masks the lanes of rank >= r, for r up to limit + 1, below the
     vector width; it stops once every lane passes the limit."""
     lay = lane_layout(lanes, q)
-    ones, full, digit = lay.ones, lay.full, lay.digit
+    ones, full, digit, w = lay.ones, lay.full, lay.digit, lay.w
     vecs = [list(v) for v in vecs]
     width = max([len(v) for v in vecs] + [_width(start, q)])
     if limit < 0:
@@ -309,8 +315,7 @@ def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
     ech = basis(start, q)
     for h, b in ech.items():
         held[h - 1] = full
-        rows[h - 1] = [digit[b >> i & 1 if q == 2 else b[i]]
-                       for i in range(h - 1)]
+        rows[h - 1] = [digit[b >> w * i & (1 << w) - 1] for i in range(h - 1)]
     ge = [full if r <= len(ech) else 0 for r in range(limit + 2)]
     if ge[-1] == full:
         return ones
@@ -375,9 +380,8 @@ def rref(vecs: Sequence[int], q: int) -> Tuple[int, ...]:
     ech = basis(vecs, q)
     out = []
     for h in sorted(ech):
-        top = q ** (h - 1)
-        v = ech[h] if q == 2 else _pack(reversed(ech[h]), q)
-        out.append(top + _clear(v - top, ech, q))
+        top = 1 << ech[h].bit_length() - 1    # the pivot's digit 1
+        out.append(_pack(top + _clear(ech[h] - top, ech, q), q))
     return tuple(out)
 
 
@@ -392,7 +396,7 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int],
         return ()
     n = len(rows[0])
     x = [0] * n
-    for v in rref([_pack((c % q for c in (*r, b)), q)
+    for v in rref([sum(c % q * q ** (n - j) for j, c in enumerate((*r, b)))
                    for r, b in zip(rows, rhs)], q):
         if v < q:
             return None

@@ -13,7 +13,7 @@ from ranklab.subspace import Subspace
 
 import reference
 
-QS = (2, 3, 5)
+QS = (2, 3, 5, 7)
 
 
 def _matrix(rng, q, rows, cols, density=0.7):
@@ -61,6 +61,18 @@ def test_rref_and_rank_match_the_reference(q):
                 assert gfmatrix.rref(packed, q) == _reference_rref(a, q), a
                 assert len(gfmatrix.basis(packed, q)) \
                     == reference.rank(a, q), a
+    # every digit q - 1 below a top digit of 1 or q - 1: a row operation
+    # between two rows with top digit 1 at one key reaches q(q - 1), the
+    # largest value a stored digit holds before it is reduced mod q; at 12
+    # digits a q = 5 row spans 72 bits
+    for cols in (1, 2, 5, 12):
+        worst = [[q - 1] * (j - 1) + [top] + [0] * (cols - j)
+                 for j in range(1, cols + 1) for top in (1, q - 1, 1)]
+        for a in (worst, worst[::-1], worst[1::3] + worst[::3]):
+            packed = [_pack(r, q) for r in a]
+            assert gfmatrix.rref(packed, q) == _reference_rref(a, q), a
+            assert len(gfmatrix.basis(packed, q)) \
+                == reference.rank(a, q), a
     assert gfmatrix.rref([], q) == () == gfmatrix.rref([0, 0], q)
     assert len(gfmatrix.basis([], q)) == 0 == len(gfmatrix.basis([0] * 3, q))
 
@@ -113,7 +125,9 @@ def test_solve_matches_brute_force(q):
 def test_reduce_tagged_matches_brute_force(q):
     # the residue is linear in the target and zero exactly on the span,
     # whose coordinates the tags then hold, as coordinates() returns them
-    rng = random.Random(f"tagged:{q}")
+    # wide targets have nonzero digits above every key of the tagged basis
+    # too: 8 digits above the vectors', 72 bits and more on q = 5
+    rng, wide = random.Random(f"tagged:{q}"), random.Random(f"wide:{q}")
     width = 6 if q == 2 else 4
     for _ in range(40):
         vecs = [_pack(r, q) for r in _matrix(rng, q, rng.randrange(1, 4),
@@ -142,6 +156,19 @@ def test_reduce_tagged_matches_brute_force(q):
             assert gfmatrix.coordinates(vecs, s, q) == span.get(s)
             if s in span:
                 assert xs == span[s]
+        for _ in range(4):
+            s, t = (wide.randrange(q ** width, q ** (width + 8))
+                    for _ in range(2))
+            a = wide.randrange(q)
+            combo = _pack([a * x + y for x, y in zip(
+                _unpack(s, q, width + 8), _unpack(t, q, width + 8))], q)
+            rs, rt, rc = (gfmatrix.reduce_tagged(tagged, v, q)[0]
+                          for v in (s, t, combo))
+            assert _unpack(rc, q, width + 8) == tuple(
+                (a * x + y) % q for x, y in zip(_unpack(rs, q, width + 8),
+                                                _unpack(rt, q, width + 8)))
+            assert rs and rs // q ** width == s // q ** width
+            assert gfmatrix.coordinates(vecs, s, q) is None
 
 
 def _reference_nullspace(cols, q, width):
