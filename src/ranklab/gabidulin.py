@@ -8,10 +8,13 @@ rank of that matrix.  Every scan of the code is one walk over its q^(mk)
 messages in q-ary Gray order (_walk), never over the ambient space;
 _lane_walk yields the codewords side by side in the lanes of one int, up
 to 2^LANE_BITS to a batch, and takes each batch's high message digits
-from that walk.  The rank ball has two exact oracles: enumerate_ball walks
-every codeword, and ball_by_supports walks the sum_{t<=tau} [n,t]_q error
-supports of rank <= tau depth first, each extending its parent's GF(q)
-elimination by m columns; exact_ball runs whichever does less work.
+from that walk.  The rank ball has three exact oracles.  enumerate_ball,
+the per-codeword reference, makes one rank test per codeword of _walk;
+ball_by_lanes tests a whole _lane_walk batch in one lane elimination;
+ball_by_supports walks the sum_{t<=tau} [n,t]_q error supports of rank
+<= tau depth first, each extending its parent's GF(q) elimination by m
+columns.  exact_ball runs ball_by_supports or ball_by_lanes, whichever
+does less work.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
@@ -146,15 +149,22 @@ class GabidulinCode:
         minus = [[_syndrome(self, [(q - 1) * q ** i * (u == j)
                                    for u in range(n)]) for i in range(m)]
                  for j in range(n)]
-        table = [(0,) * m]
-        for j in range(n):
-            # rows b + c e_j, c = 1..q-1, after the rows b below q^j
-            size = len(table)
-            for _ in range(q - 1):
-                table += [tuple(sub_digits(a, u, q)
-                                for a, u in zip(row, minus[j]))
-                          for row in table[-size:]]
-        return tuple(table)
+        return tuple(_digit_sums(minus, m, q,
+                                 lambda a, u: sub_digits(a, u, q)))
+
+
+def _digit_sums(vecs: Sequence[Sequence[int]], width: int, q: int,
+                add) -> List[Tuple[int, ...]]:
+    """The q^len(vecs) sums of vecs: entry x adds vecs[i] x_i times for
+    each i, x_i the base-q digits of x, to width zeros, one coordinate
+    at a time by add."""
+    table = [(0,) * width]
+    for v in vecs:
+        # entries x + c q^i, c = 1..q-1, after the entries x below q^i
+        size = len(table)
+        for _ in range(q - 1):
+            table += [tuple(map(add, row, v)) for row in table[-size:]]
+    return table
 
 
 def check_code_params(n: int, m: int, k: int):
@@ -238,24 +248,33 @@ def _walk(code: GabidulinCode, start: Sequence[int],
         yield word
 
 
-def _lane_walk(
-        code: GabidulinCode) -> Iterator[Tuple[int, List[List[int]]]]:
-    """Every codeword, in batches of lanes = q^b codewords side by side,
-    b the largest with q^b <= 2^LANE_BITS and b <= mk: yields (lanes,
-    slices), where lane L of slices[j][p], a lane int of
-    gfmatrix.lane_layout(lanes, q), is digit p of coordinate j of lane L's
-    codeword.  Lane L's message has L's base-q digits as its b low digits
-    and the batch's high part above them, which _walk visits over
-    contributions b.. in Gray order.  Each digit of a codeword is
-    GF(q)-linear in the message digits, so the slices of the low part are
-    sums of the lane patterns of the b low digits, each a repunit multiple
-    of one block, built once per call; a batch adds each digit d of its
-    high part to every lane, as d ones."""
+def _lane_digits(code: GabidulinCode) -> int:
+    """b, the number of low message digits that vary across the lanes of
+    one _lane_walk batch: the largest with q^b <= 2^LANE_BITS and b <= mk."""
+    q, b = code.q, 0
+    while (b < len(code._basis_contributions)
+           and q ** (b + 1) <= 1 << LANE_BITS):
+        b += 1
+    return b
+
+
+def _lane_walk(code: GabidulinCode) -> Iterator[
+        Tuple[int, Tuple[int, ...], List[List[int]]]]:
+    """Every codeword, in batches of lanes = q^b codewords side by side, b
+    from _lane_digits: yields (lanes, high, slices), where lane L of
+    slices[j][p], a lane int of gfmatrix.lane_layout(lanes, q), is digit p
+    of coordinate j of lane L's codeword.  Lane L's message has L's base-q
+    digits as its b low digits and the batch's high part above them, which
+    _walk visits over contributions b.. in Gray order; high is the
+    codeword of that high part, lane 0's, which every lane adds to the
+    codeword of its low digits.  Each digit of a codeword is GF(q)-linear
+    in the message digits, so the slices of the low part are sums of the
+    lane patterns of the b low digits, each a repunit multiple of one
+    block, built once per call; a batch adds each digit d of high to every
+    lane, as d ones."""
     contribs = code._basis_contributions
     q, m = code.q, code.m
-    b = 0
-    while b < len(contribs) and q ** (b + 1) <= 1 << LANE_BITS:
-        b += 1
+    b = _lane_digits(code)
     lay = gfmatrix.lane_layout(q ** b, q)
     w, add, digits = lay.w, lay.add, code.field.digits
     low = [[0] * m for _ in range(code.n)]
@@ -271,9 +290,9 @@ def _lane_walk(
                 if d:
                     row[p] = add(row[p], times[d])
     for high in _walk(code, (0,) * code.n, b):
-        yield lay.count, [[add(s, lay.digit[d]) if d else s
-                           for s, d in zip(row, digits(h))]
-                          for h, row in zip(high, low)]
+        yield lay.count, tuple(high), [[add(s, lay.digit[d]) if d else s
+                                        for s, d in zip(row, digits(h))]
+                                       for h, row in zip(high, low)]
 
 
 def codewords(code: GabidulinCode,
@@ -333,8 +352,9 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
                    budget: int = BALL_BUDGET) -> List[RankWord]:
     """All codewords within rank distance tau of center, by brute force.
 
-    This is the ground-truth oracle for every list-size claim.  Output is
-    sorted by coordinate serials.
+    The per-codeword reference oracle: one rank test per codeword, the
+    definition the other two oracles are checked against; exact_ball runs
+    ball_by_lanes in its place.  Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
     if code.size > budget:
@@ -423,18 +443,56 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     return [RankWord(field, c) for c in found]
 
 
+def ball_by_lanes(code: GabidulinCode, center: RankWord,
+                  tau: int) -> List[RankWord]:
+    """The ball of enumerate_ball, one gfmatrix.rank_lanes_exceed call per
+    batch of _lane_walk.  Each slice less the center's digit, in every
+    lane, is that digit of c - center lane by lane, so the lanes the call
+    does not return are the ball.  A ball word is rebuilt from its lane
+    index L: the batch's high part, plus the codeword of L's b base-q
+    digits, read from two tables of partial sums of the b low basis
+    codewords, q^floor(b/2) sums of the low half and q^ceil(b/2) of the
+    high half, built once per call.  Output is sorted by coordinate
+    serials."""
+    _check_code_context(code, center)
+    field, q, n = code.field, code.q, code.n
+    b = _lane_digits(code)
+    contribs = code._basis_contributions
+    lo = _digit_sums(contribs[:b // 2], n, q, field.add)
+    hi = _digit_sums(contribs[b // 2:b], n, q, field.add)
+    split = len(lo)
+    minus = [[-d % q for d in field.digits(c)] for c in center.coords]
+    found = []
+    for lanes, high, slices in _lane_walk(code):
+        lay = gfmatrix.lane_layout(lanes, q)
+        diff = [[lay.add(s, lay.digit[d]) if d else s
+                 for s, d in zip(row, neg)]
+                for row, neg in zip(slices, minus)]
+        inside = lay.ones ^ gfmatrix.rank_lanes_exceed([], diff, tau,
+                                                       lanes, q)
+        bits = bin(inside)[:1:-1]     # bit w L is lane L's flag
+        i = bits.find("1")
+        while i >= 0:
+            lane = i // lay.w
+            found.append(tuple(map(field.add, high, map(
+                field.add, lo[lane % split], hi[lane // split]))))
+            i = bits.find("1", i + 1)
+    found.sort()
+    return [RankWord(field, c) for c in found]
+
+
 def exact_ball(code: GabidulinCode, center: RankWord, tau: int,
                budget: int = BALL_BUDGET) -> List[RankWord]:
     """The ball from ball_by_supports where tau < d and its
     sum_{t<=tau} [n,t]_q supports are fewer than the q^(mk) codewords, else
-    from enumerate_ball; over budget exactly where enumerate_ball is."""
+    from ball_by_lanes; over budget exactly where enumerate_ball is."""
     _check_code_context(code, center)
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
     if tau < code.min_distance and code.size > sum(
             gaussian_binomial(code.n, t, code.q) for t in range(tau + 1)):
         return ball_by_supports(code, center, tau)
-    return enumerate_ball(code, center, tau, budget)
+    return ball_by_lanes(code, center, tau)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,8 @@ Next to that loop, rank_lanes_exceed() runs the same top-digit elimination
 with the same digit arithmetic turned sideways: lane L of a lane int holds
 one digit of the L-th of thousands of independent sets of vectors, so one
 pass tests all their ranks, each pivot's presence a lane mask.  It exists
-for the lifted count, where the codewords of one batch share every
+for the two scans that test every codeword, the lifted count and the ball
+of gabidulin.ball_by_lanes, where the codewords of one batch share every
 operation and a call per word costs far more in interpreter overhead than
 in arithmetic.
 """
@@ -42,9 +43,11 @@ def _inv_mod(a: int, q: int) -> int:
 def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
                    room: int) -> bool:
     """Add vecs to basis (bit length -> vector); True iff > room are new."""
-    # _eliminate's q = 2 case, kept apart and as it is: rank_gf2_exceeds
-    # runs it once per codeword of the q = 2 ball scan, and folding it into
-    # the odd-q loop, or routing _clear's XOR through LaneLayout.add,
+    # _eliminate's q = 2 case, kept apart and as it is: it runs under
+    # every q = 2 basis(), rref() and supports-walk step, and per codeword
+    # of gabidulin.enumerate_ball, the reference scan, via
+    # rank_gf2_exceeds.  While that scan was exact_ball's, folding this
+    # into the odd-q loop, or routing _clear's XOR through LaneLayout.add,
     # made the benchmark's q = 2 verify and lift-verify stages 10-35% slower
     for v in vecs:
         while v:

@@ -158,7 +158,7 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
         # lane L's row j: its m slices of coordinate j, then the identity
         # slice, 1 in every lane, at m + j
         count = 0
-        for lanes, slices in _lane_walk(code):
+        for lanes, _, slices in _lane_walk(code):
             ones = gfmatrix.lane_layout(lanes, q).ones
             rows = [[*s, *(0,) * j, ones] for j, s in enumerate(slices)]
             count += lanes - gfmatrix.rank_lanes_exceed(

@@ -38,6 +38,7 @@ from ranklab.gabidulin import (
     RankWord,
     _lane_walk,
     _walk,
+    ball_by_lanes,
     ball_by_supports,
     codewords,
     contains,
@@ -128,16 +129,22 @@ def test_walk_visits_every_codeword_once_one_step_apart(monkeypatch, q, n, m,
     # the lane walk holds every codeword once across its lanes, in batches
     # of q^b lanes, q^b <= 2^LANE_BITS: one lane at LANE_BITS = 1 on odd
     # q, several batches at 1 and 3, one batch where mk is smaller; lane L
-    # of the first batch has L's base-q digits as its message digits
+    # of the first batch has L's base-q digits as its message digits, and
+    # lane 0 of every batch holds the high part the batch yields
     for bits in (1, 3, gabidulin.LANE_BITS):
         monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
         b = min(m * k, max(e for e in range(bits + 1) if q ** e <= 2 ** bits))
+        assert gabidulin._lane_digits(code) == b
         w = gfmatrix.lane_layout(q ** b, q).w
-        batches = [[tuple(sum((x >> lane * w & (1 << w) - 1) * q ** p
-                              for p, x in enumerate(row))
-                          for row in slices) for lane in range(lanes)]
-                   for lanes, slices in _lane_walk(code)]
+        batches, highs = [], []
+        for lanes, high, slices in _lane_walk(code):
+            batches.append([tuple(sum((x >> lane * w & (1 << w) - 1) * q ** p
+                                      for p, x in enumerate(row))
+                                  for row in slices)
+                            for lane in range(lanes)])
+            highs.append(high)
         assert all(len(batch) == q ** b for batch in batches)
+        assert highs == [batch[0] for batch in batches]
         assert sorted(x for batch in batches for x in batch) == sorted(words)
         for lane, word in enumerate(batches[0]):
             expect = (0,) * code.n
@@ -286,24 +293,73 @@ ORACLE_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 3),
                 (5, 2, 2, 1, 0), (5, 2, 4, 1, 0), (5, 4, 4, 1, 2)]
 
 
-@pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
-def test_ball_by_supports_equals_enumerate_ball(q, n, m, k, s):
+def _oracle_centers(q, n, m, k, s):
+    """The code of an ORACLE_CODES entry and three centers: two random
+    words, and a codeword plus an error of rank one, so that small radii
+    are not empty."""
     rng = random.Random(f"supports:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     f = code.field
     centers = [RankWord(f, tuple(rng.randrange(f.order)
                                  for _ in range(code.n)))
                for _ in range(2)]
-    # a codeword plus an error of rank one, so that small radii are not
-    # empty
     word = next(w for i, w in enumerate(codewords(code)) if i == 5)
     alpha = rng.randrange(1, f.order)
     centers.append(RankWord(f, tuple(f.add(c, f.mul(j % q, alpha))
                                      for j, c in enumerate(word.coords))))
+    return code, centers
+
+
+@pytest.fixture(scope="module")
+def reference_ball():
+    """enumerate_ball, computed once per code, center and radius for the
+    tests of this module that check another oracle against it on
+    _oracle_centers; the ball is empty below radius 0 and the whole code
+    from radius n on, the largest rank weight, so those two take no scan."""
+    balls = {}
+
+    def ball(code, center, tau):
+        if tau < 0:
+            return []
+        if tau >= code.n:
+            return sorted(codewords(code), key=lambda w: w.coords)
+        key = (code, center, tau)
+        if key not in balls:
+            balls[key] = enumerate_ball(code, center, tau)
+        return balls[key]
+    return ball
+
+
+@pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
+def test_ball_by_supports_equals_enumerate_ball(reference_ball, q, n, m, k,
+                                                s):
+    code, centers = _oracle_centers(q, n, m, k, s)
     for center in centers:
         for tau in range(code.min_distance):
             assert ball_by_supports(code, center, tau) \
-                == enumerate_ball(code, center, tau)
+                == reference_ball(code, center, tau)
+
+
+# ORACLE_CODES whose lane scan also runs at 2^LANE_BITS = 2 and 8: many
+# batches, an odd b whose two tables of low-digit sums differ in size, and
+# on odd q batches of one lane
+SMALL_BATCH_CODES = {(2, 4, 4, 2, 0), (3, 2, 4, 1, 0), (5, 2, 2, 1, 0)}
+
+
+@pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
+def test_ball_by_lanes_equals_enumerate_ball(monkeypatch, reference_ball, q,
+                                             n, m, k, s):
+    # every radius from -1 to n, so also tau >= d and the whole code
+    code, centers = _oracle_centers(q, n, m, k, s)
+    bits = [gabidulin.LANE_BITS]
+    if (q, n, m, k, s) in SMALL_BATCH_CODES:
+        bits += [1, 3]
+    for center in centers:
+        for tau in range(-1, code.n + 1):
+            ball = reference_ball(code, center, tau)
+            for b in bits:
+                monkeypatch.setattr(gabidulin, "LANE_BITS", b)
+                assert ball_by_lanes(code, center, tau) == ball, (tau, b)
 
 
 @pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
@@ -313,7 +369,8 @@ def test_every_ball_oracle_is_empty_at_negative_radius(q, n, m, k, s):
     word = next(iter(codewords(code)))
     for center in (word, RankWord(code.field, tuple(
             rng.randrange(code.field.order) for _ in range(code.n)))):
-        for oracle in (enumerate_ball, ball_by_supports, exact_ball):
+        for oracle in (enumerate_ball, ball_by_lanes, ball_by_supports,
+                       exact_ball):
             assert oracle(code, center, -1) == [], oracle
 
 
@@ -321,14 +378,14 @@ def test_exact_ball_dispatch_compares_supports_with_codewords(monkeypatch):
     calls = []
     monkeypatch.setattr(gabidulin, "ball_by_supports",
                         lambda *a: calls.append("supports") or [])
-    monkeypatch.setattr(gabidulin, "enumerate_ball",
-                        lambda *a: calls.append("words") or [])
+    monkeypatch.setattr(gabidulin, "ball_by_lanes",
+                        lambda *a: calls.append("lanes") or [])
     cases = [((2, 6, 6, 3), 2, "supports"),     # 715 supports, 2^18 words
              ((3, 4, 4, 2), 2, "supports"),     # 171 supports, 3^8 words
-             ((2, 8, 16, 1), 4, "words"),       # 308,993 supports, 2^16
-             ((5, 4, 4, 1), 2, "words"),        # 963 supports, 625 words
-             ((2, 6, 6, 3), 4, "words"),        # tau >= d
-             ((2, 4, 4, 2), 3, "words")]        # tau = d
+             ((2, 8, 16, 1), 4, "lanes"),       # 308,993 supports, 2^16
+             ((5, 4, 4, 1), 2, "lanes"),        # 963 supports, 625 words
+             ((2, 6, 6, 3), 4, "lanes"),        # tau >= d
+             ((2, 4, 4, 2), 3, "lanes")]        # tau = d
     for (q, n, m, k), tau, oracle in cases:
         code = make_code(q, n, m, k)
         calls.clear()
@@ -419,7 +476,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 BALL_SIZES = json.loads((BENCH / "ball_sizes.json").read_text())
 # the supports oracle takes about 6-10 s and 4-6 s on these two (308,993
 # and 45,256 supports, against 2^16 and 3^6 codewords); exact_ball runs
-# brute force on both, so only that oracle is checked here
+# the lane scan on both, so only the two codeword scans are checked here
 DENSE_SUPPORTS = {"q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3"}
 
 
@@ -447,6 +504,7 @@ def test_ball_oracles_give_the_stored_ball_sizes(name):
     ball = enumerate_ball(inst.code, inst.center, inst.tau)
     assert len(ball) == BALL_SIZES[name]
     assert exact_ball(inst.code, inst.center, inst.tau) == ball
+    assert ball_by_lanes(inst.code, inst.center, inst.tau) == ball
     if name not in DENSE_SUPPORTS:
         assert ball_by_supports(inst.code, inst.center, inst.tau) == ball
 
