@@ -374,13 +374,13 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
     return [RankWord(code.field, c) for c in found]
 
 
-def _extend_support(ech: dict, cols: list, q: int) -> dict:
-    """A copy of the echelon basis ech extended by the _spread syndrome
-    columns of one more support row; InvariantViolation unless every one
-    of them is new."""
+def _extend_support(ech: dict, cols: list, tags: int, q: int) -> dict:
+    """A copy of the echelon basis ech extended by the gfmatrix._tag
+    syndrome columns of one more support row; InvariantViolation where a
+    column's syndrome digits cancel, leaving a key at or below its tags."""
     child = dict(ech)
     gfmatrix._eliminate(cols, child, len(cols), q)
-    if len(child) - len(ech) < len(cols):
+    if min(child) <= tags:
         raise InvariantViolation("a support's syndrome columns are dependent")
     return child
 
@@ -394,51 +394,44 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     x_si of a solve sum x_si _syndrome(x^i b_s) = _syndrome(center).  The
     supports B with t <= tau come from rref_walk(n, range(tau + 1), q).
     Each copies its parent's echelon basis of syndrome columns, eliminates
-    the m columns x^i b of its new row b into it, and reduces its parent's
-    residue of _syndrome(center) further.  Below d the code is MRD, so all
-    m columns are new; InvariantViolation where they are not.  A zero
-    residue, a hit, is solved again from scratch by gfmatrix.coordinates
-    on the node's mt columns, InvariantViolation if that finds no
-    solution; a counts only if its entries are GF(q)-independent, so each
-    word is found once, under its error's row space.  Output is sorted by
-    coordinate serials.
+    the m columns x^i b of its new row b_s into it, each shifted up by
+    T = m*tau digits and tagged at digit s*m + i (gfmatrix._tag, cached
+    per depth and row), and reduces its parent's residue of
+    _syndrome(center) * q^T further.  Below d the code is MRD, so no
+    column's syndrome digits cancel; InvariantViolation where they do.  A
+    residue below q^T, a hit, holds the x_si in its tag digits; a counts
+    only if its entries are GF(q)-independent, so each word is found once,
+    under its error's row space.  Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
-    field, q, n = code.field, code.q, code.n
+    field, q, n, m = code.field, code.q, code.n, code.m
     table = code._syndrome_table
-    target = _syndrome(code, center.coords)
+    tags = m * max(tau, 0)
+    floor = gfmatrix._spread(q ** tags, q)
     found = []
-    spread = {}     # row b -> its m syndrome columns, gfmatrix._spread
-
-    def hit(rows):
-        t = len(rows)
-        x = gfmatrix.coordinates([c for b in rows for c in table[b]],
-                                 target, q)
-        if x is None:
-            raise InvariantViolation(
-                f"support {rows} holds the syndrome by one elimination "
-                "and not by the other")
-        a = [x // field.order ** s % field.order for s in range(t)]
-        if len(gfmatrix.basis(a, q)) < t:
-            return
-        err = [0] * n
-        for a_s, b in zip(a, rows):
-            err = [field.add(e, field.mul(a_s, b // q ** j % q))
-                   for j, e in enumerate(err)]
-        found.append(tuple(map(field.sub, center.coords, err)))
-
+    cols = [{} for _ in range(tau + 1)]   # depth -> row b -> its columns
     # state[t]: echelon basis and residue of the support rows[:t]
-    state = [({}, gfmatrix._spread(target, q))]
+    state = [({}, gfmatrix._spread(_syndrome(code, center.coords)
+                                   * q ** tags, q))]
     for rows in rref_walk(n, range(tau + 1), q):
         t = len(rows)
         if t:
             b = rows[-1]
-            if b not in spread:
-                spread[b] = [gfmatrix._spread(v, q) for v in table[b]]
-            ech = _extend_support(state[t - 1][0], spread[b], q)
+            col = cols[t].get(b)
+            if col is None:
+                col = cols[t][b] = gfmatrix._tag(table[b], (t - 1) * m,
+                                                 tags, q)
+            ech = _extend_support(state[t - 1][0], col, tags, q)
             state[t:] = [(ech, gfmatrix._reduce(state[t - 1][1], ech, q))]
-        if not state[t][1]:
-            hit(rows)
+        if state[t][1] < floor:
+            x = gfmatrix._pack(state[t][1], q)
+            a = [x // field.order ** s % field.order for s in range(t)]
+            if len(gfmatrix.basis(a, q)) == t:
+                err = [0] * n
+                for a_s, row in zip(a, rows):
+                    err = [field.add(e, field.mul(a_s, row // q ** j % q))
+                           for j, e in enumerate(err)]
+                found.append(tuple(map(field.sub, center.coords, err)))
     found.sort()
     return [RankWord(field, c) for c in found]
 

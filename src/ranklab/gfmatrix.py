@@ -10,9 +10,8 @@ stored, and returns them so; solve() alone takes matrix rows, and packs
 them itself.  The dicts of basis() and tagged_basis() hold the loop's own
 form: callers read their size or pass them back.  basis()
 gives the rank, rank_gf2_exceeds() stops once a GF(2) rank passes a limit,
-from a copy of a start basis, and tagged_basis()/reduce_tagged() eliminate
-a set of vectors once and then reduce any number of targets against it
-(coordinates() is the two in one call), and nullspace() reads their linear
+and tagged_basis()/reduce_tagged() eliminate a set of vectors once and then
+reduce any number of targets against it, and nullspace() reads their linear
 relations off the same tagged elimination.  rref() is the canonical basis of
 a span: each vector's pivot is its top nonzero digit, the key the loop
 stores it under; this module is the only place that convention lives.
@@ -151,15 +150,25 @@ def _pack(x: int, q: int) -> int:
     return out
 
 
+def _tag(vecs: Sequence[int], first: int, t: int, q: int) -> List[int]:
+    """The _spread vectors vecs[j] * q^t + (q - 1) q^(first + j): each
+    carries the tag digit q - 1 at position first + j < t, below its own
+    digits.  Where vecs are independent, their elimination keeps every key
+    above t, and a target * q^t reduced against it lies below q^t exactly
+    when target is sum_j x_j vecs[j]; its digit first + j then reads
+    -(q - 1) x_j = x_j."""
+    w = lane_layout(1, q).w
+    return [_spread(v, q) << w * t | (q - 1) << w * (first + j)
+            for j, v in enumerate(vecs)]
+
+
 def _tagged(vecs: Sequence[int], q: int) -> dict:
-    """basis() of the vectors vecs[i] * q^t + (q - 1) q^i, t = len(vecs):
-    each carries the tag digit q - 1 at position i, below its own digits.
-    A key <= t is a vector whose own digits cancelled: its tag digits x
-    have sum_i x_i vecs[i] = 0."""
-    t = len(vecs)
-    shift = q ** t
-    return basis([v * shift + (q - 1) * q ** i for i, v in enumerate(vecs)],
-                 q)
+    """basis() of _tag(vecs, 0, t, q), t = len(vecs).  A key <= t is a
+    vector whose own digits cancelled: its tag digits x have
+    sum_i x_i vecs[i] = 0."""
+    out: dict = {}
+    _eliminate(_tag(vecs, 0, len(vecs), q), out, len(vecs), q)
+    return out
 
 
 def nullspace(vecs: Sequence[int], q: int) -> Tuple[int, ...]:
@@ -191,13 +200,6 @@ def reduce_tagged(tagged: dict, target: int, q: int) -> Tuple[int, int]:
                   shift)
 
 
-def coordinates(vecs: Sequence[int], target: int, q: int) -> Optional[int]:
-    """x packed base q (digit i is x_i) with sum_i x_i vecs[i] = target
-    over GF(q), or None when target is outside their span."""
-    residue, x = reduce_tagged(tagged_basis(vecs, q), target, q)
-    return None if residue else x
-
-
 def basis(vecs: Sequence[int], q: int) -> dict:
     """Echelon basis of packed GF(q) vectors; its size is their rank."""
     out: dict = {}
@@ -211,12 +213,8 @@ def rank_gf2(vecs: Sequence[int]) -> int:
     return len(basis(vecs, 2))
 
 
-def rank_gf2_exceeds(vecs: Sequence[int], limit: int,
-                     start: Optional[Dict[int, int]] = None) -> bool:
-    """True iff the GF(2) rank of start's vectors and vecs is > limit;
-    start is a basis(), which each call extends in a copy."""
-    if start:
-        return _eliminate_gf2(vecs, dict(start), limit - len(start))
+def rank_gf2_exceeds(vecs: Sequence[int], limit: int) -> bool:
+    """True iff the GF(2) rank of vecs is > limit, stopping once it is."""
     return _eliminate_gf2(vecs, {}, limit)
 
 

@@ -41,7 +41,6 @@ from ranklab.gabidulin import (
     ball_by_lanes,
     ball_by_supports,
     codewords,
-    contains,
     encode,
     enumerate_ball,
     evaluate_word,
@@ -294,9 +293,10 @@ ORACLE_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 3),
 
 
 def _oracle_centers(q, n, m, k, s):
-    """The code of an ORACLE_CODES entry and three centers: two random
-    words, and a codeword plus an error of rank one, so that small radii
-    are not empty."""
+    """The code of an ORACLE_CODES entry and four centers: two random
+    words, a codeword plus an error of rank one, so that small radii are
+    not empty, and that codeword itself, the center of every ball it is
+    in."""
     rng = random.Random(f"supports:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     f = code.field
@@ -307,6 +307,7 @@ def _oracle_centers(q, n, m, k, s):
     alpha = rng.randrange(1, f.order)
     centers.append(RankWord(f, tuple(f.add(c, f.mul(j % q, alpha))
                                      for j, c in enumerate(word.coords))))
+    centers.append(word)
     return code, centers
 
 
@@ -411,23 +412,30 @@ def test_exact_ball_budget_is_enumerate_ball_budget():
 def test_ball_by_supports_expands_each_support_once(q, n, m, k, s,
                                                     monkeypatch):
     # one child elimination per support of dimension 1..tau, none for
-    # the root (the empty support) and none for the re-solve at a hit
+    # the root (the empty support), and no tagged elimination once the
+    # code's message system is built: a hit is read off the walk's own
+    # residue, not solved again
     rng = random.Random(f"expand:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     center = RankWord(code.field, tuple(rng.randrange(code.field.order)
                                         for _ in range(code.n)))
+    code._message_system
     extend = gabidulin._extend_support
-    calls = []
+    calls, tagged = [], []
     monkeypatch.setattr(gabidulin, "_extend_support",
                         lambda *a: calls.append(a) or extend(*a))
+    for name in ("tagged_basis", "_tagged"):
+        monkeypatch.setattr(gfmatrix, name,
+                            lambda *a, name=name: tagged.append(name))
     for tau in range(code.min_distance):
         calls.clear()
         ball_by_supports(code, center, tau)
         assert len(calls) == sum(gaussian_binomial(code.n, t, q)
                                  for t in range(1, tau + 1)), tau
+    assert tagged == []
 
 
-def test_ball_by_supports_raises_on_dependent_columns(monkeypatch):
+def test_ball_by_supports_raises_on_dependent_columns():
     # at t = d a support of a minimum-weight codeword has dependent columns
     code = make_code(2, 4, 4, 2)
     center = RankWord(code.field, (3, 0, 7, 12))
@@ -447,34 +455,11 @@ def test_ball_by_supports_raises_on_dependent_columns(monkeypatch):
     for case in cases:
         with pytest.raises(InvariantViolation):
             ball_by_supports(*case)
-    # the walk's own elimination raises, not only the re-solve at a hit
-    monkeypatch.setattr(gfmatrix, "coordinates", lambda *a: 0)
-    for case in cases:
-        with pytest.raises(InvariantViolation):
-            ball_by_supports(*case)
-
-
-@pytest.mark.parametrize("q, n, m, k", [(2, 4, 4, 2), (3, 4, 4, 2),
-                                        (5, 2, 4, 1)])
-def test_ball_by_supports_raises_where_the_re_solve_disagrees(q, n, m, k,
-                                                               monkeypatch):
-    # a zero residue in the walk that the hit's own elimination does not
-    # confirm stops the oracle at that first hit; no word is dropped
-    code = make_code(q, n, m, k)
-    center = RankWord(code.field, tuple(range(3, n + 3)))
-    tau = code.min_distance - 1
-    assert not contains(code, center) and enumerate_ball(code, center, tau)
-    calls = []
-    monkeypatch.setattr(gfmatrix, "coordinates",
-                        lambda *a: calls.append(a))
-    with pytest.raises(InvariantViolation):
-        ball_by_supports(code, center, tau)
-    assert len(calls) == 1
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BALL_SIZES = json.loads((BENCH / "ball_sizes.json").read_text())
-# the supports oracle takes about 6-10 s and 4-6 s on these two (308,993
+# the supports oracle takes about 6-7 s and 1-2 s on these two (308,993
 # and 45,256 supports, against 2^16 and 3^6 codewords); exact_ball runs
 # the lane scan on both, so only the two codeword scans are checked here
 DENSE_SUPPORTS = {"q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3"}

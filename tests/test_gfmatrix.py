@@ -124,7 +124,7 @@ def test_solve_matches_brute_force(q):
 @pytest.mark.parametrize("q", QS)
 def test_reduce_tagged_matches_brute_force(q):
     # the residue is linear in the target and zero exactly on the span,
-    # whose coordinates the tags then hold, as coordinates() returns them
+    # whose coordinates the tags then hold
     # wide targets have nonzero digits above every key of the tagged basis
     # too: 8 digits above the vectors', 72 bits and more on q = 5
     rng, wide = random.Random(f"tagged:{q}"), random.Random(f"wide:{q}")
@@ -153,7 +153,6 @@ def test_reduce_tagged_matches_brute_force(q):
                 (a * x + y) % q for x, y in zip(_unpack(rs, q, width),
                                                 _unpack(rt, q, width)))
             assert (rs == 0) == (s in span)
-            assert gfmatrix.coordinates(vecs, s, q) == span.get(s)
             if s in span:
                 assert xs == span[s]
         for _ in range(4):
@@ -168,7 +167,6 @@ def test_reduce_tagged_matches_brute_force(q):
                 (a * x + y) % q for x, y in zip(_unpack(rs, q, width + 8),
                                                 _unpack(rt, q, width + 8)))
             assert rs and rs // q ** width == s // q ** width
-            assert gfmatrix.coordinates(vecs, s, q) is None
 
 
 def _reference_nullspace(cols, q, width):

@@ -7,8 +7,9 @@ runs `gen-*`, `verify --out`, `lift-verify --out`, `lift-verify --tau-s
 the lifted count is not held equal to the rank-level ball), `lift-verify
 --tau-s <2 tau - 1> --out` (floor(tau_s/2) = tau - 1, where the lifted count
 falls below the rank-level ball, so the report fails with exit 1), `ball
---out` and `bounds --out` (with the instance's q, n, m, k, g and s) with
-the ranklab found in SRC/src and writes into OUTDIR:
+--out`, `ball --tau <d - 1> --out` and `bounds --out` (with the instance's
+q, n, m, k, g and s) with the ranklab found in SRC/src and writes into
+OUTDIR:
 
     <instance>.instance.json            the gen output
     <instance>.verify.json              the verify report
@@ -20,19 +21,25 @@ the ranklab found in SRC/src and writes into OUTDIR:
     <instance>.ball-wide.json           the same ball, with the budget
                                         raised to the code's size (see
                                         below)
+    <instance>.ball-dense.json          the exact ball at radius d - 1,
+                                        the largest below the minimum
+                                        distance d = n - k + 1: where the
+                                        supports oracle runs there, its
+                                        walk meets the most hits (1,101
+                                        words on each q = 2 Gab[6,3])
     <instance>.bounds.json              the bound table
     <instance>.<stage>.log              exit code, stdout and stderr of
                                         each call, stage being one of gen,
                                         verify, lift-verify,
                                         lift-verify-wide,
-                                        lift-verify-narrow, ball, ball-wide
-                                        and bounds
+                                        lift-verify-narrow, ball, ball-wide,
+                                        ball-dense and bounds
 
-A code over the ball budget writes no ball file; its ball log records the
-exit code 2 and the BudgetExceeded error.  Where such a code has at most
-WIDE_SUPPORTS error supports of rank <= tau (sum_{t<=tau} [n,t]_q),
-`ball --budget <q^(mk)> --out` also runs, so the supports oracle reaches
-the byte diff on a code beyond brute force.
+A code over the ball budget writes no ball or ball-dense file; its ball
+and ball-dense logs record the exit code 2 and the BudgetExceeded error.
+Where such a code has at most WIDE_SUPPORTS error supports of rank <= tau
+(sum_{t<=tau} [n,t]_q), `ball --budget <q^(mk)> --out` also runs, so the
+supports oracle reaches the byte diff on a code beyond brute force.
 
 Paths handed to the CLI are relative to OUTDIR, so the logs do not name it.
 Two source trees give the same reports iff `diff -r` of their OUTDIRs is
@@ -71,9 +78,9 @@ def run_stage(cli, argv):
 
 def stages(inst, path):
     """(stage, argv) of each CLI call on one instance, gen first.  A
-    generator, so that the radius of the wide and narrow lift-verify and
-    of the wide ball is read from the file only after gen has written
-    it."""
+    generator, so that the radius of the wide and narrow lift-verify, of
+    the wide ball and of the dense ball is read from the file only after
+    gen has written it."""
     from ranklab.gabidulin import BALL_BUDGET
     from ranklab.subspace import gaussian_binomial
 
@@ -82,7 +89,8 @@ def stages(inst, path):
     for s in ("verify", "lift-verify"):
         yield s, [s, "--in", path, "--out", f"{name}.{s}.json"]
     with open(path, encoding="ascii") as fh:
-        tau = json.load(fh)["tau"]
+        written = json.load(fh)
+    tau = written["tau"]
     for s, tau_s in (("lift-verify-wide", 2 * tau + 2),
                      ("lift-verify-narrow", 2 * tau - 1)):
         yield s, ["lift-verify", "--in", path, "--tau-s", str(tau_s),
@@ -94,6 +102,9 @@ def stages(inst, path):
     if size > BALL_BUDGET and supports <= WIDE_SUPPORTS:
         yield "ball-wide", ["ball", "--in", path, "--budget", str(size),
                             "--out", f"{name}.ball-wide.json"]
+    dense = written["code"]["n"] - written["code"]["k"]
+    yield "ball-dense", ["ball", "--in", path, "--tau", str(dense),
+                         "--out", f"{name}.ball-dense.json"]
     yield "bounds", [
         "bounds", "--q", str(inst.q), "--n", str(inst.n), "--m", str(inst.m),
         "--k", str(inst.dim), "--g", str(inst.g), "--s", str(inst.s),
