@@ -169,6 +169,48 @@ def test_reduce_tagged_matches_brute_force(q):
             assert rs and rs // q ** width == s // q ** width
 
 
+@pytest.mark.parametrize("q", QS)
+def test_tag_reads_coordinates_at_an_offset(q):
+    # the layout the supports walk eliminates: two groups of vectors,
+    # tagged at digits first + j of t tag digits, the second group at
+    # an offset; every key stays above t where the vectors are
+    # independent, and a target * q^t reduces below q^t exactly on their
+    # span, its digit first + j then reading x_j
+    rng = random.Random(f"tag:{q}")
+    width = 6 if q == 2 else 4
+    for _ in range(30):
+        rows = _matrix(rng, q, rng.randrange(1, 5), width)
+        vecs = [_pack(r, q) for r in rows]
+        split = rng.randrange(len(vecs) + 1)
+        gap = rng.randrange(3)
+        t = len(vecs) + gap + rng.randrange(3)
+        cols = gfmatrix._tag(vecs[:split], 0, t, q) \
+            + gfmatrix._tag(vecs[split:], split + gap, t, q)
+        ech = {}
+        gfmatrix._eliminate(cols, ech, len(cols), q)
+        if reference.rank([_unpack(v, q, width) for v in vecs], q) \
+                < len(vecs):
+            assert min(ech) <= t
+            continue
+        assert min(ech) > t
+        span = {}
+        for x in itertools.product(range(q), repeat=len(vecs)):
+            span[_pack([sum(c * d for c, d in zip(x, col)) for col in zip(
+                *rows)], q)] = x
+        floor = gfmatrix._spread(q ** t, q)
+        for _ in range(12):
+            s = rng.randrange(q ** width)
+            r = gfmatrix._reduce(gfmatrix._spread(s * q ** t, q), ech, q)
+            assert (r < floor) == (s in span)
+            if s in span:
+                digits = _unpack(gfmatrix._pack(r, q), q, t)
+                x = span[s]
+                assert [digits[j] for j in range(split)] == list(x[:split])
+                assert [digits[split + gap + j]
+                        for j in range(len(vecs) - split)] \
+                    == list(x[split:])
+
+
 def _reference_nullspace(cols, q, width):
     """A basis of {x : sum_i x_i cols[i] = 0}, one vector per free column
     of the reference rref of the matrix with columns cols."""
