@@ -2,7 +2,8 @@
 
 subfield_linear_family grows the polynomials of the GF(q^g)-linear
 r-subspaces of GF(q^n) along subspace.rref_walk over GF(q^g), each from its
-parent's; they have nonzero coefficients only at indices divisible by g.
+parent's by one q^g-step per row; they have nonzero coefficients only at
+indices divisible by g.
 pigeonhole_subfamily extracts the largest bucket agreeing on the topmost
 coefficients.  orbit_poly_family builds the fully explicit family indexed
 by orbit representatives of GF(q^(gs)) and checks that every member's root
@@ -91,9 +92,10 @@ def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
     """Subspace polynomials of all r-subspaces that are GF(q^g)-linear.
 
     Walks the (r/g) x (n/g) RREF matrices over GF(q^g) and extends each
-    parent's polynomial by the new row's g GF(q)-basis vectors in GF(q^n)
-    (canonical subfield identification), so members come in walk order.
-    Every returned polynomial has nonzero coefficients only at indices
+    parent's polynomial by the GF(q^g)-line of the new row in GF(q^n)
+    (canonical subfield identification), one q^g-step of
+    extend_polynomial, so members come in walk order.  The walk keeps the
+    q^g-linearized coefficients; a member spreads them onto the indices
     divisible by g.  Raises BudgetExceeded above FAMILY_BUDGET members.
     """
     if g < 2 or not (0 < r < n):
@@ -112,27 +114,25 @@ def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
     # GF(q^g)-basis of GF(q^n): powers of the ambient generator
     gamma_pows = [ambient.pow(ambient.generator_serial, j)
                   for j in range(n // g)]
-    # GF(q)-basis of GF(q^g), embedded
-    sub_gen_pows = [scalar_image[sub.pow(sub.generator_serial, t)]
-                    for t in range(g)]
 
     members = []
-    polys = [[1]]   # polys[t]: the subspace polynomial of rows[:t]
+    polys = [[1]]   # polys[t]: the q^g-linearized polynomial of rows[:t]
+    lines = {}      # row -> the serial h whose GF(q^g)-line it spans
     for rows in rref_walk(n // g, range(r // g, r // g + 1), sub.order):
         t = len(rows)
         if t:
-            h, row = 0, rows[-1]
-            for pw in gamma_pows:
-                row, w = divmod(row, sub.order)
-                h = ambient.add(h, ambient.mul(scalar_image[w], pw))
-            coeffs = polys[t - 1]
-            for u in sub_gen_pows:
-                coeffs = extend_polynomial(ambient, coeffs, ambient.mul(u, h))
-            polys[t:] = [coeffs]
+            h = lines.get(rows[-1])
+            if h is None:
+                h, row = 0, rows[-1]
+                for pw in gamma_pows:
+                    row, w = divmod(row, sub.order)
+                    h = ambient.add(h, ambient.mul(scalar_image[w], pw))
+                lines[rows[-1]] = h
+            polys[t:] = [extend_polynomial(ambient, polys[t - 1], h, g)]
         if t == r // g:
-            require(all(c == 0 for i, c in enumerate(polys[t]) if i % g),
-                    "coefficient off the g-stride")
-            members.append(LinearizedPoly(ambient, polys[t]))
+            coeffs = [0] * (r + 1)
+            coeffs[::g] = polys[t]
+            members.append(LinearizedPoly(ambient, coeffs))
     require(len(members) == size, "family size is not [n/g, r/g]_(q^g)")
 
     params = FamilyParams(q=q, n=n, r=r, g=g, s=1, ell=(n - r) // g - 1)

@@ -494,8 +494,9 @@ def _eval_prime_poly(coeffs: Sequence[int], point: int, spec: FieldSpec) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _embedding_powers(src: FieldSpec, dst: FieldSpec) -> tuple:
-    """Powers (im^0 .. im^{src.e-1}) of the embedded source generator."""
+def embedded_basis(src: FieldSpec, dst: FieldSpec) -> tuple:
+    """The images in dst of the source basis serials q^0 .. q^(src.e-1):
+    the powers im^0 .. im^(src.e-1) of the embedded source generator."""
     _check_subfield(src, dst)
     step = (dst.order - 1) // (src.order - 1)
     t = dst.pow(dst.generator_serial, step)
@@ -517,7 +518,7 @@ def embed_serial(a: int, src: FieldSpec, dst: FieldSpec) -> int:
     """The fixed injective homomorphism GF(q^n) -> GF(q^m), n | m, on
     serials.  It maps the source generator to the smallest compatible power
     of gamma^((q^m-1)/(q^n-1)) and is the identity on the prime field."""
-    powers = _embedding_powers(src, dst)
+    powers = embedded_basis(src, dst)
     out = 0
     for c, p in zip(src.digits(a), powers):
         if c:

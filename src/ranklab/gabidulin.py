@@ -395,13 +395,14 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     supports B with t <= tau come from rref_walk(n, range(tau + 1), q).
     Each copies its parent's echelon basis of syndrome columns, eliminates
     the m columns x^i b of its new row b_s into it, each shifted up by
-    T = m*tau digits and tagged at digit s*m + i (gfmatrix._tag, cached
-    per depth and row), and reduces its parent's residue of
-    _syndrome(center) * q^T further.  Below d the code is MRD, so no
-    column's syndrome digits cancel; InvariantViolation where they do.  A
-    residue below q^T, a hit, holds the x_si in its tag digits; a counts
-    only if its entries are GF(q)-independent, so each word is found once,
-    under its error's row space.  Output is sorted by coordinate serials.
+    T = m*tau digits and tagged at digit s*m + i (gfmatrix._tag of the
+    row's columns, spread once per call, cached per depth and row), and
+    reduces its parent's residue of _syndrome(center) * q^T further.
+    Below d the code is MRD, so no column's syndrome digits cancel;
+    InvariantViolation where they do.  A residue below q^T, a hit, holds
+    the x_si in its tag digits; a counts only if its entries are
+    GF(q)-independent, so each word is found once, under its error's row
+    space.  Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
     field, q, n, m = code.field, code.q, code.n, code.m
@@ -409,6 +410,7 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     tags = m * max(tau, 0)
     floor = gfmatrix._spread(q ** tags, q)
     found = []
+    spread = {}                           # row b -> its _spread columns
     cols = [{} for _ in range(tau + 1)]   # depth -> row b -> its columns
     # state[t]: echelon basis and residue of the support rows[:t]
     state = [({}, gfmatrix._spread(_syndrome(code, center.coords)
@@ -419,7 +421,9 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
             b = rows[-1]
             col = cols[t].get(b)
             if col is None:
-                col = cols[t][b] = gfmatrix._tag(table[b], (t - 1) * m,
+                if b not in spread:
+                    spread[b] = [gfmatrix._spread(v, q) for v in table[b]]
+                col = cols[t][b] = gfmatrix._tag(spread[b], (t - 1) * m,
                                                  tags, q)
             ech = _extend_support(state[t - 1][0], col, tags, q)
             state[t:] = [(ech, gfmatrix._reduce(state[t - 1][1], ech, q))]

@@ -150,24 +150,25 @@ def _pack(x: int, q: int) -> int:
     return out
 
 
-def _tag(vecs: Sequence[int], first: int, t: int, q: int) -> List[int]:
-    """The _spread vectors vecs[j] * q^t + (q - 1) q^(first + j): each
-    carries the tag digit q - 1 at position first + j < t, below its own
-    digits.  Where vecs are independent, their elimination keeps every key
-    above t, and a target * q^t reduced against it lies below q^t exactly
-    when target is sum_j x_j vecs[j]; its digit first + j then reads
-    -(q - 1) x_j = x_j."""
+def _tag(spread: Sequence[int], first: int, t: int, q: int) -> List[int]:
+    """The vectors vecs[j] * q^t + (q - 1) q^(first + j), in _spread form
+    as spread[j] = _spread(vecs[j], q) is: each carries the tag digit
+    q - 1 at position first + j < t, below its own digits.  Where vecs are
+    independent, their elimination keeps every key above t, and a
+    target * q^t reduced against it lies below q^t exactly when target is
+    sum_j x_j vecs[j]; its digit first + j then reads -(q - 1) x_j = x_j."""
     w = lane_layout(1, q).w
-    return [_spread(v, q) << w * t | (q - 1) << w * (first + j)
-            for j, v in enumerate(vecs)]
+    return [v << w * t | (q - 1) << w * (first + j)
+            for j, v in enumerate(spread)]
 
 
 def _tagged(vecs: Sequence[int], q: int) -> dict:
-    """basis() of _tag(vecs, 0, t, q), t = len(vecs).  A key <= t is a
-    vector whose own digits cancelled: its tag digits x have
+    """basis() of the _tag of vecs at 0, t = len(vecs) tag digits.  A key
+    <= t is a vector whose own digits cancelled: its tag digits x have
     sum_i x_i vecs[i] = 0."""
     out: dict = {}
-    _eliminate(_tag(vecs, 0, len(vecs), q), out, len(vecs), q)
+    _eliminate(_tag([_spread(v, q) for v in vecs], 0, len(vecs), q), out,
+               len(vecs), q)
     return out
 
 

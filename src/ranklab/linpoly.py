@@ -12,20 +12,23 @@ from typing import Dict, Optional, Sequence
 
 from ranklab import gfmatrix
 from ranklab.errors import BudgetExceeded, FieldMismatch, StrideViolation
-from ranklab.field import FieldSpec, embed_serial
+from ranklab.field import FieldSpec, embedded_basis
 
 KERNEL_BUDGET = 1 << 20
 
 
-def evaluate(spec: FieldSpec, coeffs: Sequence[int], x: int) -> int:
-    """sum_i coeffs[i] * x^(q^i): the value at x of the linearized
-    polynomial with these coefficient serials."""
-    acc = 0
-    y = x
-    for a in coeffs:
+def evaluate(spec: FieldSpec, coeffs: Sequence[int], x: int,
+             step: int = 1) -> int:
+    """sum_i coeffs[i] * x^(q^(step*i)): the value at x of the linearized
+    polynomial with these coefficient serials, read as q^step-linearized
+    for step > 1.  One Frobenius power reaches each nonzero coefficient
+    from the last, over any run of zeros between them."""
+    acc, y, at = 0, x, 0
+    for i, a in enumerate(coeffs):
         if a:
+            if i > at:
+                y, at = spec.frobenius(y, step * (i - at)), i
             acc = spec.add(acc, spec.mul(a, y))
-        y = spec.frobenius(y, 1)
     return acc
 
 
@@ -271,7 +274,6 @@ def kernel(poly: LinearizedPoly, ambient: FieldSpec):
     embedded first when P lives over an extension of the ambient field."""
     from ranklab.subspace import Subspace
 
-    q = ambient.q
-    images = [poly.evaluate_serial(embed_serial(q ** i, ambient, poly.spec))
-              for i in range(ambient.e)]
-    return Subspace(ambient, gfmatrix.nullspace(images, q))
+    images = [poly.evaluate_serial(b)
+              for b in embedded_basis(ambient, poly.spec)]
+    return Subspace(ambient, gfmatrix.nullspace(images, ambient.q))

@@ -77,15 +77,18 @@ class Subspace:
 # Subspace polynomials
 # ----------------------------------------------------------------------
 
-def extend_polynomial(spec: FieldSpec, coeffs: List[int],
-                      b: int) -> List[int]:
-    """Coefficients of P(x)^q - P(b)^(q-1) * P(x): the subspace polynomial
-    of U + <b> from that of U.  Raises InvariantViolation when P(b) = 0,
-    that is when b lies in U."""
-    value = evaluate(spec, coeffs, b)
+def extend_polynomial(spec: FieldSpec, coeffs: List[int], b: int,
+                      step: int = 1) -> List[int]:
+    """Coefficients of P(x)^Q - P(b)^(Q-1) * P(x), Q = q^step: the
+    subspace polynomial of U + GF(Q)b from that of U, a GF(Q)-subspace
+    whose polynomial is Q-linearized, coefficient i at x^(Q^i).  Both
+    sides are monic of degree Q^(t+1) and the right one vanishes on every
+    u + cb, c in GF(Q).  Raises InvariantViolation when P(b) = 0, that is
+    when b lies in U."""
+    value = evaluate(spec, coeffs, b, step)
     require(value != 0, "extending vector lies in the subspace")
-    factor = spec.pow(value, spec.q - 1)
-    new = [0] + [spec.frobenius(a, 1) for a in coeffs]
+    factor = spec.pow(value, spec.q ** step - 1)
+    new = [0] + [spec.frobenius(a, step) for a in coeffs]
     for i, a in enumerate(coeffs):
         new[i] = spec.sub(new[i], spec.mul(factor, a))
     return new

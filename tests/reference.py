@@ -1,11 +1,14 @@
 """Test-only reference linear algebra over GF(q): the list-of-lists
 Gauss-Jordan loop, independent of gfmatrix's packed elimination loop, so
-that cross-checks do not compare that loop with itself; and the exhaustive
-root scan that linpoly.kernel replaced with one elimination."""
+that cross-checks do not compare that loop with itself; the exhaustive
+root scan that linpoly.kernel replaced with one elimination; and the
+GF(q)-step fold that constructions.subfield_linear_family replaced with one
+q^g-step per row."""
 
 from typing import List, Sequence, Tuple
 
-from ranklab.field import embed_serial
+from ranklab.field import embed_serial, make_field
+from ranklab.subspace import extend_polynomial, rref_walk
 
 Row = Tuple[int, ...]
 
@@ -57,3 +60,32 @@ def kernel_by_scan(poly, ambient) -> List[int]:
     extension of the ambient field."""
     return [x for x in ambient.elements()
             if poly.evaluate_serial(embed_serial(x, ambient, poly.spec)) == 0]
+
+
+def subfield_linear_fold(q: int, n: int, r: int, g: int) -> List[Row]:
+    """The coefficients of the subspace polynomials of the GF(q^g)-linear
+    r-subspaces of GF(q^n), in the order of rref_walk over GF(q^g): each
+    node extends its parent's polynomial by the g vectors u h, u the
+    embedded GF(q)-basis x^j of GF(q^g) and h the new row's serial
+    sum_j row_j gamma^j, one GF(q)-step of extend_polynomial each."""
+    ambient, sub = make_field(q, n), make_field(q, g)
+    units = [embed_serial(sub.pow(sub.generator_serial, j), sub, ambient)
+             for j in range(g)]
+    members, polys = [], [[1]]
+    for rows in rref_walk(n // g, range(r // g, r // g + 1), sub.order):
+        t = len(rows)
+        if t:
+            h = 0
+            for j in range(n // g):
+                digit = rows[-1] // sub.order ** j % sub.order
+                h = ambient.add(h, ambient.mul(
+                    embed_serial(digit, sub, ambient),
+                    ambient.pow(ambient.generator_serial, j)))
+            coeffs = polys[t - 1]
+            for u in units:
+                coeffs = extend_polynomial(ambient, coeffs,
+                                           ambient.mul(u, h))
+            polys[t:] = [coeffs]
+        if t == r // g:
+            members.append(tuple(polys[t]))
+    return members

@@ -37,6 +37,8 @@ from ranklab.subspace import (
     subspace_polynomial_product,
 )
 
+import reference
+
 F16 = make_field(2, 4)
 F64 = make_field(2, 6)
 
@@ -46,6 +48,17 @@ F64 = make_field(2, 6)
 def test_subfield_family_size(q, n, r, g):
     fam = subfield_linear_family(q, n, r, g)
     assert len(fam) == gaussian_binomial(n // g, r // g, q ** g)
+
+
+@pytest.mark.parametrize("q,n,r,g", [(2, 8, 4, 2), (2, 9, 3, 3),
+                                     (3, 6, 2, 2), (5, 4, 2, 2)])
+def test_subfield_family_is_the_gf_q_fold_in_walk_order(q, n, r, g):
+    # one q^g-step per row gives the GF(q)-step fold's members, in the
+    # same order: the pigeonhole bucket's codeword order, and so the
+    # instance bytes, depend on it
+    fam = subfield_linear_family(q, n, r, g)
+    assert [m.coeffs for m in fam.members] == \
+        reference.subfield_linear_fold(q, n, r, g)
 
 
 def test_subfield_family_stride_structure():

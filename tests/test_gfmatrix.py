@@ -184,8 +184,9 @@ def test_tag_reads_coordinates_at_an_offset(q):
         split = rng.randrange(len(vecs) + 1)
         gap = rng.randrange(3)
         t = len(vecs) + gap + rng.randrange(3)
-        cols = gfmatrix._tag(vecs[:split], 0, t, q) \
-            + gfmatrix._tag(vecs[split:], split + gap, t, q)
+        spread = [gfmatrix._spread(v, q) for v in vecs]
+        cols = gfmatrix._tag(spread[:split], 0, t, q) \
+            + gfmatrix._tag(spread[split:], split + gap, t, q)
         ech = {}
         gfmatrix._eliminate(cols, ech, len(cols), q)
         if reference.rank([_unpack(v, q, width) for v in vecs], q) \

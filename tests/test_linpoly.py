@@ -5,11 +5,12 @@ import random
 import pytest
 
 from ranklab.errors import FieldMismatch, StrideViolation
-from ranklab.field import embed_serial, make_field
+from ranklab.field import TABLE_LIMIT, embed_serial, make_field
 from ranklab.linpoly import (
     LinearizedPoly,
     OrdinaryPoly,
     divides_check,
+    evaluate,
     expand,
     field_vanishing_poly,
     kernel,
@@ -61,6 +62,40 @@ def test_evaluate_is_linear():
             rhs = spec.add(spec.mul(a, p.evaluate_serial(u)),
                            spec.mul(b, p.evaluate_serial(v)))
             assert lhs == rhs
+
+
+def _power_sum(spec, coeffs, x, step):
+    """sum_i coeffs[i] * pow(x, q^(step*i)), one power per index."""
+    acc = 0
+    for i, a in enumerate(coeffs):
+        acc = spec.add(acc, spec.mul(a, spec.pow(x, spec.q ** (step * i))))
+    return acc
+
+
+@pytest.mark.parametrize("q, e, tables", [(2, 8, True), (3, 5, True),
+                                           (2, 20, False), (3, 12, False)])
+def test_sparse_evaluate_matches_the_power_sum(q, e, tables):
+    # log tables up to TABLE_LIMIT, schoolbook above it; zero runs at the
+    # bottom, in the middle and just below the top are each crossed by
+    # one Frobenius power, at every step
+    spec = make_field(q, e)
+    assert (spec.order <= TABLE_LIMIT) == tables
+    rng = random.Random(f"sparse:{q}:{e}")
+
+    def nz():
+        return rng.randrange(1, spec.order)
+
+    shapes = [lambda: [], lambda: [0, 0, 0], lambda: [nz()],
+              lambda: [0, 0, 0, nz()], lambda: [0, 0, nz(), nz()],
+              lambda: [nz(), 0, 0, 0, nz()], lambda: [nz(), nz(), 0, 0, nz()],
+              lambda: [nz(), 0, nz(), 0, 0, nz()],
+              lambda: [nz() for _ in range(4)]]
+    for step in (1, 2, 3):
+        for shape in shapes:
+            coeffs = shape()
+            for x in (0, 1, nz(), nz()):
+                assert evaluate(spec, coeffs, x, step) == \
+                    _power_sum(spec, coeffs, x, step), (step, coeffs, x)
 
 
 def test_arithmetic_canonicalizes():

@@ -11,7 +11,7 @@ from ranklab.errors import (
     InvariantViolation,
     ZeroShift,
 )
-from ranklab.field import make_field
+from ranklab.field import embed_serial, embedded_basis, make_field
 from ranklab.linpoly import LinearizedPoly, field_vanishing_poly, kernel
 from ranklab.subspace import (
     Subspace,
@@ -94,6 +94,68 @@ def test_extend_polynomial_folds_to_subspace_polynomial(q, n):
             for b in inside:
                 with pytest.raises(InvariantViolation):
                     extend_polynomial(f, list(p.coeffs), b)
+
+
+STEP_FIELDS = [(2, 2, 6), (2, 3, 9), (3, 2, 6), (3, 3, 9), (5, 2, 6),
+               (5, 3, 6)]
+
+
+def _lines(f, g, hs):
+    """The GF(q)-basis u h of the GF(q^g)-span of hs, u the embedded
+    basis of GF(q^g)."""
+    return [f.mul(u, h) for h in hs
+            for u in embedded_basis(make_field(f.q, g), f)]
+
+
+@pytest.mark.parametrize("q, g, n", STEP_FIELDS)
+def test_step_g_extension_folds_to_subspace_polynomial(q, g, n):
+    # P^Q - P(h)^(Q-1) P, Q = q^g, grows the Q-linearized polynomial of a
+    # GF(Q)-subspace into that of U + GF(Q)h: spread onto the g-stride it
+    # is subspace_polynomial of the expanded GF(q)-basis; an h already in
+    # the GF(Q)-span is refused
+    f = make_field(q, n)
+    rng = random.Random(f"step:{q}:{g}:{n}")
+    for _ in range(6):
+        hs, coeffs = [], [1]
+        while len(hs) < n // g:
+            h = rng.randrange(1, f.order)
+            span = Subspace(f, _lines(f, g, hs + [h]))
+            if span.dim < g * (len(hs) + 1):
+                with pytest.raises(InvariantViolation):
+                    extend_polynomial(f, coeffs, h, g)
+                continue
+            hs.append(h)
+            coeffs = extend_polynomial(f, coeffs, h, g)
+            spread = [0] * (g * len(hs) + 1)
+            spread[::g] = coeffs
+            assert LinearizedPoly(f, spread) == subspace_polynomial(span)
+    assert LinearizedPoly(f, spread) == field_vanishing_poly(f)
+
+
+@pytest.mark.parametrize("q, g, n", STEP_FIELDS)
+def test_step_g_extension_refuses_a_subfield_multiple(q, g, n):
+    # b = c h_1 + h_2 with c in GF(q^g) \ GF(q) lies in the GF(q^g)-span
+    # of h_1, h_2 but not in their GF(q)-span, so only P(b) = 0 of the
+    # q^g-step catches it
+    f = make_field(q, n)
+    sub = make_field(q, g)
+    c = embed_serial(sub.generator_serial, sub, f)
+    rng = random.Random(f"refuse:{q}:{g}:{n}")
+    for _ in range(6):
+        hs = [rng.randrange(1, f.order)]
+        coeffs = extend_polynomial(f, [1], hs[0], g)
+        with pytest.raises(InvariantViolation):
+            extend_polynomial(f, coeffs, f.mul(c, hs[0]), g)
+        assert not Subspace(f, hs).contains(f.mul(c, hs[0]))
+        while len(hs) < 2:
+            h = rng.randrange(1, f.order)
+            if Subspace(f, _lines(f, g, hs + [h])).dim == 2 * g:
+                hs.append(h)
+        coeffs = extend_polynomial(f, coeffs, hs[1], g)
+        b = f.add(f.mul(c, hs[0]), hs[1])
+        assert not Subspace(f, hs).contains(b)
+        with pytest.raises(InvariantViolation):
+            extend_polynomial(f, coeffs, b, g)
 
 
 def test_full_space_polynomial_is_vanishing_poly():
