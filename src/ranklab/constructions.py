@@ -31,10 +31,10 @@ from ranklab.field import FieldSpec, embed_serial, make_field
 from ranklab.linpoly import (
     LinearizedPoly,
     OrdinaryPoly,
+    evaluate,
     kernel,
 )
 from ranklab.subspace import (
-    cyclic_shift,
     extend_polynomial,
     gaussian_binomial,
     rref_walk,
@@ -69,14 +69,17 @@ class PolyFamily:
     degenerate: bool = dc_field(default=False)
 
     def __post_init__(self):
-        r = self.params.r
+        r, top = self.params.r, self.mutual_top
+        # a member's coefficients from index r + 1 - len(head) up, which
+        # mutual_top lists downward; below index 0 they are all zero
+        head, below = tuple(reversed(top[:r + 1])), any(top[r + 1:])
         for m in self.members:
-            if m.q_degree != r or not m.is_monic:
+            c = m.coeffs
+            if len(c) != r + 1 or not c or c[-1] != 1:
                 raise ParamMismatch("family member is not monic of degree r")
-            for i, c in enumerate(self.mutual_top):
-                if m.coeff(r - i) != c:
-                    raise ParamMismatch(
-                        "member disagrees with the mutual top coefficients")
+            if c[r + 1 - len(head):] != head or below:
+                raise ParamMismatch(
+                    "member disagrees with the mutual top coefficients")
         if len(set(self.members)) != len(self.members):
             raise ParamMismatch("family members are not pairwise distinct")
 
@@ -159,9 +162,13 @@ def pigeonhole_subfamily(family: PolyFamily, ell: int) -> PolyFamily:
     if ell != p.ell or p.r != p.n - p.g * (ell + 1):
         raise ParamMismatch(f"ell={ell} inconsistent with r = n - g(ell+1)")
     r, g = p.r, p.g
+    # the key's indices r - g, ..., r - g*ell, those at or above 0 read as
+    # one slice of every member (each has r + 1 coefficients), the rest 0
+    low = r - g * ell if r >= g * ell else r % g
+    pad = (0,) * (ell - len(range(low, r - g + 1, g)))
     buckets = {}
     for m in family.members:
-        key = tuple(m.coeff(r - g * i) for i in range(1, ell + 1))
+        key = m.coeffs[low:r - g + 1:g][::-1] + pad
         buckets.setdefault(key, []).append(m)
     best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
     chosen = buckets[best_key]
@@ -218,7 +225,8 @@ def orbit_poly_family(q: int, g: int, s: int, r: int) -> PolyFamily:
 
     The member for beta = 1 is orbit_base_poly.  Every member's kernel is
     checked to be exactly its cyclic shift of the base kernel, at every
-    field size: a kernel is one GF(q) null space of n images.
+    field size: the base kernel is one GF(q) null space of n images, and
+    each member is evaluated at the r shifted basis vectors.
     """
     gs = g * s
     if g < 2:
@@ -245,10 +253,14 @@ def orbit_poly_family(q: int, g: int, s: int, r: int) -> PolyFamily:
     fam = PolyFamily(params=params, kind="orbit", spec=ambient,
                      members=tuple(members), mutual_top=mutual)
 
+    # a member is monic of q-degree r (PolyFamily checks it), so its root
+    # space has dimension at most r: it is beta K exactly when the member
+    # vanishes on beta times each of the r basis vectors of K
     base_kernel = kernel(members[0], ambient)
     require(base_kernel.dim == r, "base kernel is not r-dim")
     for beta, member in zip(reps, members):
-        require(kernel(member, ambient) == cyclic_shift(base_kernel, beta),
+        require(all(evaluate(ambient, member.coeffs, ambient.mul(beta, b))
+                    == 0 for b in base_kernel.basis),
                 "member kernel is not the expected cyclic shift")
     return fam
 
@@ -276,15 +288,18 @@ def shift_family(family: PolyFamily, beta: int,
     r = family.params.r
     q = src.q
     factors = [target.pow(beta, q ** r - q ** j) for j in range(r + 1)]
+
+    def embed(coeffs):
+        if target == src:
+            return coeffs
+        return [embed_serial(c, src, target) for c in coeffs]
+
     members = []
     for m in family.members:
-        coeffs = [target.mul(factors[j], embed_serial(c, src, target))
-                  if c else 0
-                  for j, c in enumerate(m.coeffs)]
+        coeffs = [target.mul(f, c) for f, c in zip(factors, embed(m.coeffs))]
         members.append(LinearizedPoly(target, coeffs))
-    mutual = tuple(
-        target.mul(factors[r - i], embed_serial(c, src, target)) if c else 0
-        for i, c in enumerate(family.mutual_top))
+    mutual = tuple(target.mul(factors[r - i], c)
+                   for i, c in enumerate(embed(family.mutual_top)))
 
     trivial = beta == 1 and target == src
     kind = family.kind

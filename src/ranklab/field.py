@@ -12,9 +12,9 @@ modulus irreducible at construction (trial division is kept only as the
 test suite's reference).  Moduli come from an embedded table
 (data/moduli.txt, override with env var RANKLAB_MODULUS_TABLE) covering
 q in {2, 3, 5} up to extension degree 24; other fields need an explicit
-modulus.  When q^e <= 2^16 a log/antilog table pair is built eagerly and
-multiplication is O(1); a schoolbook path exists for all sizes and the two
-are cross-checked in the test suite.
+modulus.  When q^e <= 2^16 a log/antilog table pair is built eagerly, and
+multiplication and Frobenius powers are O(1) lookups; a schoolbook path
+exists for all sizes and the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ class FieldSpec:
     """
 
     __slots__ = ("q", "e", "modulus", "order",
-                 "_exp", "_log", "_qpows", "__weakref__")
+                 "_exp", "_log", "_qpows", "_hash", "__weakref__")
 
     def __init__(self, q: int, e: int, modulus: Sequence[int]):
         if not is_prime(q):
@@ -254,6 +254,7 @@ class FieldSpec:
         self.modulus = modulus
         self.order = q ** e
         self._qpows = tuple(q ** i for i in range(e + 1))
+        self._hash = hash(self._key())
 
         if not is_irreducible_rabin(modulus, q):
             raise NotIrreducible(f"{modulus} is reducible over GF({q})")
@@ -438,8 +439,40 @@ class FieldSpec:
         return result
 
     def frobenius(self, a: int, i: int) -> int:
-        """a^(q^i); the identity map when i is a multiple of e."""
-        return self.pow(a, self.q ** (i % self.e))
+        """a^(q^i); the identity map when i is a multiple of e.  With
+        tables, one lookup: log a^(q^i) = q^(i mod e) log a mod q^e - 1."""
+        if self._exp is None:
+            return self.pow(a, self._qpows[i % self.e])
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] * self._qpows[i % self.e]
+                         % (self.order - 1)]
+
+    def frobenius_sum(self, coeffs: Sequence[int], x: int,
+                      step: int = 1) -> int:
+        """sum_i coeffs[i] * x^(q^(step*i)), the value at x of a
+        linearized polynomial.  With tables, one lookup per nonzero term:
+        its log is log a_i + log x * q^(step*i mod e) mod q^e - 1.
+        Without, one Frobenius power reaches each term's power of x from
+        the last, over any run of zero coefficients between them."""
+        if x == 0:
+            return 0
+        acc, add, xor = 0, self.add, self.q == 2
+        if self._exp is not None:
+            exp, log, qpows = self._exp, self._log, self._qpows
+            e, n1, lx = self.e, self.order - 1, self._log[x]
+            for i, a in enumerate(coeffs):
+                if a:
+                    t = exp[log[a] + lx * qpows[step * i % e] % n1]
+                    acc = acc ^ t if xor else add(acc, t)
+            return acc
+        y, at = x, 0
+        for i, a in enumerate(coeffs):
+            if a:
+                if i > at:
+                    y, at = self.frobenius(y, step * (i - at)), i
+                acc = add(acc, self._mul_schoolbook(a, y))
+        return acc
 
     # -- identity ----------------------------------------------------------
 
@@ -450,7 +483,7 @@ class FieldSpec:
         return isinstance(other, FieldSpec) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"FieldSpec(GF({self.q}^{self.e}))"
@@ -517,7 +550,10 @@ def embedded_basis(src: FieldSpec, dst: FieldSpec) -> tuple:
 def embed_serial(a: int, src: FieldSpec, dst: FieldSpec) -> int:
     """The fixed injective homomorphism GF(q^n) -> GF(q^m), n | m, on
     serials.  It maps the source generator to the smallest compatible power
-    of gamma^((q^m-1)/(q^n-1)) and is the identity on the prime field."""
+    of gamma^((q^m-1)/(q^n-1)) and is the identity on the prime field;
+    a field's embedding into itself is the identity."""
+    if src == dst:
+        return a
     powers = embedded_basis(src, dst)
     out = 0
     for c, p in zip(src.digits(a), powers):

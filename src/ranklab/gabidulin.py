@@ -14,7 +14,7 @@ ball_by_lanes tests a whole _lane_walk batch in one lane elimination;
 ball_by_supports walks the sum_{t<=tau} [n,t]_q error supports of rank
 <= tau depth first, each extending its parent's GF(q) elimination by m
 columns.  exact_ball runs ball_by_supports or ball_by_lanes, whichever
-does less work.
+costs less, a support counted as SUPPORT_COST codeword tests.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
@@ -50,6 +50,12 @@ from ranklab.subspace import gaussian_binomial, rref_walk
 
 BALL_BUDGET = 1 << 22
 LANE_BITS = 12          # a batch of _lane_walk holds <= 2^12 codewords
+# What one support of ball_by_supports costs in codeword tests of
+# ball_by_lanes: 65 to 143 in process time on the four exhaustive
+# benchmark codes where the two are close (Gab[4,2]/GF(3^4),
+# Gab[4,1]/GF(3^8) and both Gab[6,3]/GF(2^6) centers, tau 2).  exact_ball
+# takes the cheaper oracle by it; any value from 39 to 366 picks the same.
+SUPPORT_COST = 100
 
 
 @dataclass(frozen=True)
@@ -481,12 +487,13 @@ def ball_by_lanes(code: GabidulinCode, center: RankWord,
 def exact_ball(code: GabidulinCode, center: RankWord, tau: int,
                budget: int = BALL_BUDGET) -> List[RankWord]:
     """The ball from ball_by_supports where tau < d and its
-    sum_{t<=tau} [n,t]_q supports are fewer than the q^(mk) codewords, else
-    from ball_by_lanes; over budget exactly where enumerate_ball is."""
+    sum_{t<=tau} [n,t]_q supports, at SUPPORT_COST codeword tests each,
+    cost less than the q^(mk) codewords, else from ball_by_lanes; over
+    budget exactly where enumerate_ball is."""
     _check_code_context(code, center)
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
-    if tau < code.min_distance and code.size > sum(
+    if tau < code.min_distance and code.size > SUPPORT_COST * sum(
             gaussian_binomial(code.n, t, code.q) for t in range(tau + 1)):
         return ball_by_supports(code, center, tau)
     return ball_by_lanes(code, center, tau)

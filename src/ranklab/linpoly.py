@@ -21,15 +21,9 @@ def evaluate(spec: FieldSpec, coeffs: Sequence[int], x: int,
              step: int = 1) -> int:
     """sum_i coeffs[i] * x^(q^(step*i)): the value at x of the linearized
     polynomial with these coefficient serials, read as q^step-linearized
-    for step > 1.  One Frobenius power reaches each nonzero coefficient
-    from the last, over any run of zeros between them."""
-    acc, y, at = 0, x, 0
-    for i, a in enumerate(coeffs):
-        if a:
-            if i > at:
-                y, at = spec.frobenius(y, step * (i - at)), i
-            acc = spec.add(acc, spec.mul(a, y))
-    return acc
+    for step > 1: FieldSpec.frobenius_sum, one table lookup per nonzero
+    term in a field with log tables."""
+    return spec.frobenius_sum(coeffs, x, step)
 
 
 class LinearizedPoly:

@@ -3,7 +3,9 @@ Gauss-Jordan loop, independent of gfmatrix's packed elimination loop, so
 that cross-checks do not compare that loop with itself; the exhaustive
 root scan that linpoly.kernel replaced with one elimination; and the
 GF(q)-step fold that constructions.subfield_linear_family replaced with one
-q^g-step per row."""
+q^g-step per row; and Frobenius powers, linearized evaluation and the
+subspace-polynomial step on the schoolbook multiply, which the log tables
+replace in fields up to field.TABLE_LIMIT."""
 
 from typing import List, Sequence, Tuple
 
@@ -89,3 +91,44 @@ def subfield_linear_fold(q: int, n: int, r: int, g: int) -> List[Row]:
         if t == r // g:
             members.append(tuple(polys[t]))
     return members
+
+
+# Every field of the benchmark's workloads with log tables.
+TABLE_FIELDS = [(2, 6), (2, 8), (2, 10), (2, 12), (2, 16), (3, 4), (3, 6),
+                (3, 8), (5, 4)]
+
+
+def pow_schoolbook(spec, a: int, k: int) -> int:
+    """a^k by square-and-multiply on FieldSpec._mul_schoolbook, the
+    exponent read mod q^e - 1 (a^(q^e - 1) = 1 for a != 0)."""
+    if a == 0:
+        return 0 if k else 1
+    result, base, k = 1, a, k % (spec.order - 1)
+    while k:
+        if k & 1:
+            result = spec._mul_schoolbook(result, base)
+        base = spec._mul_schoolbook(base, base)
+        k >>= 1
+    return result
+
+
+def evaluate_schoolbook(spec, coeffs: Sequence[int], x: int,
+                        step: int) -> int:
+    """sum_i coeffs[i] * x^(q^(step*i)), one power per index."""
+    acc = 0
+    for i, a in enumerate(coeffs):
+        term = pow_schoolbook(spec, x, spec.q ** (step * i))
+        acc = spec.add(acc, spec._mul_schoolbook(a, term))
+    return acc
+
+
+def extend_schoolbook(spec, coeffs: Sequence[int], b: int,
+                      step: int) -> List[int]:
+    """P^Q - P(b)^(Q-1) P, Q = q^step, coefficient by coefficient."""
+    big_q = spec.q ** step
+    factor = pow_schoolbook(spec, evaluate_schoolbook(spec, coeffs, b, step),
+                            big_q - 1)
+    new = [0] + [pow_schoolbook(spec, a, big_q) for a in coeffs]
+    for i, a in enumerate(coeffs):
+        new[i] = spec.sub(new[i], spec._mul_schoolbook(factor, a))
+    return new

@@ -199,20 +199,26 @@ def test_orbit_family_gf16():
 
 def test_orbit_family_checks_every_member_kernel(monkeypatch):
     # GF(2^10) has 341 members, enough that a seeded sample of 8 of them
-    # used to stand for all: a wrong shift at a member outside that sample
-    # must still fail the build
+    # used to stand for all: one wrong member outside that sample must
+    # still fail the build.  It is the right one plus x, so it stays monic
+    # of q-degree r, keeps the mutual top and repeats no member: only its
+    # roots give it away, however the build checks them
     ambient = make_field(2, 10)
     reps = orbit_representatives(ambient, 2)
     assert len(reps) == 341
     sampled = set(random.Random(0).sample(range(341), 8))
-    bad = reps[min(set(range(1, 341)) - sampled)]
-    shift = constructions.cyclic_shift
-    monkeypatch.setattr(constructions, "cyclic_shift", lambda v, alpha:
-                        shift(v, reps[0] if alpha == bad else alpha))
+    bad = min(set(range(1, 341)) - sampled)
+    right = orbit_poly_family(2, 2, 1, 8).members
+    wrong = (ambient.add(right[bad].coeffs[0], 1),) + right[bad].coeffs[1:]
+    assert wrong not in {m.coeffs for m in right}
+    poly = constructions.LinearizedPoly
+    monkeypatch.setattr(constructions, "LinearizedPoly", lambda spec, c:
+                        poly(spec, wrong if tuple(c) == right[bad].coeffs
+                             else c))
     with pytest.raises(InvariantViolation, match="expected cyclic shift"):
         orbit_poly_family(2, 2, 1, 8)
     monkeypatch.undo()
-    assert len(orbit_poly_family(2, 2, 1, 8)) == 341
+    assert orbit_poly_family(2, 2, 1, 8).members == right
 
 
 @pytest.mark.parametrize("q,n,r,g", [(2, 4, 2, 2), (2, 6, 4, 2)])

@@ -12,11 +12,16 @@ from ranklab.errors import (
     NotPrime,
 )
 from ranklab.field import (
+    TABLE_LIMIT,
     embed_serial,
+    embedded_basis,
     is_irreducible_rabin,
     is_irreducible_trial,
     make_field,
 )
+from ranklab.linpoly import evaluate
+
+import reference
 
 
 def test_prime_field_gf2():
@@ -98,6 +103,32 @@ def test_frobenius_is_prime_field_linear():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("q, e", reference.TABLE_FIELDS)
+def test_table_frobenius_and_evaluation_match_schoolbook(q, e):
+    # log[0] aliases log[1], so a zero x, zero coefficients and runs of
+    # them each meet a missing zero guard; steps that are multiples of e
+    # make every Frobenius power the identity
+    spec = make_field(q, e)
+    assert spec.order <= TABLE_LIMIT
+    rng = random.Random(f"tables:{q}:{e}")
+
+    def nz():
+        return rng.randrange(2, spec.order)
+
+    for a in (0, 1, nz(), nz()):
+        for i in range(2 * e + 1):
+            assert spec.frobenius(a, i) == \
+                reference.pow_schoolbook(spec, a, q ** i), (a, i)
+    shapes = [[], [0, 0], [nz()], [0, 0, nz()], [nz(), 0, 0, nz()],
+              [nz(), nz(), 0, nz(), 0, 0, nz()]]
+    for step in (1, 2, 3, e, 2 * e):
+        for coeffs in shapes:
+            for x in (0, 1, nz()):
+                assert evaluate(spec, coeffs, x, step) == \
+                    reference.evaluate_schoolbook(spec, coeffs, x, step), \
+                    (step, coeffs, x)
+
+
 def test_embed_fixes_zero_and_one():
     src, dst = make_field(2, 2), make_field(2, 4)
     assert embed_serial(0, src, dst) == 0
@@ -133,6 +164,17 @@ def test_embed_is_a_ring_homomorphism_exhaustive(q, n, m):
     # identity on the prime field
     for c in range(q):
         assert img[c] == c
+
+
+@pytest.mark.parametrize("q, e", [(2, 4), (3, 3), (5, 2)])
+def test_embed_into_the_same_field_is_the_identity(q, e):
+    f = make_field(q, e)
+    powers = embedded_basis(f, f)
+    for a in f.elements():
+        digit_sum = 0
+        for c, p in zip(f.digits(a), powers):
+            digit_sum = f.add(digit_sum, f.mul(c, p))
+        assert embed_serial(a, f, f) == a == digit_sum
 
 
 def test_embed_transitive_through_tower():

@@ -382,7 +382,8 @@ def test_exact_ball_dispatch_compares_supports_with_codewords(monkeypatch):
     monkeypatch.setattr(gabidulin, "ball_by_lanes",
                         lambda *a: calls.append("lanes") or [])
     cases = [((2, 6, 6, 3), 2, "supports"),     # 715 supports, 2^18 words
-             ((3, 4, 4, 2), 2, "supports"),     # 171 supports, 3^8 words
+             ((3, 4, 4, 2), 2, "lanes"),        # 171 supports, 3^8 words
+             ((3, 4, 8, 1), 2, "lanes"),        # 171 supports, 3^8 words
              ((2, 8, 16, 1), 4, "lanes"),       # 308,993 supports, 2^16
              ((5, 4, 4, 1), 2, "lanes"),        # 963 supports, 625 words
              ((2, 6, 6, 3), 4, "lanes"),        # tau >= d

@@ -96,6 +96,28 @@ def test_extend_polynomial_folds_to_subspace_polynomial(q, n):
                     extend_polynomial(f, list(p.coeffs), b)
 
 
+@pytest.mark.parametrize("q, e", reference.TABLE_FIELDS)
+def test_table_extension_step_matches_schoolbook(q, e):
+    # zero coefficients below the top and zero runs, at steps 1 to 3; a
+    # b with P(b) = 0 is refused
+    spec = make_field(q, e)
+    rng = random.Random(f"extend:{q}:{e}")
+
+    def nz():
+        return rng.randrange(2, spec.order)
+
+    for step in (1, 2, 3):
+        for coeffs in ([1], [nz(), 0, 1], [0, nz(), 0, 0, 1],
+                       [nz(), nz(), nz(), 1]):
+            for b in (0, 1, nz()):
+                if reference.evaluate_schoolbook(spec, coeffs, b, step):
+                    assert extend_polynomial(spec, coeffs, b, step) == \
+                        reference.extend_schoolbook(spec, coeffs, b, step)
+                else:
+                    with pytest.raises(InvariantViolation):
+                        extend_polynomial(spec, coeffs, b, step)
+
+
 STEP_FIELDS = [(2, 2, 6), (2, 3, 9), (3, 2, 6), (3, 3, 9), (5, 2, 6),
                (5, 3, 6)]
 
