@@ -38,7 +38,6 @@ from ranklab.constructions import (
     orbit_poly_family,
     pigeonhole_subfamily,
     shift_family,
-    subfield_linear_family,
 )
 from ranklab.field import make_field
 from ranklab.gabidulin import (
@@ -220,8 +219,7 @@ def build_counting_instance(q: int, n: int, m: int, k: int, g: int,
             f"no radius in [{window.start}, {window.stop - 1}] works "
             f"with g={g}")
     ell = tau // g - 1
-    family = subfield_linear_family(q, n, n - tau, g)
-    bucket = pigeonhole_subfamily(family, ell)
+    bucket = pigeonhole_subfamily(q, n, n - tau, g, ell)
     shifted = shift_family(bucket, code.beta, code.field)
     return _build_instance(code, tau, shifted, "counting",
                            list_bound("counting", q, n, k, g, tau))

@@ -11,6 +11,7 @@ configuration (with a JSON error object on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -45,7 +46,11 @@ from ranklab.gabidulin import (
 from ranklab.subspace_code import verify_lifted_instance
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one in the process: parse_args keeps no state in it, each call
+    starts from a fresh namespace and the parser's defaults."""
     parser = argparse.ArgumentParser(
         prog="ranklab",
         description="Construct and certify adversarial list-decoding "

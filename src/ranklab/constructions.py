@@ -1,16 +1,23 @@
 """The two families of subspace polynomials behind the adversarial instances.
 
-subfield_linear_family grows the polynomials of the GF(q^g)-linear
-r-subspaces of GF(q^n) along subspace.rref_walk over GF(q^g), each from its
-parent's by one q^g-step per row; they have nonzero coefficients only at
-indices divisible by g.
-pigeonhole_subfamily extracts the largest bucket agreeing on the topmost
-coefficients.  orbit_poly_family builds the fully explicit family indexed
-by orbit representatives of GF(q^(gs)) and checks that every member's root
-space is its cyclic shift of the base kernel; shift_family transplants any
-family into an extension field along a cyclic shift.  is_pivot_family is the
-expanded-polynomial view used to relate these families to ordinary
-(Reed-Solomon style) evaluation codes.
+The subfield-linear family and its pigeonhole subfamily come from one walk:
+_family_leaves checks the parameters and returns GF(q^n) with a generator
+over subspace.rref_walk over GF(q^g) that grows each inner node's
+q^g-linearized polynomial from its parent's by one q^g-step and yields
+(parent, h) at each leaf, h the GF(q^g)-line of the last row, in walk
+order.  subfield_linear_family extends every leaf to its member, the
+subspace polynomial of a GF(q^g)-linear r-subspace of GF(q^n), nonzero only
+at indices divisible by g.  pigeonhole_subfamily keys every leaf by the
+topmost coefficients of its member, read off the parent with one evaluation
+and one power, and extends only the largest bucket's leaves: the counting
+route costs one key per leaf and a full polynomial only per bucket member
+(5,797 keys for 6 members on Gab[10,5]/GF(2^10), 4,745 for 65 on
+Gab[12,2]/GF(2^12)).  orbit_poly_family builds the fully explicit family
+indexed by orbit representatives of GF(q^(gs)) and checks that every
+member's root space is its cyclic shift of the base kernel; shift_family
+transplants any family into an extension field along a cyclic shift.
+is_pivot_family is the expanded-polynomial view used to relate these
+families to ordinary (Reed-Solomon style) evaluation codes.
 """
 
 from __future__ import annotations
@@ -91,15 +98,20 @@ class PolyFamily:
 # Subfield-linear family
 # ----------------------------------------------------------------------
 
-def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
-    """Subspace polynomials of all r-subspaces that are GF(q^g)-linear.
+def _family_leaves(q: int, n: int, r: int, g: int):
+    """GF(q^n) and the leaves of the family walk: (parent, h) per
+    GF(q^g)-linear r-subspace of GF(q^n), in the walk's order, with parent
+    the q^g-linearized polynomial of the first r/g - 1 rows and h the
+    serial of the GF(q^g)-line the last row spans.
 
-    Walks the (r/g) x (n/g) RREF matrices over GF(q^g) and extends each
-    parent's polynomial by the GF(q^g)-line of the new row in GF(q^n)
-    (canonical subfield identification), one q^g-step of
-    extend_polynomial, so members come in walk order.  The walk keeps the
-    q^g-linearized coefficients; a member spreads them onto the indices
-    divisible by g.  Raises BudgetExceeded above FAMILY_BUDGET members.
+    The parameters and FAMILY_BUDGET are checked before any field is
+    built (raising DivisibilityViolation or BudgetExceeded).  The walk
+    runs over the (r/g) x (n/g) RREF matrices over GF(q^g) and extends
+    each inner node's polynomial by its new row's line (canonical
+    subfield identification), one q^g-step of extend_polynomial; the
+    leaves are left to the consumer.  Parents are never mutated, and a
+    parent's leaves come one after another.  On exhaustion the walk
+    checks that there were [n/g, r/g]_(q^g) leaves.
     """
     if g < 2 or not (0 < r < n):
         raise DivisibilityViolation(f"need g >= 2 and 0 < r < n, got "
@@ -118,12 +130,14 @@ def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
     gamma_pows = [ambient.pow(ambient.generator_serial, j)
                   for j in range(n // g)]
 
-    members = []
-    polys = [[1]]   # polys[t]: the q^g-linearized polynomial of rows[:t]
-    lines = {}      # row -> the serial h whose GF(q^g)-line it spans
-    for rows in rref_walk(n // g, range(r // g, r // g + 1), sub.order):
-        t = len(rows)
-        if t:
+    def walk():
+        depth, leaves = r // g, 0
+        polys = [[1]]   # polys[t]: the q^g-linearized polynomial of rows[:t]
+        lines = {}      # row -> the serial h whose GF(q^g)-line it spans
+        for rows in rref_walk(n // g, range(depth, depth + 1), sub.order):
+            t = len(rows)
+            if not t:
+                continue
             h = lines.get(rows[-1])
             if h is None:
                 h, row = 0, rows[-1]
@@ -131,54 +145,93 @@ def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
                     row, w = divmod(row, sub.order)
                     h = ambient.add(h, ambient.mul(scalar_image[w], pw))
                 lines[rows[-1]] = h
-            polys[t:] = [extend_polynomial(ambient, polys[t - 1], h, g)]
-        if t == r // g:
-            coeffs = [0] * (r + 1)
-            coeffs[::g] = polys[t]
-            members.append(LinearizedPoly(ambient, coeffs))
-    require(len(members) == size, "family size is not [n/g, r/g]_(q^g)")
+            if t == depth:
+                leaves += 1
+                yield polys[t - 1], h
+            else:
+                polys[t:] = [extend_polynomial(ambient, polys[t - 1], h, g)]
+        require(leaves == size, "family size is not [n/g, r/g]_(q^g)")
 
+    return ambient, walk()
+
+
+def _member(ambient: FieldSpec, parent: List[int], h: int,
+            r: int, g: int) -> LinearizedPoly:
+    """The leaf's subspace polynomial: parent extended by the line of h,
+    one q^g-step, spread onto the indices divisible by g."""
+    coeffs = [0] * (r + 1)
+    coeffs[::g] = extend_polynomial(ambient, parent, h, g)
+    return LinearizedPoly(ambient, coeffs)
+
+
+def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
+    """Subspace polynomials of all r-subspaces that are GF(q^g)-linear.
+
+    Every leaf of _family_leaves becomes a member, so members come in
+    walk order; they have nonzero coefficients only at indices divisible
+    by g.  Raises BudgetExceeded above FAMILY_BUDGET members.
+    """
+    ambient, leaves = _family_leaves(q, n, r, g)
+    members = [_member(ambient, parent, h, r, g) for parent, h in leaves]
     params = FamilyParams(q=q, n=n, r=r, g=g, s=1, ell=(n - r) // g - 1)
     mutual = (1,) + (0,) * (g - 1)
     return PolyFamily(params=params, kind="subfield", spec=ambient,
                       members=tuple(members), mutual_top=mutual)
 
 
-def pigeonhole_subfamily(family: PolyFamily, ell: int) -> PolyFamily:
-    """Largest bucket of the family agreeing on its topmost g(ell+1)
-    coefficients (leading coefficient included).
+def pigeonhole_subfamily(q: int, n: int, r: int, g: int,
+                         ell: int) -> PolyFamily:
+    """Largest bucket of the subfield-linear family agreeing on its
+    topmost g(ell+1) coefficients (leading coefficient included), with
+    r = n - g(ell+1).
 
-    Members are keyed on the ell coefficients at indices r-g, ..., r-g*ell;
-    all other positions in the top window are forced (1 at the top, 0 off
-    the g-stride).  The winning bucket has size at least |family| / q^(n*ell);
-    ties break toward the lexicographically smallest key.  When
-    g(ell+1) > r the agreement window covers every coefficient, the buckets
-    are singletons, and the result is flagged degenerate.
+    Members are keyed on the ell coefficients at indices r-g, ...,
+    r-g*ell (zero below index 0); all other positions in the top window
+    are forced (1 at the top, 0 off the g-stride).  A leaf's key is read
+    off its parent without building the member: with Q = q^g, the new
+    polynomial's Q-linearized coefficient j is
+    parent[j-1]^Q - parent(h)^(Q-1) * parent[j], one evaluation, one power
+    and ell multiply-subtracts per leaf, the Frobenius terms once per
+    parent.
+    Only the winning bucket's leaves are extended to members, in walk
+    order.  The bucket has size at least |family| / q^(n*ell); ties break
+    toward the lexicographically smallest key.  When g(ell+1) > r the
+    agreement window covers every coefficient, the buckets are
+    singletons, and the result is flagged degenerate.
     """
-    if family.kind != "subfield":
-        raise ParamMismatch("pigeonhole extraction applies to the "
-                            "subfield-linear family")
-    p = family.params
-    if ell != p.ell or p.r != p.n - p.g * (ell + 1):
+    ambient, leaves = _family_leaves(q, n, r, g)
+    if r != n - g * (ell + 1):
         raise ParamMismatch(f"ell={ell} inconsistent with r = n - g(ell+1)")
-    r, g = p.r, p.g
-    # the key's indices r - g, ..., r - g*ell, those at or above 0 read as
-    # one slice of every member (each has r + 1 coefficients), the rest 0
-    low = r - g * ell if r >= g * ell else r % g
-    pad = (0,) * (ell - len(range(low, r - g + 1, g)))
+    depth, big_q = r // g, q ** g
+    # the key's Q-linearized indices depth-1, ..., depth-ell, those below
+    # index 0 read as 0
+    key_indices = range(depth - 1, max(depth - ell, 0) - 1, -1)
+    pad = (0,) * (ell - len(key_indices))
     buckets = {}
-    for m in family.members:
-        key = m.coeffs[low:r - g + 1:g][::-1] + pad
-        buckets.setdefault(key, []).append(m)
+    last, heads = None, ()
+    for parent, h in leaves:
+        if parent is not last:
+            last, heads = parent, [
+                (ambient.frobenius(parent[j - 1], g) if j else 0, parent[j])
+                for j in key_indices]
+        value = evaluate(ambient, parent, h, g)
+        require(value != 0, "extending vector lies in the subspace")
+        factor = ambient.pow(value, big_q - 1)
+        key = tuple(ambient.sub(f, ambient.mul(factor, a))
+                    for f, a in heads) + pad
+        buckets.setdefault(key, []).append((parent, h))
     best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
-    chosen = buckets[best_key]
-    require(len(chosen) * (p.q ** (p.n * ell)) >= len(family.members),
+    chosen = [_member(ambient, parent, h, r, g)
+              for parent, h in buckets[best_key]]
+    total = sum(map(len, buckets.values()))
+    require(len(chosen) * (q ** (n * ell)) >= total,
             "largest bucket below the pigeonhole bound")
 
     top_len = g * (ell + 1)
     sample = chosen[0]
     mutual = tuple(sample.coeff(r - i) for i in range(min(top_len, r + 1)))
-    return PolyFamily(params=p, kind="pigeonhole", spec=family.spec,
+    params = FamilyParams(q=q, n=n, r=r, g=g, s=1, ell=ell)
+    return PolyFamily(params=params, kind="pigeonhole", spec=ambient,
                       members=tuple(chosen), mutual_top=mutual,
                       degenerate=top_len > r)
 

@@ -3,12 +3,15 @@ Gauss-Jordan loop, independent of gfmatrix's packed elimination loop, so
 that cross-checks do not compare that loop with itself; the exhaustive
 root scan that linpoly.kernel replaced with one elimination; and the
 GF(q)-step fold that constructions.subfield_linear_family replaced with one
-q^g-step per row; and Frobenius powers, linearized evaluation and the
+q^g-step per row; the pigeonhole bucket keyed over the whole built family,
+which constructions.pigeonhole_subfamily replaced with keys read off each
+leaf's parent; and Frobenius powers, linearized evaluation and the
 subspace-polynomial step on the schoolbook multiply, which the log tables
 replace in fields up to field.TABLE_LIMIT."""
 
 from typing import List, Sequence, Tuple
 
+from ranklab.constructions import PolyFamily
 from ranklab.field import embed_serial, make_field
 from ranklab.subspace import extend_polynomial, rref_walk
 
@@ -91,6 +94,28 @@ def subfield_linear_fold(q: int, n: int, r: int, g: int) -> List[Row]:
         if t == r // g:
             members.append(tuple(polys[t]))
     return members
+
+
+def pigeonhole_bucket(family: PolyFamily, ell: int) -> PolyFamily:
+    """The largest bucket of a built subfield-linear family agreeing on
+    the coefficients at indices r-g, ..., r-g*ell (zero below index 0),
+    each member keyed by one slice of its coefficients; ties break toward
+    the smallest key, and the bucket keeps the family's order."""
+    p = family.params
+    r, g = p.r, p.g
+    low = r - g * ell if r >= g * ell else r % g
+    pad = (0,) * (ell - len(range(low, r - g + 1, g)))
+    buckets = {}
+    for m in family.members:
+        key = m.coeffs[low:r - g + 1:g][::-1] + pad
+        buckets.setdefault(key, []).append(m)
+    chosen = buckets[min(buckets, key=lambda k: (-len(buckets[k]), k))]
+    top_len = g * (ell + 1)
+    mutual = tuple(chosen[0].coeff(r - i)
+                   for i in range(min(top_len, r + 1)))
+    return PolyFamily(params=p, kind="pigeonhole", spec=family.spec,
+                      members=tuple(chosen), mutual_top=mutual,
+                      degenerate=top_len > r)
 
 
 # Every field of the benchmark's workloads with log tables.

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from ranklab import adversarial
+from ranklab.constructions import shift_family, subfield_linear_family
 from ranklab.errors import (
     BadParameters,
     ConstraintViolation,
@@ -29,8 +31,10 @@ from ranklab.adversarial import (
     technical_sqrt_inequality,
     verify_instance,
 )
-from ranklab.gabidulin import enumerate_ball, rank_distance
+from ranklab.gabidulin import enumerate_ball, make_code, rank_distance
 from ranklab.subspace_code import verify_lifted_instance
+
+import reference
 
 
 def _statuses(report):
@@ -126,6 +130,29 @@ def test_counting_instance_degenerate_bound_is_flagged():
     assert inst.degenerate
     assert len(inst.codewords) == 1
     assert verify_instance(inst).all_passed
+
+
+def _counting_instance_by_full_family(q, n, m, k, g, beta_exponent):
+    # build_counting_instance as it was before its bucket was keyed off
+    # the leaves: the whole family built, then each member keyed
+    code = make_code(q, n, m, k, beta_exponent)
+    tau = next(t for t in adversarial.radius_window(n, k)
+               if adversarial.counting_divides(n, g, t))
+    family = subfield_linear_family(q, n, n - tau, g)
+    bucket = reference.pigeonhole_bucket(family, tau // g - 1)
+    return adversarial._build_instance(
+        code, tau, shift_family(bucket, code.beta, code.field), "counting",
+        list_bound("counting", q, n, k, g, tau))
+
+
+@pytest.mark.parametrize("q,n,m,k,g", [(2, 10, 10, 5, 2),
+                                       (2, 12, 12, 2, 3)])
+@pytest.mark.parametrize("beta_exponent", [0, 389])
+def test_counting_instance_equals_the_full_family_build(q, n, m, k, g,
+                                                        beta_exponent):
+    inst = build_counting_instance(q, n, m, k, g, beta_exponent)
+    ref = _counting_instance_by_full_family(q, n, m, k, g, beta_exponent)
+    assert instance_to_dict(inst) == instance_to_dict(ref)
 
 
 def test_explicit_instance_odd_characteristic():

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from ranklab import cli
+from ranklab.adversarial import verify_instance
 from ranklab.cli import main
-from ranklab.gabidulin import prior_counting_bound
+from ranklab.gabidulin import BALL_BUDGET, prior_counting_bound
 
 
 def run(capsys, *argv):
@@ -210,6 +212,37 @@ def test_pretty_flag_adds_renderings(tmp_path, capsys):
         "--n", "4", "--m", "4", "--pretty", "--out", str(inst))
     data = json.loads(inst.read_text())
     assert "center_pretty" in data and "pivot_pretty" in data
+
+
+def test_main_calls_in_one_process_share_no_state(tmp_path, capsys,
+                                                  monkeypatch):
+    # the parser is built once per process, and each call still starts
+    # from its own arguments and the parser's defaults
+    assert cli._build_parser() is cli._build_parser()
+    gen = ["gen-explicit", "--q", "2", "--g", "2", "--s", "1", "--n", "4",
+           "--m", "4"]
+    pretty, plain = tmp_path / "pretty.json", tmp_path / "plain.json"
+    code, out, err = run(capsys, *gen)          # no --out: a parse error
+    assert (code, out) == (2, "") and "--out" in err
+    assert run(capsys, *gen, "--pretty", "--out", str(pretty))[0] == 0
+    assert run(capsys, *gen, "--out", str(plain))[0] == 0
+    assert "center_pretty" in json.loads(pretty.read_text())
+    assert "center_pretty" not in json.loads(plain.read_text())
+
+    budgets = []
+
+    def recording(inst, ball_budget):
+        budgets.append(ball_budget)
+        return verify_instance(inst, ball_budget=ball_budget)
+
+    monkeypatch.setattr(cli, "verify_instance", recording)
+    code, out, _ = run(capsys, "verify", "--in", str(plain), "--budget", "1")
+    assert code == 0
+    assert "ball_oracle_containment: skipped" in out.splitlines()
+    code, out, _ = run(capsys, "verify", "--in", str(plain))
+    assert code == 0
+    assert "ball_oracle_containment: pass" in out.splitlines()
+    assert budgets == [1, BALL_BUDGET]
 
 
 def test_option_a_subcommand_does_not_read_exits_2(tmp_path, capsys):

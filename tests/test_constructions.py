@@ -7,6 +7,7 @@ import pytest
 
 from ranklab import constructions
 from ranklab.errors import (
+    BudgetExceeded,
     DivisibilityViolation,
     InvariantViolation,
     NotASubfield,
@@ -116,18 +117,29 @@ def test_subfield_family_divisibility_errors():
         subfield_linear_family(2, 5, 2, 2)
 
 
+def test_pigeonhole_refuses_a_dependent_row(monkeypatch):
+    # a leaf is keyed without building its member, so the key's own
+    # evaluation must catch a repeated row
+    def fake_walk(n, depths, base):
+        yield []
+        yield [1]
+        yield [1, 1]
+
+    monkeypatch.setattr(constructions, "rref_walk", fake_walk)
+    with pytest.raises(InvariantViolation, match="lies in the subspace"):
+        pigeonhole_subfamily(2, 8, 4, 2, 1)
+
+
 def test_pigeonhole_whole_family_at_ell_zero():
-    fam = subfield_linear_family(2, 4, 2, 2)
-    bucket = pigeonhole_subfamily(fam, 0)
+    bucket = pigeonhole_subfamily(2, 4, 2, 2, 0)
     assert len(bucket) == 5
     assert bucket.mutual_top == (1, 0)
     assert not bucket.degenerate
 
 
 def test_pigeonhole_bucket_size_bound():
-    fam = subfield_linear_family(2, 8, 4, 2)
-    assert len(fam) == 357
-    bucket = pigeonhole_subfamily(fam, 1)
+    assert len(subfield_linear_family(2, 8, 4, 2)) == 357
+    bucket = pigeonhole_subfamily(2, 8, 4, 2, 1)
     assert len(bucket) >= -(-357 // 2 ** 8) == 2
     assert len(bucket) == 17  # observed; never assumed, only reproduced
     r, g = 4, 2
@@ -137,19 +149,40 @@ def test_pigeonhole_bucket_size_bound():
 
 
 def test_pigeonhole_degenerate_when_window_covers_everything():
-    fam = subfield_linear_family(2, 6, 2, 2)
-    bucket = pigeonhole_subfamily(fam, 1)
+    bucket = pigeonhole_subfamily(2, 6, 2, 2, 1)
     assert bucket.degenerate
     assert len(bucket) == 1
 
 
 def test_pigeonhole_param_mismatch():
-    fam = subfield_linear_family(2, 4, 2, 2)
     with pytest.raises(ParamMismatch):
-        pigeonhole_subfamily(fam, 1)
-    zf = orbit_poly_family(2, 2, 1, 2)
-    with pytest.raises(ParamMismatch):
-        pigeonhole_subfamily(zf, 0)
+        pigeonhole_subfamily(2, 4, 2, 2, 1)
+
+
+def test_pigeonhole_checks_the_family_before_its_fields():
+    # as when the family was built first: its parameters and budget are
+    # checked before ell and before GF(q^n), which has no modulus for n=40
+    with pytest.raises(DivisibilityViolation):
+        pigeonhole_subfamily(2, 6, 3, 2, 0)
+    with pytest.raises(BudgetExceeded):
+        pigeonhole_subfamily(2, 40, 20, 2, 9)
+
+
+@pytest.mark.parametrize("q,n,r,g,ell", [
+    (2, 8, 4, 2, 1), (2, 10, 6, 2, 1), (2, 12, 6, 3, 1),
+    (3, 4, 2, 2, 0), (5, 4, 2, 2, 0), (2, 6, 4, 2, 0),
+    (2, 6, 2, 2, 1), (3, 6, 2, 2, 1), (2, 8, 2, 2, 2)])
+def test_pigeonhole_bucket_is_the_full_family_bucket(q, n, r, g, ell):
+    # keys read off each leaf's parent pick the bucket that keying every
+    # built member picks, in the same order: the instance bytes depend on
+    # it; the last three are degenerate, and the last pads its key
+    bucket = pigeonhole_subfamily(q, n, r, g, ell)
+    ref = reference.pigeonhole_bucket(subfield_linear_family(q, n, r, g),
+                                      ell)
+    assert bucket.members == ref.members
+    assert bucket.mutual_top == ref.mutual_top
+    assert bucket.degenerate == ref.degenerate
+    assert bucket.params == ref.params and bucket.kind == ref.kind
 
 
 def test_orbit_base_poly_small():
