@@ -38,7 +38,6 @@ from ranklab.field import FieldSpec, embed_serial, make_field
 from ranklab.linpoly import (
     LinearizedPoly,
     OrdinaryPoly,
-    evaluate,
     kernel,
 )
 from ranklab.subspace import (
@@ -214,7 +213,7 @@ def pigeonhole_subfamily(q: int, n: int, r: int, g: int,
             last, heads = parent, [
                 (ambient.frobenius(parent[j - 1], g) if j else 0, parent[j])
                 for j in key_indices]
-        value = evaluate(ambient, parent, h, g)
+        value = ambient.frobenius_sum(parent, h, g)
         require(value != 0, "extending vector lies in the subspace")
         factor = ambient.pow(value, big_q - 1)
         key = tuple(ambient.sub(f, ambient.mul(factor, a))
@@ -312,8 +311,9 @@ def orbit_poly_family(q: int, g: int, s: int, r: int) -> PolyFamily:
     base_kernel = kernel(members[0], ambient)
     require(base_kernel.dim == r, "base kernel is not r-dim")
     for beta, member in zip(reps, members):
-        require(all(evaluate(ambient, member.coeffs, ambient.mul(beta, b))
-                    == 0 for b in base_kernel.basis),
+        require(all(ambient.frobenius_sum(member.coeffs,
+                                          ambient.mul(beta, b)) == 0
+                    for b in base_kernel.basis),
                 "member kernel is not the expected cyclic shift")
     return fam
 

@@ -9,19 +9,22 @@ messages in q-ary Gray order (_walk), never over the ambient space;
 _lane_walk yields the codewords side by side in the lanes of one int, up
 to 2^LANE_BITS to a batch, and takes each batch's high message digits
 from that walk.  The rank ball has three exact oracles.  enumerate_ball,
-the per-codeword reference, makes one rank test per codeword of _walk;
-ball_by_lanes tests a whole _lane_walk batch in one lane elimination;
-ball_by_supports walks the sum_{t<=tau} [n,t]_q error supports of rank
-<= tau depth first, each extending its parent's GF(q) elimination by m
-columns.  exact_ball runs ball_by_supports or ball_by_lanes, whichever
-costs less, a support counted as SUPPORT_COST codeword tests.
+the per-codeword reference, makes one rank_distance call per codeword of
+codewords() on every q; ball_by_lanes tests a whole _lane_walk batch in
+one lane elimination; ball_by_supports walks the sum_{t<=tau} [n,t]_q
+error supports of rank <= tau depth first, each extending its parent's
+GF(q) elimination by m columns.  exact_ball runs ball_by_supports or
+ball_by_lanes, whichever costs less, a support counted as SUPPORT_COST
+codeword tests.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
 its message digit.  A word reduced against it leaves its syndrome
 (_syndrome), the residue above the tag digits, GF(q)-linear and zero
 exactly on the code, and its message in the tag digits (preimage_message,
-which re-encodes that message before it accepts the word).
+which re-encodes that message before it accepts the word).  The supports
+oracle reads the syndromes of x^i * b, b in GF(q)^n, from one table per
+code, _syndrome_table, already in the elimination's gfmatrix._spread form.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from ranklab.errors import (
     RadiusTooLarge,
     TooManyPunctures,
 )
-from ranklab.field import FieldSpec, embed_serial, make_field, sub_digits
+from ranklab.field import FieldSpec, embed_serial, make_field
 from ranklab.linpoly import LinearizedPoly
 from ranklab.subspace import gaussian_binomial, rref_walk
 
@@ -149,14 +152,15 @@ class GabidulinCode:
     @cached_property
     def _syndrome_table(self) -> Tuple[Tuple[int, ...], ...]:
         """Row b (b in GF(q)^n packed base q) holds _syndrome(x^i * b) for
-        i < m, summed by linearity from the n*m images of -x^i at one
-        coordinate."""
+        i < m in gfmatrix._spread form, the form ball_by_supports
+        eliminates, summed by linearity, lane by lane over the n*m digits
+        of a syndrome, from the n*m images of x^i at one coordinate."""
         q, n, m = self.q, self.n, self.m
-        minus = [[_syndrome(self, [(q - 1) * q ** i * (u == j)
-                                   for u in range(n)]) for i in range(m)]
-                 for j in range(n)]
-        return tuple(_digit_sums(minus, m, q,
-                                 lambda a, u: sub_digits(a, u, q)))
+        images = [[gfmatrix._spread(_syndrome(self, [q ** i * (u == j)
+                                                     for u in range(n)]), q)
+                   for i in range(m)] for j in range(n)]
+        return tuple(_digit_sums(images, m, q,
+                                 gfmatrix.lane_layout(n * m, q).add))
 
 
 def _digit_sums(vecs: Sequence[Sequence[int]], width: int, q: int,
@@ -230,27 +234,20 @@ def encode(code: GabidulinCode, message: LinearizedPoly) -> RankWord:
     return evaluate_word(code, message)
 
 
-def _walk(code: GabidulinCode, start: Sequence[int],
-          low: int = 0) -> Iterator[List[int]]:
-    """start + c for every codeword c whose message digits below low are
-    zero (every codeword at low = 0), as one list updated in place, in
-    modular q-ary Gray order of the messages: step i adds basis
-    contribution low + t, t the number of trailing zero base-q digits of
-    i."""
+def _walk(code: GabidulinCode, low: int = 0) -> Iterator[List[int]]:
+    """Every codeword whose message digits below low are zero (every
+    codeword at low = 0), as one list updated in place, in modular q-ary
+    Gray order of the messages: step i adds basis contribution low + t, t
+    the number of trailing zero base-q digits of i."""
     contribs = code._basis_contributions[low:]
-    q, n, add = code.q, code.n, code.field.add
-    word = list(start)
+    q, add = code.q, code.field.add
+    word = [0] * code.n
     yield word
     for i in range(1, q ** len(contribs)):
-        if q == 2:
-            vec = contribs[(i & -i).bit_length() - 1]
-            for j in range(n):
-                word[j] ^= vec[j]
-        else:
-            t, r = 0, i
-            while not r % q:
-                t, r = t + 1, r // q
-            word[:] = map(add, word, contribs[t])
+        t, r = 0, i
+        while not r % q:
+            t, r = t + 1, r // q
+        word[:] = map(add, word, contribs[t])
         yield word
 
 
@@ -295,7 +292,7 @@ def _lane_walk(code: GabidulinCode) -> Iterator[
             for p, d in enumerate(digits(cj)):
                 if d:
                     row[p] = add(row[p], times[d])
-    for high in _walk(code, (0,) * code.n, b):
+    for high in _walk(code, b):
         yield lay.count, tuple(high), [[add(s, lay.digit[d]) if d else s
                                         for s, d in zip(row, digits(h))]
                                        for h, row in zip(high, low)]
@@ -306,7 +303,7 @@ def codewords(code: GabidulinCode,
     """All q^(mk) codewords, each once, in the Gray order of _walk."""
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
-    for w in _walk(code, (0,) * code.n):
+    for w in _walk(code):
         yield RankWord(code.field, tuple(w))
 
 
@@ -358,25 +355,16 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
                    budget: int = BALL_BUDGET) -> List[RankWord]:
     """All codewords within rank distance tau of center, by brute force.
 
-    The per-codeword reference oracle: one rank test per codeword, the
-    definition the other two oracles are checked against; exact_ball runs
-    ball_by_lanes in its place.  Output is sorted by coordinate serials.
+    The per-codeword reference oracle, the definition the other two
+    oracles are checked against: one rank_distance per codeword of
+    codewords(), on every q; exact_ball runs ball_by_lanes in its place.
+    Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
-    if code.size > budget:
-        raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
-    if code.q == 2:
-        # walking from the center, each word is center - codeword
-        exceeds = gfmatrix.rank_gf2_exceeds
-        found = [tuple(c ^ d for c, d in zip(center.coords, diff))
-                 for diff in _walk(code, center.coords)
-                 if not exceeds(diff, tau)]
-    else:
-        # one rank_distance per codeword: bench/tracing.py counts the
-        # ball's words as the calls it makes to the rank tests it probes
-        found = [w.coords for w in codewords(code, budget)
-                 if rank_distance(center, w) <= tau]
-    found.sort()
+    # bench/tracing.py counts the ball's words as the calls it makes to
+    # the rank tests it probes
+    found = sorted(w.coords for w in codewords(code, budget)
+                   if rank_distance(center, w) <= tau)
     return [RankWord(code.field, c) for c in found]
 
 
@@ -385,7 +373,7 @@ def _extend_support(ech: dict, cols: list, tags: int, q: int) -> dict:
     syndrome columns of one more support row; InvariantViolation where a
     column's syndrome digits cancel, leaving a key at or below its tags."""
     child = dict(ech)
-    gfmatrix._eliminate(cols, child, len(cols), q)
+    gfmatrix._eliminate(cols, child, q)
     if min(child) <= tags:
         raise InvariantViolation("a support's syndrome columns are dependent")
     return child
@@ -402,8 +390,9 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     Each copies its parent's echelon basis of syndrome columns, eliminates
     the m columns x^i b of its new row b_s into it, each shifted up by
     T = m*tau digits and tagged at digit s*m + i (gfmatrix._tag of the
-    row's columns, spread once per call, cached per depth and row), and
-    reduces its parent's residue of _syndrome(center) * q^T further.
+    row's columns, which the code's syndrome table holds spread, cached
+    per depth and row), and reduces its parent's residue of
+    _syndrome(center) * q^T further.
     Below d the code is MRD, so no column's syndrome digits cancel;
     InvariantViolation where they do.  A residue below q^T, a hit, holds
     the x_si in its tag digits; a counts only if its entries are
@@ -416,7 +405,6 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     tags = m * max(tau, 0)
     floor = gfmatrix._spread(q ** tags, q)
     found = []
-    spread = {}                           # row b -> its _spread columns
     cols = [{} for _ in range(tau + 1)]   # depth -> row b -> its columns
     # state[t]: echelon basis and residue of the support rows[:t]
     state = [({}, gfmatrix._spread(_syndrome(code, center.coords)
@@ -427,9 +415,7 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
             b = rows[-1]
             col = cols[t].get(b)
             if col is None:
-                if b not in spread:
-                    spread[b] = [gfmatrix._spread(v, q) for v in table[b]]
-                col = cols[t][b] = gfmatrix._tag(spread[b], (t - 1) * m,
+                col = cols[t][b] = gfmatrix._tag(table[b], (t - 1) * m,
                                                  tags, q)
             ech = _extend_support(state[t - 1][0], col, tags, q)
             state[t:] = [(ech, gfmatrix._reduce(state[t - 1][1], ech, q))]

@@ -9,10 +9,9 @@ coefficient of q^j), as GF(q^m) serials and lifted rows [X | I] are
 stored, and returns them so; solve() alone takes matrix rows, and packs
 them itself.  The dicts of basis() and tagged_basis() hold the loop's own
 form: callers read their size or pass them back.  basis()
-gives the rank, rank_gf2_exceeds() stops once a GF(2) rank passes a limit,
-and tagged_basis()/reduce_tagged() eliminate a set of vectors once and then
-reduce any number of targets against it, and nullspace() reads their linear
-relations off the same tagged elimination.  rref() is the canonical basis of
+gives the rank, and tagged_basis()/reduce_tagged() eliminate a set of
+vectors once and then reduce any number of targets against it, and
+nullspace() reads their linear relations off the same tagged elimination.  rref() is the canonical basis of
 a span: each vector's pivot is its top nonzero digit, the key the loop
 stores it under; this module is the only place that convention lives.
 Results are plain ints and tuples so they can be hashed and compared.
@@ -39,34 +38,29 @@ def _inv_mod(a: int, q: int) -> int:
     return pow(a, q - 2, q)
 
 
-def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int],
-                   room: int) -> bool:
-    """Add vecs to basis (bit length -> vector); True iff > room are new."""
+def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int]):
+    """Add vecs to basis (bit length -> vector)."""
     # _eliminate's q = 2 case, kept apart and as it is: it runs under
-    # every q = 2 basis(), rref() and supports-walk step, and per codeword
-    # of gabidulin.enumerate_ball, the reference scan, via
-    # rank_gf2_exceeds.  While that scan was exact_ball's, folding this
-    # into the odd-q loop, or routing _clear's XOR through LaneLayout.add,
-    # made the benchmark's q = 2 verify and lift-verify stages 10-35% slower
+    # every q = 2 basis(), so under each rank_distance, lifted_distance and
+    # supports-walk step.  Folded into the odd-q loop through _reduce, it
+    # made a q = 2 _eliminate call 40-75% slower on random 6 x 6 to
+    # 12 x 12 bit matrices, and the benchmark's q2-exhaustive verify_s
+    # went from 0.0257 to 0.0274 s (medians of 4 alternating pairs)
     for v in vecs:
         while v:
             h = v.bit_length()
             b = basis.get(h)
             if b is None:
                 basis[h] = v
-                room -= 1
-                if room < 0:
-                    return True
                 break
             v ^= b
-    return room < 0
 
 
-def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
+def _eliminate(vecs: Iterable[int], basis: dict, q: int):
     """_eliminate_gf2 for any prime q, on _spread vectors: each stored top
     digit is scaled to 1."""
     if q == 2:
-        return _eliminate_gf2(vecs, basis, room)
+        return _eliminate_gf2(vecs, basis)
     w = lane_layout(1, q).w
     for v in vecs:
         v = _reduce(v, basis, q)
@@ -76,10 +70,6 @@ def _eliminate(vecs: Iterable[int], basis: dict, room: int, q: int) -> bool:
             if c != 1:
                 v = lane_layout(h, q).mod(v * _inv_mod(c, q))
             basis[h] = v
-            room -= 1
-            if room < 0:
-                return True
-    return room < 0
 
 
 def _reduce(v: int, basis: dict, q: int) -> int:
@@ -167,8 +157,7 @@ def _tagged(vecs: Sequence[int], q: int) -> dict:
     <= t is a vector whose own digits cancelled: its tag digits x have
     sum_i x_i vecs[i] = 0."""
     out: dict = {}
-    _eliminate(_tag([_spread(v, q) for v in vecs], 0, len(vecs), q), out,
-               len(vecs), q)
+    _eliminate(_tag([_spread(v, q) for v in vecs], 0, len(vecs), q), out, q)
     return out
 
 
@@ -204,8 +193,7 @@ def reduce_tagged(tagged: dict, target: int, q: int) -> Tuple[int, int]:
 def basis(vecs: Sequence[int], q: int) -> dict:
     """Echelon basis of packed GF(q) vectors; its size is their rank."""
     out: dict = {}
-    _eliminate(vecs if q == 2 else [_spread(v, q) for v in vecs], out,
-               len(vecs), q)
+    _eliminate(vecs if q == 2 else [_spread(v, q) for v in vecs], out, q)
     return out
 
 
@@ -215,8 +203,9 @@ def rank_gf2(vecs: Sequence[int]) -> int:
 
 
 def rank_gf2_exceeds(vecs: Sequence[int], limit: int) -> bool:
-    """True iff the GF(2) rank of vecs is > limit, stopping once it is."""
-    return _eliminate_gf2(vecs, {}, limit)
+    """True iff the GF(2) rank of vecs is > limit.  Nothing in ranklab
+    calls it; it stays because bench/tracing.py probes it."""
+    return rank_gf2(vecs) > limit
 
 
 class LaneLayout:

@@ -17,15 +17,6 @@ from ranklab.field import FieldSpec, embedded_basis
 KERNEL_BUDGET = 1 << 20
 
 
-def evaluate(spec: FieldSpec, coeffs: Sequence[int], x: int,
-             step: int = 1) -> int:
-    """sum_i coeffs[i] * x^(q^(step*i)): the value at x of the linearized
-    polynomial with these coefficient serials, read as q^step-linearized
-    for step > 1: FieldSpec.frobenius_sum, one table lookup per nonzero
-    term in a field with log tables."""
-    return spec.frobenius_sum(coeffs, x, step)
-
-
 class LinearizedPoly:
     """Immutable linearized polynomial over a fixed coefficient field; its
     coefficients, like every argument and result, are field serials."""
@@ -77,7 +68,7 @@ class LinearizedPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_serial(self, x: int) -> int:
-        return evaluate(self.spec, self.coeffs, x)
+        return self.spec.frobenius_sum(self.coeffs, x)
 
     # -- ring-module operations ----------------------------------------------
 

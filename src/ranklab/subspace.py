@@ -17,7 +17,7 @@ from typing import Iterable, List
 from ranklab import gfmatrix
 from ranklab.errors import AmbientMismatch, BudgetExceeded, ZeroShift, require
 from ranklab.field import FieldSpec
-from ranklab.linpoly import LinearizedPoly, evaluate
+from ranklab.linpoly import LinearizedPoly
 
 ORBIT_BUDGET = 1 << 20
 GRASSMANNIAN_BUDGET = 10 ** 6
@@ -85,7 +85,7 @@ def extend_polynomial(spec: FieldSpec, coeffs: List[int], b: int,
     sides are monic of degree Q^(t+1) and the right one vanishes on every
     u + cb, c in GF(Q).  Raises InvariantViolation when P(b) = 0, that is
     when b lies in U."""
-    value = evaluate(spec, coeffs, b, step)
+    value = spec.frobenius_sum(coeffs, b, step)
     require(value != 0, "extending vector lies in the subspace")
     factor = spec.pow(value, spec.q ** step - 1)
     new = [0] + [spec.frobenius(a, step) for a in coeffs]

@@ -37,7 +37,6 @@ from ranklab.gabidulin import (
     GabidulinCode,
     RankWord,
     _lane_walk,
-    _walk,
     ball_by_lanes,
     ball_by_supports,
     codewords,
@@ -121,10 +120,6 @@ def test_walk_visits_every_codeword_once_one_step_apart(monkeypatch, q, n, m,
     steps = set(code._basis_contributions)
     assert all(tuple(map(f.sub, b, a)) in steps
                for a, b in zip(words, words[1:]))
-    # from any start the walk visits start + c for every codeword c
-    start = tuple(rng.randrange(f.order) for _ in range(code.n))
-    shifted = {tuple(map(f.sub, w, start)) for w in _walk(code, start)}
-    assert shifted == set(words)
     # the lane walk holds every codeword once across its lanes, in batches
     # of q^b lanes, q^b <= 2^LANE_BITS: one lane at LANE_BITS = 1 on odd
     # q, several batches at 1 and 3, one batch where mk is smaller; lane L
@@ -246,9 +241,8 @@ def test_ball_monotone_in_radius():
 
 
 def test_ball_matches_naive_scan():
-    # oracle cross-check: the ball oracle (for q = 2 the walk from the
-    # center with the early-exit rank test) vs per-codeword distances, each
-    # one checked against the reference rref
+    # oracle cross-check: the reference ball vs per-codeword distances,
+    # each one checked against the reference rref
     code = make_code(2, 4, 4, 2)
     cases = [(code, RankWord(code.field, (3, 0, 7, 12)), (1, 2, 3))]
     for q, n, m, k, s in WALK_CODES:
@@ -361,6 +355,34 @@ def test_ball_by_lanes_equals_enumerate_ball(monkeypatch, reference_ball, q,
             for b in bits:
                 monkeypatch.setattr(gabidulin, "LANE_BITS", b)
                 assert ball_by_lanes(code, center, tau) == ball, (tau, b)
+
+
+@pytest.mark.parametrize("q, n, m, k, s", [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0),
+                                           (3, 3, 3, 1, 0), (5, 2, 2, 1, 0)])
+def test_enumerate_ball_is_one_rank_distance_per_codeword(monkeypatch, q, n,
+                                                          m, k, s):
+    # the reference has one body on every q: one rank_distance call per
+    # codeword, and no early-exit GF(2) rank test on q = 2
+    code, centers = _oracle_centers(q, n, m, k, s)
+    calls = {"rank_distance": 0, "rank_gf2_exceeds": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(gabidulin, "rank_distance")
+    count(gfmatrix, "rank_gf2_exceeds")
+    for center in centers:
+        for tau in range(code.n + 1):
+            calls["rank_distance"] = 0
+            ball = enumerate_ball(code, center, tau)
+            assert calls == {"rank_distance": code.size,
+                             "rank_gf2_exceeds": 0}, tau
+            assert ball == ball_by_lanes(code, center, tau), tau
 
 
 @pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
@@ -605,6 +627,27 @@ def test_syndrome_is_linear_and_zero_exactly_on_the_code(q, n, m, k, s):
             assert (not any(syndrome_digits(w))) == (
                 preimage_message(code, RankWord(f, tuple(w))) is not None)
         assert not any(syndrome_digits(c)) and any(syndrome_digits(near))
+
+
+@pytest.mark.parametrize("q, n, m, k, s", [
+    (2, 4, 4, 2, 0), (3, 3, 3, 1, 0), (5, 2, 2, 1, 0), (2, 3, 6, 1, 0),
+    (3, 2, 4, 1, 0), (3, 4, 4, 1, 1), (5, 4, 4, 1, 2)])
+def test_syndrome_table_rows_are_the_spread_syndromes(q, n, m, k, s):
+    # row b, column i: the syndrome of x^i times the GF(q)^n vector b, in
+    # the gfmatrix._spread form ball_by_supports eliminates.  The table
+    # sums its rows lane by lane, and a layout with fewer lanes than a
+    # syndrome has digits would leave the digits above it unreduced
+    rng = random.Random(f"table:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    f = code.field
+    table = code._syndrome_table
+    assert len(table) == q ** code.n
+    for b, row in enumerate(table):
+        assert len(row) == m
+        for i, col in enumerate(row):
+            word = [f.mul(q ** i, b // q ** j % q) for j in range(code.n)]
+            assert col == gfmatrix._spread(gabidulin._syndrome(code, word),
+                                           q), (b, i)
 
 
 def test_preimage_rank_deficient_system_raises():

@@ -188,7 +188,7 @@ def test_tag_reads_coordinates_at_an_offset(q):
         cols = gfmatrix._tag(spread[:split], 0, t, q) \
             + gfmatrix._tag(spread[split:], split + gap, t, q)
         ech = {}
-        gfmatrix._eliminate(cols, ech, len(cols), q)
+        gfmatrix._eliminate(cols, ech, q)
         if reference.rank([_unpack(v, q, width) for v in vecs], q) \
                 < len(vecs):
             assert min(ech) <= t
