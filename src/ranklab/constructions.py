@@ -2,27 +2,31 @@
 
 The subfield-linear family and its pigeonhole subfamily come from one walk:
 _family_leaves checks the parameters and returns GF(q^n) with a generator
-over subspace.rref_walk over GF(q^g) that grows each inner node's
-q^g-linearized polynomial from its parent's by one q^g-step and yields
-(parent, h) at each leaf, h the GF(q^g)-line of the last row, in walk
-order.  subfield_linear_family extends every leaf to its member, the
-subspace polynomial of a GF(q^g)-linear r-subspace of GF(q^n), nonzero only
+over the parents of the walk over GF(Q), Q = q^g: the matrices one row
+short of a leaf, each with its q^g-linearized polynomial P, grown from its
+parent's by one q^g-step.  P is GF(Q)-linear, so a parent evaluates it once
+per basis point gamma^j and lists its leaves' values P(h) with
+subspace.rref_rows, one field addition per leaf, and yields the factors
+P(h)^(Q-1) from which every leaf's polynomial P^Q - P(h)^(Q-1) P is read
+off.  subfield_linear_family extends every leaf to its member, the
+subspace polynomial of a GF(Q)-linear r-subspace of GF(q^n), nonzero only
 at indices divisible by g.  pigeonhole_subfamily keys every leaf by the
-topmost coefficients of its member, read off the parent with one evaluation
-and one power, and extends only the largest bucket's leaves: the counting
-route costs one key per leaf and a full polynomial only per bucket member
-(5,797 keys for 6 members on Gab[10,5]/GF(2^10), 4,745 for 65 on
-Gab[12,2]/GF(2^12)).  orbit_poly_family builds the fully explicit family
-indexed by orbit representatives of GF(q^(gs)) and checks that every
-member's root space is its cyclic shift of the base kernel; shift_family
-transplants any family into an extension field along a cyclic shift.
-is_pivot_family is the expanded-polynomial view used to relate these
-families to ordinary (Reed-Solomon style) evaluation codes.
+topmost coefficients of its member, one power (in the walk) and ell
+multiply-subtracts per leaf, and extends only the largest bucket's leaves:
+5,797 keys from 357 parents for 6 members on Gab[10,5]/GF(2^10), 4,745
+from 73 for 65 on Gab[12,2]/GF(2^12).  orbit_poly_family builds the fully
+explicit family indexed by orbit representatives of GF(q^(gs)) and checks
+that every member's root space is its cyclic shift of the base kernel;
+shift_family transplants any family into an extension field along a
+cyclic shift.  is_pivot_family is the expanded-polynomial view used to
+relate these families to ordinary (Reed-Solomon style) evaluation codes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 from ranklab.errors import (
@@ -43,6 +47,7 @@ from ranklab.linpoly import (
 from ranklab.subspace import (
     extend_polynomial,
     gaussian_binomial,
+    rref_rows,
     rref_walk,
 )
 
@@ -98,19 +103,26 @@ class PolyFamily:
 # ----------------------------------------------------------------------
 
 def _family_leaves(q: int, n: int, r: int, g: int):
-    """GF(q^n) and the leaves of the family walk: (parent, h) per
-    GF(q^g)-linear r-subspace of GF(q^n), in the walk's order, with parent
-    the q^g-linearized polynomial of the first r/g - 1 rows and h the
-    serial of the GF(q^g)-line the last row spans.
+    """GF(q^n) and the leaves of the family walk, one parent at a time:
+    (parent, factors) per parent, with parent the q^g-linearized
+    polynomial P of r/g - 1 rows and factors the P(h)^(Q-1), Q = q^g, of
+    its leaves in walk order, h the GF(Q)-line of the leaf's last row;
+    one leaf per GF(Q)-linear r-subspace of GF(q^n), whose polynomial is
+    P^Q - P(h)^(Q-1) P (extend_polynomial, one q^g-step).
 
     The parameters and FAMILY_BUDGET are checked before any field is
-    built (raising DivisibilityViolation or BudgetExceeded).  The walk
-    runs over the (r/g) x (n/g) RREF matrices over GF(q^g) and extends
-    each inner node's polynomial by its new row's line (canonical
-    subfield identification), one q^g-step of extend_polynomial; the
-    leaves are left to the consumer.  Parents are never mutated, and a
-    parent's leaves come one after another.  On exhaustion the walk
-    checks that there were [n/g, r/g]_(q^g) leaves.
+    built (raising DivisibilityViolation or BudgetExceeded).  The leaves
+    are the (r/g) x (n/g) RREF matrices over GF(Q) in the order of
+    rref_walk; their parents are those with r/g - 1 rows and every
+    pivot >= 1, which is rref_walk over n/g - 1 columns with each row
+    shifted up one digit.  Each inner node extends its parent's
+    polynomial by its new row's line (canonical subfield
+    identification), one q^g-step of extend_polynomial.  P is
+    GF(Q)-linear, so a parent evaluates P once at each gamma^j and lists
+    its leaves' values P(h) with rref_rows over the Q multiples of those,
+    one field addition per leaf; a zero value (a leaf in its parent's
+    span) raises, and each other value is raised to the power Q - 1.  On
+    exhaustion the walk checks that there were [n/g, r/g]_Q leaves.
     """
     if g < 2 or not (0 < r < n):
         raise DivisibilityViolation(f"need g >= 2 and 0 < r < n, got "
@@ -130,37 +142,63 @@ def _family_leaves(q: int, n: int, r: int, g: int):
                   for j in range(n // g)]
 
     def walk():
-        depth, leaves = r // g, 0
-        polys = [[1]]   # polys[t]: the q^g-linearized polynomial of rows[:t]
-        lines = {}      # row -> the serial h whose GF(q^g)-line it spans
-        for rows in rref_walk(n // g, range(depth, depth + 1), sub.order):
+        width, depth, big_q, leaves = n // g, r // g, q ** g, 0
+        polys = [[1]]     # polys[t]: the q^g-linearized polynomial of rows[:t]
+        pivots = [width]  # pivots[t]: the pivot of rows[t - 1], shifted
+        for rows in rref_walk(width - 1, range(depth - 1, depth), big_q):
             t = len(rows)
-            if not t:
-                continue
-            h = lines.get(rows[-1])
-            if h is None:
-                h, row = 0, rows[-1]
-                for pw in gamma_pows:
-                    row, w = divmod(row, sub.order)
+            if t:
+                # the line of rows[-1] shifted up one digit, and its pivot
+                h, row, pivot = 0, rows[-1], None
+                for j, pw in enumerate(gamma_pows[1:], 1):
+                    row, w = divmod(row, big_q)
+                    if w and pivot is None:
+                        pivot = j
                     h = ambient.add(h, ambient.mul(scalar_image[w], pw))
-                lines[rows[-1]] = h
-            if t == depth:
-                leaves += 1
-                yield polys[t - 1], h
-            else:
                 polys[t:] = [extend_polynomial(ambient, polys[t - 1], h, g)]
+                pivots[t:] = [pivot]
+            if t == depth - 1:
+                parent, taken = polys[t], pivots[1:t + 1]
+                columns = [None if j in taken else list(map(
+                    ambient.mul, scalar_image,
+                    repeat(ambient.frobenius_sum(parent, pw, g))))
+                    for j, pw in enumerate(gamma_pows)]
+                values = [v for _, vs in rref_rows(columns, taken, 0,
+                                                   pivots[t], ambient.add)
+                          for v in vs]
+                require(0 not in values,
+                        "extending vector lies in the subspace")
+                leaves += len(values)
+                yield parent, list(map(ambient.pow, values,
+                                       repeat(big_q - 1)))
         require(leaves == size, "family size is not [n/g, r/g]_(q^g)")
 
     return ambient, walk()
 
 
-def _member(ambient: FieldSpec, parent: List[int], h: int,
-            r: int, g: int) -> LinearizedPoly:
-    """The leaf's subspace polynomial: parent extended by the line of h,
-    one q^g-step, spread onto the indices divisible by g."""
-    coeffs = [0] * (r + 1)
-    coeffs[::g] = extend_polynomial(ambient, parent, h, g)
-    return LinearizedPoly(ambient, coeffs)
+def _extend(ambient: FieldSpec, parent: List[int], factors: List[int],
+            g: int, indices: Sequence[int]) -> List[tuple]:
+    """Per leaf factor P(h)^(Q-1), Q = q^g, the coefficients at the given
+    Q-linearized indices of P^Q - P(h)^(Q-1) P: parent[j-1]^Q - factor *
+    parent[j] at index j, parent[i] zero off the parent."""
+    padded, mul, sub = [0, *parent, 0], ambient.mul, ambient.sub
+    columns = [[sub(f, mul(factor, a)) for factor in factors]
+               for f, a in ((ambient.frobenius(padded[j], g), padded[j + 1])
+                            for j in indices)]
+    # one tuple per leaf; zip of no columns would drop the leaves
+    return list(zip(*columns)) if columns else [()] * len(factors)
+
+
+def _members(ambient: FieldSpec, parent: List[int], factors: List[int],
+             r: int, g: int) -> List[LinearizedPoly]:
+    """The leaves' subspace polynomials, spread onto the indices
+    divisible by g."""
+    members = []
+    for coeffs in _extend(ambient, parent, factors, g, range(r // g + 1)):
+        spread = [0] * (r + 1)
+        spread[::g] = coeffs
+        members.append(LinearizedPoly(ambient, spread))
+    return members
 
 
 def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
@@ -170,8 +208,9 @@ def subfield_linear_family(q: int, n: int, r: int, g: int) -> PolyFamily:
     walk order; they have nonzero coefficients only at indices divisible
     by g.  Raises BudgetExceeded above FAMILY_BUDGET members.
     """
-    ambient, leaves = _family_leaves(q, n, r, g)
-    members = [_member(ambient, parent, h, r, g) for parent, h in leaves]
+    ambient, parents = _family_leaves(q, n, r, g)
+    members = [m for parent, factors in parents
+               for m in _members(ambient, parent, factors, r, g)]
     params = FamilyParams(q=q, n=n, r=r, g=g, s=1, ell=(n - r) // g - 1)
     mutual = (1,) + (0,) * (g - 1)
     return PolyFamily(params=params, kind="subfield", spec=ambient,
@@ -187,43 +226,35 @@ def pigeonhole_subfamily(q: int, n: int, r: int, g: int,
     Members are keyed on the ell coefficients at indices r-g, ...,
     r-g*ell (zero below index 0); all other positions in the top window
     are forced (1 at the top, 0 off the g-stride).  A leaf's key is read
-    off its parent without building the member: with Q = q^g, the new
-    polynomial's Q-linearized coefficient j is
-    parent[j-1]^Q - parent(h)^(Q-1) * parent[j], one evaluation, one power
-    and ell multiply-subtracts per leaf, the Frobenius terms once per
-    parent.
+    off its parent and its value P(h) without building the member: with
+    Q = q^g, the new polynomial's Q-linearized coefficient j is
+    parent[j-1]^Q - P(h)^(Q-1) * parent[j], one power and ell
+    multiply-subtracts per leaf, the Frobenius terms once per parent.
     Only the winning bucket's leaves are extended to members, in walk
     order.  The bucket has size at least |family| / q^(n*ell); ties break
     toward the lexicographically smallest key.  When g(ell+1) > r the
     agreement window covers every coefficient, the buckets are
     singletons, and the result is flagged degenerate.
     """
-    ambient, leaves = _family_leaves(q, n, r, g)
+    ambient, parents = _family_leaves(q, n, r, g)
     if r != n - g * (ell + 1):
         raise ParamMismatch(f"ell={ell} inconsistent with r = n - g(ell+1)")
-    depth, big_q = r // g, q ** g
-    # the key's Q-linearized indices depth-1, ..., depth-ell, those below
-    # index 0 read as 0
+    depth = r // g
+    # the key's Q-linearized indices depth-1, ..., depth-ell; those below
+    # index 0 are zero in every member and left out
     key_indices = range(depth - 1, max(depth - ell, 0) - 1, -1)
-    pad = (0,) * (ell - len(key_indices))
-    buckets = {}
-    last, heads = None, ()
-    for parent, h in leaves:
-        if parent is not last:
-            last, heads = parent, [
-                (ambient.frobenius(parent[j - 1], g) if j else 0, parent[j])
-                for j in key_indices]
-        value = ambient.frobenius_sum(parent, h, g)
-        require(value != 0, "extending vector lies in the subspace")
-        factor = ambient.pow(value, big_q - 1)
-        key = tuple(ambient.sub(f, ambient.mul(factor, a))
-                    for f, a in heads) + pad
-        buckets.setdefault(key, []).append((parent, h))
-    best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
-    chosen = [_member(ambient, parent, h, r, g)
-              for parent, h in buckets[best_key]]
-    total = sum(map(len, buckets.values()))
-    require(len(chosen) * (q ** (n * ell)) >= total,
+    counts, kept = Counter(), []
+    for parent, factors in parents:
+        keys = _extend(ambient, parent, factors, g, key_indices)
+        counts.update(keys)
+        kept.append((parent, factors, keys))
+    best = min(counts, key=lambda k: (-counts[k], k))
+    chosen = []
+    for parent, factors, keys in kept:
+        won = [f for f, k in zip(factors, keys) if k == best]
+        if won:
+            chosen += _members(ambient, parent, won, r, g)
+    require(len(chosen) * (q ** (n * ell)) >= sum(counts.values()),
             "largest bucket below the pigeonhole bound")
 
     top_len = g * (ell + 1)

@@ -72,23 +72,23 @@ class LinearizedPoly:
 
     # -- ring-module operations ----------------------------------------------
 
-    def _same(self, other: "LinearizedPoly"):
-        if not isinstance(other, LinearizedPoly) or other.spec != self.spec:
+    def _padded(self, other: "LinearizedPoly"):
+        """Both coefficient tuples, zero-padded to one length; raises
+        FieldMismatch unless other is a polynomial over the same field."""
+        if not isinstance(other, LinearizedPoly) or (
+                other.spec is not self.spec and other.spec != self.spec):
             raise FieldMismatch("polynomials over different fields")
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
 
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        self._same(other)
-        spec = self.spec
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LinearizedPoly(
-            spec, [spec.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return LinearizedPoly(self.spec,
+                              map(self.spec.add, *self._padded(other)))
 
     def __sub__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        self._same(other)
-        spec = self.spec
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LinearizedPoly(
-            spec, [spec.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return LinearizedPoly(self.spec,
+                              map(self.spec.sub, *self._padded(other)))
 
     def __neg__(self) -> "LinearizedPoly":
         spec = self.spec

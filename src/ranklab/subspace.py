@@ -6,12 +6,15 @@ spanning set of field serials: a serial is its GF(q)-coordinate vector
 packed base q, so the basis is serials too.  Equality, hashing and the
 order of an orbit read that tuple of serials; the pivot convention
 behind it lives in gfmatrix alone.  rref_walk is the one RREF
-enumerator: the Grassmannian, the family and the ball's supports walk it.
+enumerator: the Grassmannian, the family and the ball's supports walk it,
+and rref_rows lists the rows a node can take next, for the walk's
+children and for the values of the family's leaves.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, List
 
 from ranklab import gfmatrix
@@ -196,6 +199,26 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     return acc
 
 
+def rref_rows(columns: List[list], pivots, start: int, stop: int,
+              add=operator.add) -> List[tuple]:
+    """The rows a matrix with the given pivots can take next: (p, values)
+    for each pivot p in range(start, stop).  A row has entry 1 at p, zeros
+    below p and at the pivots, and any entries at the other columns right
+    of p, listed rightmost fastest.  Its value folds add over
+    columns[j][c], the value of entry c at column j: the row itself for
+    columns[j][c] = c * base^j and integer addition, and its image under a
+    linear map when columns[j][c] is the image of entry c at column j
+    alone.  Each listed row costs one add."""
+    out = []
+    for p in range(start, stop):
+        values = [columns[p][1]]
+        for j in range(p + 1, len(columns)):
+            if j not in pivots:
+                values = [add(v, c) for v in values for c in columns[j]]
+        out.append((p, values))
+    return out
+
+
 def rref_walk(n: int, depths: range, base: int):
     """Every t x n RREF matrix with t in depths and entries in range(base),
     depth first, as one list of rows updated in place: read it, keep none.
@@ -207,24 +230,21 @@ def rref_walk(n: int, depths: range, base: int):
     pre-order, every matrix on the path to one with t in depths, once and
     after rows[:-1], so a consumer can build state[t] from state[t - 1]
     and rows[-1].  A row with pivot p leaves room for p more rows, so a
-    child at depth t + 1 takes only pivots p >= depths.start - t - 1.
+    child at depth t + 1 takes only pivots p >= depths.start - t - 1; its
+    children are the rref_rows of its pivots, in that order.
     """
     lo, hi = max(depths.start, 0), min(depths.stop, n + 1)
     if lo >= hi:
         return
+    columns = [[c * base ** j for c in range(base)] for j in range(n)]
     rows, pivots, todo = [], [n], []    # pivots[t + 1]: pivot of rows[t]
     while True:
         yield rows
         t = len(rows)
         if t + 1 < hi:
-            # the children, pushed last first: a pivot p below the last,
-            # free entries right of p off the pivots, rightmost fastest
-            for p in reversed(range(max(lo - t - 1, 0), pivots[-1])):
-                kids = [base ** p]
-                for j in range(p + 1, n):
-                    if j not in pivots:
-                        kids = [b + c * base ** j
-                                for b in kids for c in range(base)]
+            # the children, pushed last first
+            for p, kids in reversed(rref_rows(
+                    columns, pivots, max(lo - t - 1, 0), pivots[-1])):
                 todo += [(t, p, b) for b in reversed(kids)]
         if not todo:
             return

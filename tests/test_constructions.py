@@ -31,9 +31,11 @@ from ranklab.constructions import (
     subfield_linear_family,
 )
 from ranklab.subspace import (
+    Subspace,
     enumerate_grassmannian,
     gaussian_binomial,
     orbit,
+    rref_walk,
     subspace_polynomial,
     subspace_polynomial_product,
 )
@@ -118,8 +120,9 @@ def test_subfield_family_divisibility_errors():
 
 
 def test_pigeonhole_refuses_a_dependent_row(monkeypatch):
-    # a leaf is keyed without building its member, so the key's own
-    # evaluation must catch a repeated row
+    # a leaf is keyed without building its member, so a walk that repeats
+    # a row must be caught where the row extends a polynomial, before any
+    # leaf is counted or keyed
     def fake_walk(n, depths, base):
         yield []
         yield [1]
@@ -128,6 +131,66 @@ def test_pigeonhole_refuses_a_dependent_row(monkeypatch):
     monkeypatch.setattr(constructions, "rref_walk", fake_walk)
     with pytest.raises(InvariantViolation, match="lies in the subspace"):
         pigeonhole_subfamily(2, 8, 4, 2, 1)
+
+
+def _line(ambient, sub, row, width):
+    """The serial sum_j row_j gamma^j of a row over GF(q^g)."""
+    h = 0
+    for j in range(width):
+        digit = row // sub.order ** j % sub.order
+        h = ambient.add(h, ambient.mul(
+            embed_serial(digit, sub, ambient),
+            ambient.pow(ambient.generator_serial, j)))
+    return h
+
+
+@pytest.mark.parametrize("q,g,depth,width", [
+    (2, 2, 1, 3), (2, 2, 2, 4), (2, 2, 3, 5), (2, 3, 1, 3), (2, 3, 2, 4),
+    (2, 3, 3, 4), (3, 2, 1, 2), (3, 2, 2, 3), (3, 2, 3, 4), (3, 3, 1, 2),
+    (3, 3, 2, 3)])
+def test_family_parents_list_the_walk_leaves_in_order(q, g, depth, width):
+    # the per-parent leaves, concatenated, are the depth-r/g leaves of the
+    # full walk over GF(q^g), in its order: each parent is the subspace
+    # polynomial of the leaf's first r/g - 1 rows, built here one GF(q)
+    # basis vector at a time, and each factor is its value at the last
+    # row's line to the power q^g - 1, which no two leaves of one parent
+    # share
+    n, r = g * width, g * depth
+    ambient, parents = constructions._family_leaves(q, n, r, g)
+    got = list(parents)
+    sub = make_field(q, g)
+    units = [embed_serial(q ** i, sub, ambient) for i in range(g)]
+    expected, polys = [], {}
+    for rows in rref_walk(width, range(depth, depth + 1), sub.order):
+        if len(rows) < depth:
+            continue
+        head = tuple(rows[:-1])
+        if head not in polys:
+            lines = [_line(ambient, sub, row, width) for row in head]
+            polys[head] = subspace_polynomial(Subspace(
+                ambient, [ambient.mul(u, h) for h in lines for u in units]))
+            expected.append((list(polys[head].coeffs[::g]), []))
+        value = polys[head].evaluate_serial(
+            _line(ambient, sub, rows[-1], width))
+        expected[-1][1].append(ambient.pow(value, q ** g - 1))
+    assert got == expected
+    assert sum(len(factors) for _, factors in got) == \
+        gaussian_binomial(width, depth, q ** g)
+    for _, factors in got:
+        assert len(set(factors)) == len(factors)
+    if depth == 1:
+        assert len(got) == 1 and got[0][0] == [1]
+
+
+def test_pigeonhole_bucket_on_odd_q():
+    # the counting route at q = 3 with a nonempty key; the odd-q cases of
+    # test_pigeonhole_bucket_is_the_full_family_bucket have ell = 0 or a
+    # degenerate window
+    bucket = pigeonhole_subfamily(3, 8, 4, 2, 1)
+    ref = reference.pigeonhole_bucket(subfield_linear_family(3, 8, 4, 2), 1)
+    assert len(bucket) == 82
+    assert bucket.members == ref.members
+    assert bucket.mutual_top == ref.mutual_top
 
 
 def test_pigeonhole_whole_family_at_ell_zero():

@@ -241,8 +241,8 @@ def test_ball_monotone_in_radius():
 
 
 def test_ball_matches_naive_scan():
-    # oracle cross-check: the reference ball vs per-codeword distances,
-    # each one checked against the reference rref
+    # oracle cross-check: the ball against one built from the reference
+    # rank of each difference, which each rank_distance must also match
     code = make_code(2, 4, 4, 2)
     cases = [(code, RankWord(code.field, (3, 0, 7, 12)), (1, 2, 3))]
     for q, n, m, k, s in WALK_CODES:
@@ -257,9 +257,9 @@ def test_ball_matches_naive_scan():
         dist = {}
         for w in codewords(code):
             diff = map(f.sub, center.coords, w.coords)
-            dist[w.coords] = rank_distance(center, w)
-            assert dist[w.coords] == reference.rank(
-                [f.digits(c) for c in diff], code.q)
+            dist[w.coords] = reference.rank([f.digits(c) for c in diff],
+                                            code.q)
+            assert rank_distance(center, w) == dist[w.coords]
         for tau in taus:
             assert [w.coords for w in enumerate_ball(code, center, tau)] \
                 == sorted(c for c, d in dist.items() if d <= tau)

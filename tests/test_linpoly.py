@@ -109,6 +109,38 @@ def test_arithmetic_canonicalizes():
         a + LinearizedPoly.identity(F64)
 
 
+@pytest.mark.parametrize("q,e", [(2, 4), (3, 3), (5, 2)])
+def test_add_and_sub_are_the_per_index_definition(q, e):
+    # coefficient i of a +- b is a_i +- b_i, a missing one read as 0, and
+    # the result is trimmed: unequal lengths and a full cancellation
+    spec = make_field(q, e)
+    rng = random.Random(q)
+
+    def per_index(op, a, b):
+        n = max(len(a.coeffs), len(b.coeffs))
+        return LinearizedPoly(spec, [op(a.coeff(i), b.coeff(i))
+                                     for i in range(n)])
+
+    polys = [LinearizedPoly(spec, [rng.randrange(spec.order)
+                                   for _ in range(length)] + [1])
+             for length in (0, 1, 3, 3, 5)]
+    polys.append(LinearizedPoly.zero(spec))
+    for a in polys:
+        for b in polys:
+            assert (a + b).coeffs == per_index(spec.add, a, b).coeffs
+            assert (a - b).coeffs == per_index(spec.sub, a, b).coeffs
+        assert (a - a).coeffs == () and (a + (-a)).coeffs == ()
+    # the top cancels and the rest does not: the trailing zeros go
+    a = LinearizedPoly(spec, (1, 0, 0, 2, 1))
+    b = LinearizedPoly(spec, (3, 0, 0, 0, 1))
+    assert (a - b).coeffs == (spec.sub(1, 3), 0, 0, 2)
+    other = make_field(3, 2) if q == 2 else F16
+    with pytest.raises(FieldMismatch):
+        a + LinearizedPoly.identity(other)
+    with pytest.raises(FieldMismatch):
+        a - LinearizedPoly.identity(other)
+
+
 def test_q_degree_and_monic():
     assert LinearizedPoly.zero(F16).q_degree == -1
     p = LinearizedPoly(F16, (5, 0, 1))

@@ -21,6 +21,7 @@ from ranklab.subspace import (
     gaussian_binomial,
     intersection,
     orbit,
+    rref_rows,
     rref_walk,
     subspace_distance,
     subspace_polynomial,
@@ -328,6 +329,46 @@ def test_rref_walk_matrices_are_reference_rref(n, base):
     for rows in rref_walk(n, range(n + 1), base):
         digits = [_digits(b, n, base) for b in rows]
         assert sorted(digits) == sorted(reference.rref(digits, base))
+
+
+def test_rref_walk_lists_children_by_pivot_then_rightmost_fastest():
+    # the order the family's members, and so the instance bytes, follow
+    nodes = [tuple(rows) for rows in rref_walk(3, range(1, 2), 2)]
+    assert nodes == [(), (1,), (5,), (3,), (7,), (2,), (6,), (4,)]
+    nodes = [tuple(rows) for rows in rref_walk(3, range(2, 3), 3)]
+    assert nodes[:8] == [(), (3,), (3, 1), (3, 10), (3, 19), (12,), (12, 1),
+                         (12, 10)]
+
+
+@pytest.mark.parametrize("n, base, pivots", [(4, 3, (4,)), (5, 2, (5, 3)),
+                                             (4, 5, (4, 2)), (5, 4, (5,))])
+def test_rref_rows_values_are_the_rows_and_their_images(n, base, pivots):
+    # integer columns give the rows themselves, in product order over the
+    # free columns left to right; columns of images under a Z-linear map
+    # to Z/M give the rows' images, one add per row
+    low = min(pivots)
+    ints = [[c * base ** j for c in range(base)] for j in range(n)]
+    rows = rref_rows(ints, pivots, 0, low)
+    assert [p for p, _ in rows] == list(range(low))
+    weights, m = [random.Random(n).randrange(1, 997) for _ in range(n)], 997
+    images = [[c * w % m for c in range(base)] for w in weights]
+    adds = []
+
+    def add(a, b):
+        adds.append(1)
+        return (a + b) % m
+
+    for (p, values), (_, imaged) in zip(
+            rows, rref_rows(images, pivots, 0, low, add)):
+        free = [j for j in range(p + 1, n) if j not in pivots]
+        assert values == [base ** p + sum(c * base ** j
+                                          for c, j in zip(digits, free))
+                          for digits in itertools.product(range(base),
+                                                          repeat=len(free))]
+        assert imaged == [sum(d * w for d, w in
+                              zip(_digits(row, n, base), weights)) % m
+                          for row in values]
+    assert len(adds) <= sum(len(v) for _, v in rows) * base / (base - 1)
 
 
 def test_enumerate_grassmannian_distinct_and_budget():
