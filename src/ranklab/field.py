@@ -480,7 +480,9 @@ class FieldSpec:
         return (self.q, self.e, self.modulus)
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self._key() == other._key()
+        # make_field is cached, so both sides are nearly always one object
+        return self is other or (isinstance(other, FieldSpec)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return self._hash

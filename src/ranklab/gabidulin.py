@@ -52,12 +52,21 @@ from ranklab.linpoly import LinearizedPoly
 from ranklab.subspace import gaussian_binomial, rref_walk
 
 BALL_BUDGET = 1 << 22
-LANE_BITS = 12          # a batch of _lane_walk holds <= 2^12 codewords
+# A batch of _lane_walk holds <= 2^LANE_BITS codewords.  A lane operation
+# costs interpreter overhead per big int, so wider batches cost less per
+# codeword, up to a point: one lifted count took 18 ms at 2^12 lanes, 12
+# at 2^13, 4.7-4.8 at 2^14, 3.6-3.7 at 2^15 and 5.1-6.7 at 2^16 on the two
+# Gab[6,3]/GF(2^6) instances of the q2-exhaustive benchmark, and 13, 11,
+# 4.9, 5.0 and 5.8 ms on its Gab[8,1]/GF(2^16) (medians of seven calls,
+# CPython 3.11, 2-core x86-64 VM).  At 2^14 that benchmark's peak_rss_mb
+# went 26.61 -> 26.77 MB (medians of ten runs against 2^12).
+LANE_BITS = 14
 # What one support of ball_by_supports costs in codeword tests of
-# ball_by_lanes: 65 to 143 in process time on the four exhaustive
-# benchmark codes where the two are close (Gab[4,2]/GF(3^4),
-# Gab[4,1]/GF(3^8) and both Gab[6,3]/GF(2^6) centers, tau 2).  exact_ball
-# takes the cheaper oracle by it; any value from 39 to 366 picks the same.
+# ball_by_lanes: 61 to 307 in process time, with batches of 2^14 lanes, on
+# the four exhaustive benchmark codes where the two are close (61-77 on
+# Gab[4,2]/GF(3^4) and Gab[4,1]/GF(3^8), 240-307 on both Gab[6,3]/GF(2^6)
+# centers, tau 2).  exact_ball takes the cheaper oracle by it; any value
+# from 39 to 366 picks the same.
 SUPPORT_COST = 100
 
 
@@ -437,12 +446,16 @@ def ball_by_lanes(code: GabidulinCode, center: RankWord,
     """The ball of enumerate_ball, one gfmatrix.rank_lanes_exceed call per
     batch of _lane_walk.  Each slice less the center's digit, in every
     lane, is that digit of c - center lane by lane, so the lanes the call
-    does not return are the ball.  A ball word is rebuilt from its lane
-    index L: the batch's high part, plus the codeword of L's b base-q
-    digits, read from two tables of partial sums of the b low basis
-    codewords, q^floor(b/2) sums of the low half and q^ceil(b/2) of the
-    high half, built once per call.  Output is sorted by coordinate
-    serials."""
+    does not return are the ball.  The rank of c - center is that of its
+    transpose, and v vectors of width u take O(v u^2) lane operations to
+    eliminate, so the call takes the m digit planes, vectors of n <= m
+    coordinates (n points independent over GF(q)), in place of the n
+    coordinate vectors of m digits.
+    A ball word is rebuilt from its lane index L: the batch's high part,
+    plus the codeword of L's b base-q digits, read from two tables of
+    partial sums of the b low basis codewords, q^floor(b/2) sums of the
+    low half and q^ceil(b/2) of the high half, built once per call.
+    Output is sorted by coordinate serials."""
     _check_code_context(code, center)
     field, q, n = code.field, code.q, code.n
     b = _lane_digits(code)
@@ -457,7 +470,7 @@ def ball_by_lanes(code: GabidulinCode, center: RankWord,
         diff = [[lay.add(s, lay.digit[d]) if d else s
                  for s, d in zip(row, neg)]
                 for row, neg in zip(slices, minus)]
-        inside = lay.ones ^ gfmatrix.rank_lanes_exceed([], diff, tau,
+        inside = lay.ones ^ gfmatrix.rank_lanes_exceed([], zip(*diff), tau,
                                                        lanes, q)
         bits = bin(inside)[:1:-1]     # bit w L is lane L's flag
         i = bits.find("1")

@@ -267,8 +267,15 @@ class LaneLayout:
 
 
 def _repunit(period: int, copies: int) -> int:
-    """copies ones, period bits apart."""
-    return ((1 << period * copies) - 1) // ((1 << period) - 1)
+    """copies ones, period bits apart, built by doubling: linear in the
+    int's length, where dividing (2^(period copies) - 1) by
+    (2^period - 1) is quadratic in it."""
+    out, have = (1, 1) if copies else (0, 0)
+    while have < copies:
+        step = min(have, copies - have)
+        out |= out << period * step
+        have += step
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -290,8 +297,9 @@ def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
     subtract c times it, and in the rest v, scaled by 1/c, becomes the
     pivot.  On q = 2 that is one XOR under the mask; on odd q the lanes
     are split by c and add (q - c) times the pivot row, then reduce mod q.
-    ge[r] masks the lanes of rank >= r, for r up to limit + 1, below the
-    vector width; it stops once every lane passes the limit."""
+    ge[i] masks the lanes of rank >= len(ech) + i, ech the basis of
+    start, which every lane reaches, for len(ech) + i up to limit + 1,
+    below the vector width; it stops once every lane passes the limit."""
     lay = lane_layout(lanes, q)
     ones, full, digit, w = lay.ones, lay.full, lay.digit, lay.w
     vecs = [list(v) for v in vecs]
@@ -300,16 +308,16 @@ def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
         return ones
     if limit >= width:
         return 0
+    ech = basis(start, q)
+    if len(ech) > limit:
+        return ones
+    ge = [full] + [0] * (limit + 1 - len(ech))
     held = [0] * width
     # rows[p][i], i < p: digit i of the pivot at p, in the lanes of held[p]
     rows = [[0] * p for p in range(width)]
-    ech = basis(start, q)
     for h, b in ech.items():
         held[h - 1] = full
         rows[h - 1] = [digit[b >> w * i & (1 << w) - 1] for i in range(h - 1)]
-    ge = [full if r <= len(ech) else 0 for r in range(limit + 2)]
-    if ge[-1] == full:
-        return ones
     mod = lay.mod
     for v in vecs:
         v += [0] * (width - len(v))
@@ -343,7 +351,7 @@ def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
             if new:
                 held[p] |= new
                 live ^= new
-                for r in range(limit + 1, 0, -1):
+                for r in range(len(ge) - 1, 0, -1):
                     ge[r] |= ge[r - 1] & new
                 if ge[-1] == full:
                     return ones

@@ -5,13 +5,13 @@ n-dimensional subspace of GF(q)^(n+m); the map is injective and doubles
 distances: d_s(lift X, lift Y) = 2 rank(X - Y).  A word over GF(q^m) lifts
 its transposed matrix: row j of X holds the digits of coordinate j.
 
-The lifted count of verify_lifted_instance tests every codeword's lift
-against the lifted center, d_s <= tau_s iff rank[center rows; word rows]
-<= n + floor(tau_s/2).  It takes the codewords in batches of thousands
-side by side (gabidulin._lane_walk), lays each lane's rows out as lift_word
-does, [X | I_n] with an identity slice of ones, and eliminates a whole
-batch, stacked on the center's rows, in one gfmatrix.rank_lanes_exceed
-call, on every q.
+The lifted count of verify_lifted_instance, lifted_count, tests every
+codeword's lift against the lifted center, d_s <= tau_s iff rank[center
+rows; word rows] <= n + floor(tau_s/2).  It takes the codewords in batches
+of thousands side by side (gabidulin._lane_walk), lays each lane's rows
+out as lift_word does, [X | I_n] with an identity slice of ones, and
+eliminates a whole batch, stacked on the center's rows, in one
+gfmatrix.rank_lanes_exceed call, on every q.
 """
 
 from __future__ import annotations
@@ -116,6 +116,23 @@ def lift_code(code: GabidulinCode) -> List[LiftedSubspace]:
     return out
 
 
+def lifted_count(code: GabidulinCode, center: LiftedSubspace,
+                 half: int) -> int:
+    """The number of codewords whose lift lies within subspace distance
+    2 half of center: d_s <= 2 half iff rank[center rows; word rows] <=
+    n + half, tested one _lane_walk batch per rank_lanes_exceed call."""
+    q, n = code.q, code.n
+    count = 0
+    for lanes, _, slices in _lane_walk(code):
+        ones = gfmatrix.lane_layout(lanes, q).ones
+        # lane L's row j: its m slices of coordinate j, then the identity
+        # slice, 1 in every lane, at m + j
+        rows = [[*s, *(0,) * j, ones] for j, s in enumerate(slices)]
+        count += lanes - gfmatrix.rank_lanes_exceed(
+            center.packed, rows, n + half, lanes, q).bit_count()
+    return count
+
+
 def prior_lifted_bound(q: int, n: int, m: int, k: int,
                        tau_s: int) -> Fraction:
     """Earlier existential bound at subspace radius tau_s: the rank-level
@@ -153,16 +170,7 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     code = inst.code
     if code.size <= budget:
         rank_count = len(exact_ball(code, inst.center, inst.tau, budget))
-        # d_s <= tau_s iff rank[center rows; word rows] <= n + half
-        q, n = code.q, code.n
-        # lane L's row j: its m slices of coordinate j, then the identity
-        # slice, 1 in every lane, at m + j
-        count = 0
-        for lanes, _, slices in _lane_walk(code):
-            ones = gfmatrix.lane_layout(lanes, q).ones
-            rows = [[*s, *(0,) * j, ones] for j, s in enumerate(slices)]
-            count += lanes - gfmatrix.rank_lanes_exceed(
-                lifted_center.packed, rows, n + half, lanes, q).bit_count()
+        count = lifted_count(code, lifted_center, half)
         if half == inst.tau and count != rank_count:
             raise InvariantViolation(
                 f"lifted ball has {count} words, rank ball {rank_count}")

@@ -13,6 +13,7 @@ from ranklab.errors import (
 )
 from ranklab.field import (
     TABLE_LIMIT,
+    FieldSpec,
     embed_serial,
     embedded_basis,
     is_irreducible_rabin,
@@ -62,6 +63,20 @@ def test_supplied_modulus_works():
     # x^4 + x^3 + 1 is primitive over GF(2) as well
     f = make_field(2, 4, modulus=(1, 0, 0, 1, 1))
     assert f.mul(f.generator_serial, f.inv(f.generator_serial)) == 1
+
+
+def test_fields_are_equal_by_q_degree_and_modulus():
+    # one object is equal to itself, a second object of the same q, degree
+    # and modulus is equal and hashes alike, and any other field or type
+    # is not
+    f = make_field(2, 4)
+    twin = FieldSpec(2, 4, f.modulus)
+    assert twin is not f
+    assert f == f and f == twin and twin == f
+    assert hash(f) == hash(twin)
+    assert f != make_field(2, 4, modulus=(1, 0, 0, 1, 1))
+    assert f != make_field(2, 2) and f != make_field(3, 4)
+    assert f != (2, 4, f.modulus) and f != 16
 
 
 def test_trial_and_rabin_agree():

@@ -357,6 +357,33 @@ def test_ball_by_lanes_equals_enumerate_ball(monkeypatch, reference_ball, q,
                 assert ball_by_lanes(code, center, tau) == ball, (tau, b)
 
 
+@pytest.mark.parametrize("q, n, m, k, s",
+                         [c for c in ORACLE_CODES if c[2] > c[1] - c[4]])
+def test_ball_by_lanes_eliminates_the_shorter_side(monkeypatch,
+                                                   reference_ball, q, n, m,
+                                                   k, s):
+    # the lane ball eliminates the m digit planes of c - center, each of
+    # width n <= m, not its n coordinates of width m; on the five codes
+    # with m > n, where the two differ, the transposed ball is the
+    # reference's at every radius
+    code, centers = _oracle_centers(q, n, m, k, s)
+    assert code.m > code.n
+    shapes = set()
+    original = gfmatrix.rank_lanes_exceed
+
+    def spy(start, vecs, *args):
+        vecs = [list(v) for v in vecs]
+        shapes.add((len(vecs), *{len(v) for v in vecs}))
+        return original(start, vecs, *args)
+
+    monkeypatch.setattr(gfmatrix, "rank_lanes_exceed", spy)
+    for center in centers:
+        for tau in range(code.n):
+            assert ball_by_lanes(code, center, tau) \
+                == reference_ball(code, center, tau)
+    assert shapes == {(code.m, code.n)}
+
+
 @pytest.mark.parametrize("q, n, m, k, s", [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0),
                                            (3, 3, 3, 1, 0), (5, 2, 2, 1, 0)])
 def test_enumerate_ball_is_one_rank_distance_per_codeword(monkeypatch, q, n,

@@ -313,3 +313,64 @@ def test_lane_elimination_matches_rank_gf2_in_every_lane(q):
                 == sum(1 << lane * w for lane, r in enumerate(ranks)
                        if r > limit)
         assert (start, vecs) == kept
+
+
+def test_repunit_is_the_division_formula():
+    # the doubling build against (2^(period copies) - 1) / (2^period - 1)
+    for period in range(1, 9):
+        for copies in range(41):
+            assert gfmatrix._repunit(period, copies) \
+                == ((1 << period * copies) - 1) // ((1 << period) - 1)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_wide_lane_layout_ones_and_tile_are_the_formula(q):
+    # at 2^14 lanes, the width of a _lane_walk batch on q = 2: ones and a
+    # tiled block of every period 2^i against the division formula
+    lanes = 1 << 14
+    lay = gfmatrix.LaneLayout(lanes, q)
+    w = lay.w
+    assert lay.ones == ((1 << w * lanes) - 1) // ((1 << w) - 1)
+    assert lay.full == (1 << w * lanes) - 1
+    rng = random.Random(f"tile:{q}")
+    for i in range(15):
+        period = 1 << i
+        block = sum(rng.randrange(q) << w * j for j in range(period))
+        assert lay.tile(block, period) == block * (
+            ((1 << w * lanes) - 1) // ((1 << w * period) - 1))
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_lane_rank_counts_from_the_start_basis(q):
+    # start spans rank r in every lane, and holds one dependent vector
+    # too, so that the count starts at the rank of start, not its length:
+    # at limit r - 2 and r - 1 (rank r > limit + 1 and = limit + 1) every
+    # lane exceeds before any vector is read, and at limit r a lane
+    # exceeds exactly where vecs add to the span, against basis()
+    rng = random.Random(f"from-start:{q}")
+    for _ in range(40):
+        width = rng.randrange(3, 9 if q == 2 else 6)
+        r = rng.randrange(2, width)
+        tops = rng.sample(range(width), r)
+        start = [q ** t + rng.randrange(q ** t) for t in tops]
+        start.append(_pack([a + b for a, b in zip(
+            _unpack(start[0], q, width), _unpack(start[1], q, width))], q))
+        assert len(gfmatrix.basis(start, q)) == r
+        lanes = rng.randrange(1, 40)
+        lay = gfmatrix.lane_layout(lanes, q)
+        count = rng.randrange(4)
+        digits = [[[rng.randrange(q) for _ in range(width)]
+                   for _ in range(count)] for _ in range(lanes)]
+        vecs = [[sum(digits[lane][i][p] << lane * lay.w
+                     for lane in range(lanes)) for p in range(width)]
+                for i in range(count)]
+        for limit in (r - 2, r - 1):
+            assert gfmatrix.rank_lanes_exceed(start, vecs, limit, lanes,
+                                              q) == lay.ones
+        ranks = [len(gfmatrix.basis(start + [_pack(d, q) for d in row], q))
+                 for row in digits]
+        if q == 2:
+            assert ranks == [gfmatrix.rank_gf2(
+                start + [_pack(d, 2) for d in row]) for row in digits]
+        assert gfmatrix.rank_lanes_exceed(start, vecs, r, lanes, q) \
+            == sum(1 << lane * lay.w for lane, k in enumerate(ranks) if k > r)
