@@ -11,20 +11,18 @@ to 2^LANE_BITS to a batch, and takes each batch's high message digits
 from that walk.  The rank ball has three exact oracles.  enumerate_ball,
 the per-codeword reference, makes one rank_distance call per codeword of
 codewords() on every q; ball_by_lanes tests a whole _lane_walk batch in
-one lane elimination; ball_by_supports walks the sum_{t<=tau} [n,t]_q
-error supports of rank <= tau depth first, each extending its parent's
-GF(q) elimination by m columns.  exact_ball runs ball_by_supports or
-ball_by_lanes, whichever costs less, a support counted as SUPPORT_COST
-codeword tests.
+one lane elimination; ball_by_supports solves the syndrome equations
+along the sum_{t<=tau} [n,t]_q error supports of rank <= tau with
+gfmatrix.tagged_walk, each extending its parent's GF(q) elimination by
+m columns.  exact_ball runs ball_by_supports or ball_by_lanes, whichever
+costs less, a support counted as SUPPORT_COST codeword tests.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
 its message digit.  A word reduced against it leaves its syndrome
 (_syndrome), the residue above the tag digits, GF(q)-linear and zero
 exactly on the code, and its message in the tag digits (preimage_message,
-which re-encodes that message before it accepts the word).  The supports
-oracle reads the syndromes of x^i * b, b in GF(q)^n, from one table per
-code, _syndrome_table, already in the elimination's gfmatrix._spread form.
+which re-encodes that message before it accepts the word).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from ranklab.errors import (
     BudgetExceeded,
     ContextMismatch,
     DegreeTooHigh,
-    InvariantViolation,
     NegativeDiscriminant,
     NotASubfield,
     RadiusTooLarge,
@@ -158,33 +155,6 @@ class GabidulinCode:
         return gfmatrix.tagged_basis(
             [_packed(self, c) for c in self._basis_contributions], self.q)
 
-    @cached_property
-    def _syndrome_table(self) -> Tuple[Tuple[int, ...], ...]:
-        """Row b (b in GF(q)^n packed base q) holds _syndrome(x^i * b) for
-        i < m in gfmatrix._spread form, the form ball_by_supports
-        eliminates, summed by linearity, lane by lane over the n*m digits
-        of a syndrome, from the n*m images of x^i at one coordinate."""
-        q, n, m = self.q, self.n, self.m
-        images = [[gfmatrix._spread(_syndrome(self, [q ** i * (u == j)
-                                                     for u in range(n)]), q)
-                   for i in range(m)] for j in range(n)]
-        return tuple(_digit_sums(images, m, q,
-                                 gfmatrix.lane_layout(n * m, q).add))
-
-
-def _digit_sums(vecs: Sequence[Sequence[int]], width: int, q: int,
-                add) -> List[Tuple[int, ...]]:
-    """The q^len(vecs) sums of vecs: entry x adds vecs[i] x_i times for
-    each i, x_i the base-q digits of x, to width zeros, one coordinate
-    at a time by add."""
-    table = [(0,) * width]
-    for v in vecs:
-        # entries x + c q^i, c = 1..q-1, after the entries x below q^i
-        size = len(table)
-        for _ in range(q - 1):
-            table += [tuple(map(add, row, v)) for row in table[-size:]]
-    return table
-
 
 def check_code_params(n: int, m: int, k: int):
     """Reject a Gab[n, k] over GF(q^m) unless n >= 1, m >= 1, n | m and
@@ -270,8 +240,8 @@ def _lane_digits(code: GabidulinCode) -> int:
     return b
 
 
-def _lane_walk(code: GabidulinCode) -> Iterator[
-        Tuple[int, Tuple[int, ...], List[List[int]]]]:
+def _lane_walk(code: GabidulinCode, offset: Sequence[int] = ()) \
+        -> Iterator[Tuple[int, Tuple[int, ...], List[List[int]]]]:
     """Every codeword, in batches of lanes = q^b codewords side by side, b
     from _lane_digits: yields (lanes, high, slices), where lane L of
     slices[j][p], a lane int of gfmatrix.lane_layout(lanes, q), is digit p
@@ -283,7 +253,8 @@ def _lane_walk(code: GabidulinCode) -> Iterator[
     in the message digits, so the slices of the low part are sums of the
     lane patterns of the b low digits, each a repunit multiple of one
     block, built once per call; a batch adds each digit d of high to every
-    lane, as d ones."""
+    lane, as d ones.  A nonempty offset word is added to high before its
+    digits are taken: the slices then hold c + offset, high stays c's."""
     contribs = code._basis_contributions
     q, m = code.q, code.m
     b = _lane_digits(code)
@@ -302,9 +273,10 @@ def _lane_walk(code: GabidulinCode) -> Iterator[
                 if d:
                     row[p] = add(row[p], times[d])
     for high in _walk(code, b):
+        moved = map(code.field.add, high, offset) if offset else high
         yield lay.count, tuple(high), [[add(s, lay.digit[d]) if d else s
                                         for s, d in zip(row, digits(h))]
-                                       for h, row in zip(high, low)]
+                                       for h, row in zip(moved, low)]
 
 
 def codewords(code: GabidulinCode,
@@ -377,17 +349,6 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
     return [RankWord(code.field, c) for c in found]
 
 
-def _extend_support(ech: dict, cols: list, tags: int, q: int) -> dict:
-    """A copy of the echelon basis ech extended by the gfmatrix._tag
-    syndrome columns of one more support row; InvariantViolation where a
-    column's syndrome digits cancel, leaving a key at or below its tags."""
-    child = dict(ech)
-    gfmatrix._eliminate(cols, child, q)
-    if min(child) <= tags:
-        raise InvariantViolation("a support's syndrome columns are dependent")
-    return child
-
-
 def ball_by_supports(code: GabidulinCode, center: RankWord,
                      tau: int) -> List[RankWord]:
     """The ball of enumerate_ball by Ourivski-Johansson basis enumeration.
@@ -395,48 +356,31 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     An error center - c of rank t is a * B: B is the t x n RREF basis of
     its row space over GF(q), a is in GF(q^m)^t, and the mt GF(q) digits
     x_si of a solve sum x_si _syndrome(x^i b_s) = _syndrome(center).  The
-    supports B with t <= tau come from rref_walk(n, range(tau + 1), q).
-    Each copies its parent's echelon basis of syndrome columns, eliminates
-    the m columns x^i b of its new row b_s into it, each shifted up by
-    T = m*tau digits and tagged at digit s*m + i (gfmatrix._tag of the
-    row's columns, which the code's syndrome table holds spread, cached
-    per depth and row), and reduces its parent's residue of
-    _syndrome(center) * q^T further.
-    Below d the code is MRD, so no column's syndrome digits cancel;
-    InvariantViolation where they do.  A residue below q^T, a hit, holds
-    the x_si in its tag digits; a counts only if its entries are
-    GF(q)-independent, so each word is found once, under its error's row
-    space.  Output is sorted by coordinate serials.
+    supports B with t <= tau come from rref_walk(n, range(tau + 1), q),
+    and gfmatrix.tagged_walk solves along it, with unit row j's images
+    the m syndromes of x^i at coordinate j and T = m*tau tag digits.
+    Below d the code is MRD, so no support's syndromes are dependent;
+    InvariantViolation where they are.  A hit's x holds the x_si; a
+    counts only if its entries are GF(q)-independent, so each word is
+    found once, under its error's row space.  Output is sorted by
+    coordinate serials.
     """
     _check_code_context(code, center)
     field, q, n, m = code.field, code.q, code.n, code.m
-    table = code._syndrome_table
-    tags = m * max(tau, 0)
-    floor = gfmatrix._spread(q ** tags, q)
+    units = [[_syndrome(code, [q ** i * (u == j) for u in range(n)])
+              for i in range(m)] for j in range(n)]
     found = []
-    cols = [{} for _ in range(tau + 1)]   # depth -> row b -> its columns
-    # state[t]: echelon basis and residue of the support rows[:t]
-    state = [({}, gfmatrix._spread(_syndrome(code, center.coords)
-                                   * q ** tags, q))]
-    for rows in rref_walk(n, range(tau + 1), q):
+    for rows, x in gfmatrix.tagged_walk(
+            rref_walk(n, range(tau + 1), q), units,
+            _syndrome(code, center.coords), m * max(tau, 0), q):
         t = len(rows)
-        if t:
-            b = rows[-1]
-            col = cols[t].get(b)
-            if col is None:
-                col = cols[t][b] = gfmatrix._tag(table[b], (t - 1) * m,
-                                                 tags, q)
-            ech = _extend_support(state[t - 1][0], col, tags, q)
-            state[t:] = [(ech, gfmatrix._reduce(state[t - 1][1], ech, q))]
-        if state[t][1] < floor:
-            x = gfmatrix._pack(state[t][1], q)
-            a = [x // field.order ** s % field.order for s in range(t)]
-            if len(gfmatrix.basis(a, q)) == t:
-                err = [0] * n
-                for a_s, row in zip(a, rows):
-                    err = [field.add(e, field.mul(a_s, row // q ** j % q))
-                           for j, e in enumerate(err)]
-                found.append(tuple(map(field.sub, center.coords, err)))
+        a = [x // field.order ** s % field.order for s in range(t)]
+        if len(gfmatrix.basis(a, q)) == t:
+            err = [0] * n
+            for a_s, row in zip(a, rows):
+                err = [field.add(e, field.mul(a_s, row // q ** j % q))
+                       for j, e in enumerate(err)]
+            found.append(tuple(map(field.sub, center.coords, err)))
     found.sort()
     return [RankWord(field, c) for c in found]
 
@@ -444,13 +388,12 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
 def ball_by_lanes(code: GabidulinCode, center: RankWord,
                   tau: int) -> List[RankWord]:
     """The ball of enumerate_ball, one gfmatrix.rank_lanes_exceed call per
-    batch of _lane_walk.  Each slice less the center's digit, in every
-    lane, is that digit of c - center lane by lane, so the lanes the call
-    does not return are the ball.  The rank of c - center is that of its
-    transpose, and v vectors of width u take O(v u^2) lane operations to
-    eliminate, so the call takes the m digit planes, vectors of n <= m
-    coordinates (n points independent over GF(q)), in place of the n
-    coordinate vectors of m digits.
+    batch of _lane_walk, offset by -center: its slices hold c - center
+    lane by lane, so the lanes the call does not return are the ball.  The
+    rank of c - center is that of its transpose, and v vectors of width u
+    take O(v u^2) lane operations to eliminate, so the call takes the m
+    digit planes, vectors of n <= m coordinates (n points independent over
+    GF(q)), in place of the n coordinate vectors of m digits.
     A ball word is rebuilt from its lane index L: the batch's high part,
     plus the codeword of L's b base-q digits, read from two tables of
     partial sums of the b low basis codewords, q^floor(b/2) sums of the
@@ -460,17 +403,14 @@ def ball_by_lanes(code: GabidulinCode, center: RankWord,
     field, q, n = code.field, code.q, code.n
     b = _lane_digits(code)
     contribs = code._basis_contributions
-    lo = _digit_sums(contribs[:b // 2], n, q, field.add)
-    hi = _digit_sums(contribs[b // 2:b], n, q, field.add)
+    lo = gfmatrix.digit_sums(contribs[:b // 2], n, q, field.add)
+    hi = gfmatrix.digit_sums(contribs[b // 2:b], n, q, field.add)
     split = len(lo)
-    minus = [[-d % q for d in field.digits(c)] for c in center.coords]
     found = []
-    for lanes, high, slices in _lane_walk(code):
+    for lanes, high, slices in _lane_walk(
+            code, tuple(map(field.neg, center.coords))):
         lay = gfmatrix.lane_layout(lanes, q)
-        diff = [[lay.add(s, lay.digit[d]) if d else s
-                 for s, d in zip(row, neg)]
-                for row, neg in zip(slices, minus)]
-        inside = lay.ones ^ gfmatrix.rank_lanes_exceed([], zip(*diff), tau,
+        inside = lay.ones ^ gfmatrix.rank_lanes_exceed([], zip(*slices), tau,
                                                        lanes, q)
         bits = bin(inside)[:1:-1]     # bit w L is lane L's flag
         i = bits.find("1")

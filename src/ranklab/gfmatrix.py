@@ -8,13 +8,15 @@ Every function takes GF(q) vectors packed base q (digit j is the
 coefficient of q^j), as GF(q^m) serials and lifted rows [X | I] are
 stored, and returns them so; solve() alone takes matrix rows, and packs
 them itself.  The dicts of basis() and tagged_basis() hold the loop's own
-form: callers read their size or pass them back.  basis()
-gives the rank, and tagged_basis()/reduce_tagged() eliminate a set of
-vectors once and then reduce any number of targets against it, and
-nullspace() reads their linear relations off the same tagged elimination.  rref() is the canonical basis of
-a span: each vector's pivot is its top nonzero digit, the key the loop
-stores it under; this module is the only place that convention lives.
-Results are plain ints and tuples so they can be hashed and compared.
+form: callers read their size or pass them back.  basis() gives the
+rank, tagged_basis()/reduce_tagged() eliminate a set of vectors once and
+reduce any number of targets against it, nullspace() reads their linear
+relations off the same tagged elimination, and tagged_walk() solves for
+one target at every node of a walk of row sets, each node's elimination
+its parent's and one row's.  rref() is the canonical basis of a span:
+each vector's pivot is its top nonzero digit, the key the loop stores it
+under; this module is the only place that convention lives.  Results are
+plain ints and tuples so they can be hashed and compared.
 
 Next to that loop, rank_lanes_exceed() runs the same top-digit elimination
 with the same digit arithmetic turned sideways: lane L of a lane int holds
@@ -29,7 +31,7 @@ in arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ranklab.errors import InvariantViolation
 
@@ -188,6 +190,61 @@ def reduce_tagged(tagged: dict, target: int, q: int) -> Tuple[int, int]:
     shift = q ** len(tagged)
     return divmod(_pack(_clear(_spread(target * shift, q), tagged, q), q),
                   shift)
+
+
+def digit_sums(vecs: Sequence[Sequence[int]], width: int, q: int,
+               add) -> List[Tuple[int, ...]]:
+    """The q^len(vecs) sums of vecs: entry x adds vecs[i] x_i times for
+    each i, x_i the base-q digits of x, to width zeros, one coordinate
+    at a time by add."""
+    table = [(0,) * width]
+    for v in vecs:
+        # entries x + c q^i, c = 1..q-1, after the entries x below q^i
+        size = len(table)
+        for _ in range(q - 1):
+            table += [tuple(map(add, row, v)) for row in table[-size:]]
+    return table
+
+
+def tagged_walk(walk: Iterable[Sequence[int]],
+                units: Sequence[Sequence[int]], target: int, t: int,
+                q: int) -> Iterator[Tuple[Sequence[int], int]]:
+    """(rows, x) at every node rows of walk whose vectors span target.
+
+    Row b, packed base q, has the vectors sum_j b_j units[j][i], i < w,
+    units[j] the w packed images of unit row q^j.  walk yields lists of
+    rows in pre-order, each read at once and not kept: a node extends the
+    last node one row shorter, or the empty root.  x is packed, its digit
+    s w + i the coefficient of vector i of rows[s], and t >= w len(rows).
+    InvariantViolation where a row's vectors depend on those before it.
+
+    A node _eliminates the _tag of its row's vectors (tag digit s w + i,
+    own digits shifted up by t) into a copy of its parent's basis and
+    _reduces its parent's residue of target * q^t; a residue below q^t
+    holds x in its tag digits.  Row vectors come from one digit_sums
+    table per call, and each row is tagged once per depth."""
+    w = len(units[0])
+    lanes = _width([v for images in units for v in images], q)
+    table = digit_sums([[_spread(v, q) for v in images] for images in units],
+                       w, q, lane_layout(lanes, q).add)
+    floor = _spread(q ** t, q)
+    tagged: dict = {}       # (depth, row) -> its tagged vectors
+    state = [({}, _spread(target * q ** t, q))]  # depth -> basis, residue
+    for rows in walk:
+        d = len(rows)
+        if d:
+            vecs = tagged.get((d, rows[-1]))
+            if vecs is None:
+                vecs = tagged[d, rows[-1]] = _tag(table[rows[-1]],
+                                                  (d - 1) * w, t, q)
+            ech = dict(state[d - 1][0])
+            _eliminate(vecs, ech, q)
+            if min(ech) <= t:
+                raise InvariantViolation(
+                    f"the vectors of row {d} depend on those before them")
+            state[d:] = [(ech, _reduce(state[d - 1][1], ech, q))]
+        if state[d][1] < floor:
+            yield rows, _pack(state[d][1], q)
 
 
 def basis(vecs: Sequence[int], q: int) -> dict:

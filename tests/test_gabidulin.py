@@ -29,9 +29,9 @@ from ranklab.adversarial import (
     code_from_dict,
     code_to_dict,
 )
-from ranklab.field import make_field
+from ranklab.field import make_field, sub_digits
 from ranklab.linpoly import LinearizedPoly
-from ranklab.subspace import gaussian_binomial
+from ranklab.subspace import gaussian_binomial, rref_walk
 from ranklab import gabidulin
 from ranklab.gabidulin import (
     GabidulinCode,
@@ -107,6 +107,14 @@ WALK_CODES = [(2, 4, 4, 2, 0), (3, 2, 2, 1, 0), (5, 2, 2, 1, 0),
               (2, 3, 6, 1, 0), (3, 2, 4, 1, 0), (2, 6, 6, 2, 3)]
 
 
+def _lane_words(slices, lanes, q):
+    """The word in each lane of a _lane_walk batch's slices."""
+    w = gfmatrix.lane_layout(lanes, q).w
+    return [tuple(sum((x >> lane * w & (1 << w) - 1) * q ** p
+                      for p, x in enumerate(row)) for row in slices)
+            for lane in range(lanes)]
+
+
 @pytest.mark.parametrize("q, n, m, k, s", WALK_CODES)
 def test_walk_visits_every_codeword_once_one_step_apart(monkeypatch, q, n, m,
                                                       k, s):
@@ -124,19 +132,22 @@ def test_walk_visits_every_codeword_once_one_step_apart(monkeypatch, q, n, m,
     # of q^b lanes, q^b <= 2^LANE_BITS: one lane at LANE_BITS = 1 on odd
     # q, several batches at 1 and 3, one batch where mk is smaller; lane L
     # of the first batch has L's base-q digits as its message digits, and
-    # lane 0 of every batch holds the high part the batch yields
+    # lane 0 of every batch holds the high part the batch yields.  Walked
+    # with an offset, each batch yields the same lanes and high part and
+    # holds c + offset in the lane of each codeword c
+    offset = tuple(rng.randrange(f.order) for _ in range(code.n))
     for bits in (1, 3, gabidulin.LANE_BITS):
         monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
         b = min(m * k, max(e for e in range(bits + 1) if q ** e <= 2 ** bits))
         assert gabidulin._lane_digits(code) == b
-        w = gfmatrix.lane_layout(q ** b, q).w
         batches, highs = [], []
-        for lanes, high, slices in _lane_walk(code):
-            batches.append([tuple(sum((x >> lane * w & (1 << w) - 1) * q ** p
-                                      for p, x in enumerate(row))
-                                  for row in slices)
-                            for lane in range(lanes)])
+        for (lanes, high, slices), moved in zip(_lane_walk(code),
+                                                _lane_walk(code, offset)):
+            batches.append(_lane_words(slices, lanes, q))
             highs.append(high)
+            assert moved[:2] == (lanes, high)
+            assert _lane_words(moved[2], lanes, q) == [
+                tuple(map(f.add, c, offset)) for c in batches[-1]]
         assert all(len(batch) == q ** b for batch in batches)
         assert highs == [batch[0] for batch in batches]
         assert sorted(x for batch in batches for x in batch) == sorted(words)
@@ -461,8 +472,10 @@ def test_exact_ball_budget_is_enumerate_ball_budget():
 @pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
 def test_ball_by_supports_expands_each_support_once(q, n, m, k, s,
                                                     monkeypatch):
-    # one child elimination per support of dimension 1..tau, none for
-    # the root (the empty support), and no tagged elimination once the
+    # one elimination per node of the walk ball_by_supports passes to
+    # gfmatrix.tagged_walk but the root (the empty support), so one per
+    # support of dimension 1..tau: the _eliminate calls less those of
+    # the hit test's basis() calls.  No tagged elimination once the
     # code's message system is built: a hit is read off the walk's own
     # residue, not solved again
     rng = random.Random(f"expand:{q}:{n}:{m}:{k}:{s}")
@@ -470,18 +483,31 @@ def test_ball_by_supports_expands_each_support_once(q, n, m, k, s,
     center = RankWord(code.field, tuple(rng.randrange(code.field.order)
                                         for _ in range(code.n)))
     code._message_system
-    extend = gabidulin._extend_support
-    calls, tagged = [], []
-    monkeypatch.setattr(gabidulin, "_extend_support",
-                        lambda *a: calls.append(a) or extend(*a))
+    eliminate, basis, walk = (gfmatrix._eliminate, gfmatrix.basis,
+                              gabidulin.rref_walk)
+    calls, tests, nodes, tagged = [], [], [], []
+
+    def counted_walk(*args):
+        for rows in walk(*args):
+            nodes.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(gabidulin, "rref_walk", counted_walk)
+    monkeypatch.setattr(gfmatrix, "_eliminate",
+                        lambda *a: calls.append(a) or eliminate(*a))
+    monkeypatch.setattr(gfmatrix, "basis",
+                        lambda *a: tests.append(a) or basis(*a))
     for name in ("tagged_basis", "_tagged"):
         monkeypatch.setattr(gfmatrix, name,
                             lambda *a, name=name: tagged.append(name))
     for tau in range(code.min_distance):
-        calls.clear()
+        for seen in (calls, tests, nodes):
+            seen.clear()
         ball_by_supports(code, center, tau)
-        assert len(calls) == sum(gaussian_binomial(code.n, t, q)
-                                 for t in range(1, tau + 1)), tau
+        supports = sum(gaussian_binomial(code.n, t, q)
+                       for t in range(1, tau + 1))
+        assert len(calls) - len(tests) == sum(map(bool, nodes)) \
+            == supports, tau
     assert tagged == []
 
 
@@ -497,14 +523,17 @@ def test_ball_by_supports_raises_on_dependent_columns():
         assert ball_by_supports(odd, center, odd.min_distance - 1) \
             == enumerate_ball(odd, center, odd.min_distance - 1)
         cases.append((odd, center, odd.min_distance))
-    # a syndrome that forgets x^i leaves every support dependent
-    flat = make_code(3, 2, 4, 1)
-    flat.__dict__["_syndrome_table"] = tuple(
-        (row[0],) * 4 for row in flat._syndrome_table)
-    cases.append((flat, RankWord(flat.field, (1, 2)), 1))
     for case in cases:
         with pytest.raises(InvariantViolation):
             ball_by_supports(*case)
+    # units that forget x^i, ball_by_supports' walk otherwise: every
+    # support's syndromes are dependent
+    flat = make_code(3, 2, 4, 1)
+    units = [[gabidulin._syndrome(flat, [int(u == j) for u in range(2)])] * 4
+             for j in range(2)]
+    with pytest.raises(InvariantViolation):
+        list(gfmatrix.tagged_walk(rref_walk(2, range(2), 3), units,
+                                  gabidulin._syndrome(flat, (1, 2)), 4, 3))
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -659,22 +688,24 @@ def test_syndrome_is_linear_and_zero_exactly_on_the_code(q, n, m, k, s):
 @pytest.mark.parametrize("q, n, m, k, s", [
     (2, 4, 4, 2, 0), (3, 3, 3, 1, 0), (5, 2, 2, 1, 0), (2, 3, 6, 1, 0),
     (3, 2, 4, 1, 0), (3, 4, 4, 1, 1), (5, 4, 4, 1, 2)])
-def test_syndrome_table_rows_are_the_spread_syndromes(q, n, m, k, s):
-    # row b, column i: the syndrome of x^i times the GF(q)^n vector b, in
-    # the gfmatrix._spread form ball_by_supports eliminates.  The table
-    # sums its rows lane by lane, and a layout with fewer lanes than a
-    # syndrome has digits would leave the digits above it unreduced
+def test_row_images_are_the_syndromes_of_their_rows(q, n, m, k, s):
+    # row b's images, the sums of the units ball_by_supports passes to
+    # gfmatrix.tagged_walk b_j times each, are the syndromes of x^i times
+    # the GF(q)^n vector b: the syndrome is GF(q)-linear, digit by digit
     rng = random.Random(f"table:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     f = code.field
-    table = code._syndrome_table
+    units = [[gabidulin._syndrome(code, [q ** i * (u == j)
+                                         for u in range(code.n)])
+              for i in range(m)] for j in range(code.n)]
+    table = gfmatrix.digit_sums(
+        units, m, q, lambda a, b: sub_digits(a, sub_digits(0, b, q), q))
     assert len(table) == q ** code.n
     for b, row in enumerate(table):
         assert len(row) == m
-        for i, col in enumerate(row):
+        for i, image in enumerate(row):
             word = [f.mul(q ** i, b // q ** j % q) for j in range(code.n)]
-            assert col == gfmatrix._spread(gabidulin._syndrome(code, word),
-                                           q), (b, i)
+            assert image == gabidulin._syndrome(code, word), (b, i)
 
 
 def test_preimage_rank_deficient_system_raises():

@@ -9,7 +9,7 @@ import pytest
 from ranklab import gfmatrix
 from ranklab.errors import InvariantViolation
 from ranklab.field import make_field
-from ranklab.subspace import Subspace
+from ranklab.subspace import Subspace, rref_walk
 
 import reference
 
@@ -210,6 +210,74 @@ def test_tag_reads_coordinates_at_an_offset(q):
                 assert [digits[split + gap + j]
                         for j in range(len(vecs) - split)] \
                     == list(x[split:])
+
+
+def _combine(coeffs, vecs, q, width):
+    """sum_i coeffs[i] vecs[i] over GF(q), packed base q."""
+    return _pack([sum(c * d for c, d in zip(coeffs, col))
+                  for col in zip(*(_unpack(v, q, width) for v in vecs))], q)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_tagged_walk_solves_at_every_node_against_brute_force(q):
+    # n unit rows with w images each, all n w independent, so every node
+    # of an RREF walk has independent vectors; x at each node against the
+    # spans of all its vectors, on rref_walk with t = w depth and with
+    # spare tag digits, and on a prefixed walk that is no RREF walk: a
+    # fixed first row e_0, then rref_walk's rows shifted up one digit,
+    # whose first node extends the empty root it never yields
+    rng = random.Random(f"tagged-walk:{q}")
+    n, w, width = 3, 2, 6
+    units = [[0] * w]
+    while len(gfmatrix.basis([v for u in units for v in u], q)) < n * w:
+        units = [[rng.randrange(q ** width) for _ in range(w)]
+                 for _ in range(n)]
+
+    def plain():
+        return rref_walk(n, range(3), q)
+
+    def prefixed():
+        for rows in rref_walk(n - 1, range(2), q):
+            yield [1, *(r * q for r in rows)]
+
+    for walk, t in ((plain, 2 * w), (plain, 2 * w + 3), (prefixed, 2 * w)):
+        nodes = [tuple(rows) for rows in walk()]
+        spans = []
+        for rows in nodes:
+            vecs = [_combine(_unpack(b, q, n), [u[i] for u in units], q,
+                             width) for b in rows for i in range(w)]
+            spans.append({_combine(x, vecs, q, width): _pack(x, q)
+                          for x in itertools.product(range(q),
+                                                     repeat=len(vecs))})
+        targets = [0] + [rng.randrange(q ** width) for _ in range(3)]
+        targets += [rng.choice(list(rng.choice(spans))) for _ in range(6)]
+        for target in targets:
+            got = [(tuple(rows), x) for rows, x in gfmatrix.tagged_walk(
+                walk(), units, target, t, q)]
+            assert got == [(rows, span[target])
+                           for rows, span in zip(nodes, spans)
+                           if target in span], (walk.__name__, t, target)
+    # the empty walk yields nothing; the root alone spans only 0
+    assert list(gfmatrix.tagged_walk(iter(()), units, 0, 2 * w, q)) == []
+    for target in (0, 1):
+        assert list(gfmatrix.tagged_walk(
+            rref_walk(n, range(1), q), units, target, 2 * w, q)) \
+            == [([], 0)] * (target == 0)
+    # row e_1's two vectors equal: the first node whose row has e_1 in it
+    # raises, and a walk without one does not
+    equal = [units[0], [units[1][0]] * w, units[2]]
+    assert list(gfmatrix.tagged_walk(iter([[], [1]]), equal, 0, w, q)) \
+        == [([], 0), ([1], 0)]
+    with pytest.raises(InvariantViolation):
+        list(gfmatrix.tagged_walk(rref_walk(n, range(2), q), equal, 0, w, q))
+    # row e_1 shares a vector with row e_0: each row alone is independent,
+    # the support {e_0, e_1} is not
+    shared = [units[0], [units[0][0], units[1][1]], units[2]]
+    walk = gfmatrix.tagged_walk(iter([[], [1], [q], [1, q]]), shared, 0,
+                                2 * w, q)
+    assert [next(walk) for _ in range(3)] == [([], 0), ([1], 0), ([q], 0)]
+    with pytest.raises(InvariantViolation):
+        next(walk)
 
 
 def _reference_nullspace(cols, q, width):

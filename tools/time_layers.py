@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Time ranklab's layers: the lane scans, the family builds and the
+supports walk.
+
+    python3 tools/time_layers.py [SRC]
+
+imports ranklab from SRC/src (default: this checkout) and prints one JSON
+object.  Each timing is the median seconds of REPEATS calls (FRONTIER_REPEATS
+on a frontier instance, whose calls take seconds), after one untimed call
+that builds the fields, codes and lane layouts.  Instances are built at
+seed 1 as tools/same_reports.py builds them.  Its sections:
+
+- "lanes": a full gabidulin._lane_walk, gabidulin.ball_by_lanes at the
+  instance radius and subspace_code.lifted_count at floor(tau_s/2) = tau,
+  on every instance of the q2-exhaustive and odd-exhaustive workloads of
+  bench/workloads.py and on the 2^24-word counting Gab[12,2]/GF(2^12) of
+  the frontier workload, whose ball the benchmark skips as over budget;
+- "families": constructions.pigeonhole_subfamily(q, n, r, g, ell) and
+  constructions.subfield_linear_family(q, n, r, g) for each parameter set
+  of FAMILY_PARAMS: the counting builds of the benchmark's instances, the
+  two frontier ones included, and two mid-size builds;
+- "supports": gabidulin.ball_by_supports at the instance radius on the two
+  Gab[6,3]/GF(2^6) instances of q2-exhaustive and the frontier Gab[8,5]
+  and Gab[10,7], whose supports walk tools/same_reports.py runs as
+  ball-wide.
+
+Two source trees are compared by running it on each:
+
+    python3 tools/time_layers.py /path/to/parent-checkout
+    python3 tools/time_layers.py .
+
+Standard library only; nothing under bench/ imports it.
+"""
+
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPEATS = 7
+FRONTIER_REPEATS = 3
+LANE_WORKLOADS = ("q2-exhaustive", "odd-exhaustive")
+LANE_FRONTIER = ("q2-counting-gab12-2-g3",)
+FAMILY_PARAMS = [
+    (2, 6, 4, 2, 0),    # q2-counting-gab6-3
+    (3, 4, 2, 2, 0),    # q3-counting-gab4-2
+    (2, 8, 4, 2, 1),
+    (3, 8, 4, 2, 1),
+    (2, 10, 6, 2, 1),   # q2-counting-gab10-5 (frontier)
+    (2, 12, 6, 3, 1),   # q2-counting-gab12-2-g3 (frontier)
+]
+SUPPORT_CASES = ("q2-counting-gab6-3", "q2-explicit-gab6-3",
+                 "q2-explicit-gab8-5", "q2-explicit-gab10-7")
+
+
+def median_seconds(repeats, fn, *args) -> float:
+    fn(*args)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times), 5)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1:
+        print("usage: time_layers.py [SRC]", file=sys.stderr)
+        return 2
+    src = os.path.abspath(args[0] if args else os.path.join(HERE, ".."))
+    if not os.path.isdir(os.path.join(src, "src", "ranklab")):
+        print(f"no src/ranklab under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(src, "src"))
+    sys.path.insert(0, os.path.join(HERE, "..", "bench"))
+    from workloads import WORKLOADS
+    from ranklab import gabidulin
+    from ranklab.adversarial import (
+        build_counting_instance,
+        build_explicit_instance,
+    )
+    from ranklab.constructions import (
+        pigeonhole_subfamily,
+        subfield_linear_family,
+    )
+    from ranklab.subspace_code import lift_word, lifted_count
+
+    frontier = {inst.name: inst for inst in WORKLOADS["frontier"].instances}
+    exhaustive = {inst.name: inst for name in LANE_WORKLOADS
+                  for inst in WORKLOADS[name].instances}
+
+    def build(name):
+        """The instance's code, center and radius, and its repeats."""
+        inst = exhaustive.get(name) or frontier[name]
+        beta = inst.beta_exponent(1)
+        if inst.kind == "counting":
+            built = build_counting_instance(inst.q, inst.n, inst.m, inst.k,
+                                            inst.g, beta)
+        else:
+            built = build_explicit_instance(inst.q, inst.g, inst.s, inst.n,
+                                            inst.m, beta)
+        repeats = FRONTIER_REPEATS if name in frontier else REPEATS
+        return built.code, built.center, built.tau, repeats
+
+    lanes = []
+    for name in [*exhaustive, *LANE_FRONTIER]:
+        code, center, tau, repeats = build(name)
+
+        def walk():
+            for _ in gabidulin._lane_walk(code):
+                pass
+
+        lanes.append({
+            "instance": name,
+            "code": repr(code),
+            "words": code.size,
+            "lanes": code.q ** gabidulin._lane_digits(code),
+            "lane_walk_s": median_seconds(repeats, walk),
+            "ball_by_lanes_s": median_seconds(
+                repeats, gabidulin.ball_by_lanes, code, center, tau),
+            "lifted_count_s": median_seconds(
+                repeats, lifted_count, code, lift_word(center), tau),
+        })
+    families = [{
+        "params": [q, n, r, g, ell],
+        "pigeonhole_subfamily_s": median_seconds(
+            REPEATS, pigeonhole_subfamily, q, n, r, g, ell),
+        "subfield_linear_family_s": median_seconds(
+            REPEATS, subfield_linear_family, q, n, r, g),
+    } for q, n, r, g, ell in FAMILY_PARAMS]
+    supports = []
+    for name in SUPPORT_CASES:
+        code, center, tau, repeats = build(name)
+        supports.append({
+            "instance": name,
+            "code": repr(code),
+            "tau": tau,
+            "ball": len(gabidulin.ball_by_supports(code, center, tau)),
+            "ball_by_supports_s": median_seconds(
+                repeats, gabidulin.ball_by_supports, code, center, tau),
+        })
+    print(json.dumps({
+        "machine": {"platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "cpus": os.cpu_count()},
+        "repeats": REPEATS,
+        "frontier_repeats": FRONTIER_REPEATS,
+        "lanes": lanes,
+        "families": families,
+        "supports": supports,
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
