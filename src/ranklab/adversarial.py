@@ -241,14 +241,38 @@ def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
                            list_bound("explicit", q, n, code.k, g, tau))
 
 
+def codewords_check(inst: AdversarialInstance) -> CheckResult:
+    """Check (b) of verify_instance, codewords_encode_low_degree: each
+    listed codeword is the evaluation of pivot - member, one
+    FieldSpec.frobenius_sums call per codeword."""
+    code, top, members = inst.code, inst.family.mutual_top, \
+        inst.family.members
+    good = 0
+    for cw, member in zip(inst.codewords, members):
+        msg = inst.pivot - member
+        r = member.q_degree
+        if msg.q_degree < code.k \
+                and evaluate_word(code, msg).coords == cw.coords \
+                and r - len(top) < code.k \
+                and all(member.coeff(r - i) == c for i, c in enumerate(top)):
+            good += 1
+    ok = good == len(inst.codewords) == len(members)
+    return CheckResult("codewords_encode_low_degree",
+                       "pass" if ok else "fail",
+                       measured=good, expected=len(inst.codewords))
+
+
 def verify_instance(inst: AdversarialInstance,
                     ball_budget: int = BALL_BUDGET) -> VerificationReport:
     """Re-check every instance claim from scratch.
 
     (a) the center has no message preimage and is the evaluation of the
-    pivot; (b) codeword i has a message preimage of q-degree < k, and it is
-    pivot - member i, whose top coefficients are the mutual top, reaching
-    down to index k; (c) every distance is exactly tau; (d) the list holds
+    pivot; (b) codeword i is the evaluation of pivot - member i, of
+    q-degree < k, and member i's top coefficients are the mutual top,
+    reaching down to index k: the n points are GF(q)-independent, so
+    encoding is injective below q-degree k and this is preimage_message
+    finding pivot - member i, without solving the message system per
+    codeword; (c) every distance is exactly tau; (d) the list holds
     at least instance_bound distinct codewords, the bound recomputed from
     the instance's kind, code, family and radius, and the file claims that
     bound; (e) within budget, the exact ball contains the whole list.
@@ -260,19 +284,7 @@ def verify_instance(inst: AdversarialInstance,
         and evaluate_word(code, inst.pivot) == inst.center
     checks.append(CheckResult("center_not_in_code", "pass" if ok else "fail"))
 
-    top, members = inst.family.mutual_top, inst.family.members
-    good = 0
-    for cw, member in zip(inst.codewords, members):
-        msg = preimage_message(code, cw)
-        r = member.q_degree
-        if msg is not None and msg.q_degree < code.k \
-                and msg == inst.pivot - member and r - len(top) < code.k \
-                and all(member.coeff(r - i) == c for i, c in enumerate(top)):
-            good += 1
-    ok = good == len(inst.codewords) == len(members)
-    checks.append(CheckResult(
-        "codewords_encode_low_degree", "pass" if ok else "fail",
-        measured=good, expected=len(inst.codewords)))
+    checks.append(codewords_check(inst))
 
     dists = sorted({rank_distance(inst.center, cw) for cw in inst.codewords})
     checks.append(CheckResult(

@@ -342,9 +342,9 @@ def orbit_poly_family(q: int, g: int, s: int, r: int) -> PolyFamily:
     base_kernel = kernel(members[0], ambient)
     require(base_kernel.dim == r, "base kernel is not r-dim")
     for beta, member in zip(reps, members):
-        require(all(ambient.frobenius_sum(member.coeffs,
-                                          ambient.mul(beta, b)) == 0
-                    for b in base_kernel.basis),
+        require(not any(ambient.frobenius_sums(
+                    member.coeffs, [ambient.mul(beta, b)
+                                    for b in base_kernel.basis])),
                 "member kernel is not the expected cyclic shift")
     return fam
 

@@ -474,6 +474,33 @@ class FieldSpec:
                 acc = add(acc, self._mul_schoolbook(a, y))
         return acc
 
+    def frobenius_sums(self, coeffs: Sequence[int], xs: Sequence[int],
+                       step: int = 1) -> list:
+        """[frobenius_sum(coeffs, x, step) for x in xs], with tables in one
+        list pass over the nonzero points' logs per nonzero coefficient:
+        a_i x^(q^(step*i)) has log log a_i + log x * q^(step*i mod e) mod
+        q^e - 1.  Without tables, and at each zero point, one
+        frobenius_sum per point."""
+        if self._exp is None:
+            return [self.frobenius_sum(coeffs, x, step) for x in xs]
+        exp, log, qpows = self._exp, self._log, self._qpows
+        e, n1, add, xor = self.e, self.order - 1, self.add, self.q == 2
+        logs = [log[x] for x in xs if x]
+        acc = [0] * len(logs)
+        for i, a in enumerate(coeffs):
+            if a:
+                la, f = log[a], qpows[step * i % e]
+                if xor:
+                    acc = [s ^ exp[la + lx * f % n1]
+                           for s, lx in zip(acc, logs)]
+                else:
+                    acc = list(map(add, acc, [exp[la + lx * f % n1]
+                                              for lx in logs]))
+        if len(logs) < len(xs):
+            sums = iter(acc)
+            return [next(sums) if x else 0 for x in xs]
+        return acc
+
     # -- identity ----------------------------------------------------------
 
     def _key(self):

@@ -22,7 +22,12 @@ _message_system: the mk basis codewords, packed base q, each tagged with
 its message digit.  A word reduced against it leaves its syndrome
 (_syndrome), the residue above the tag digits, GF(q)-linear and zero
 exactly on the code, and its message in the tag digits (preimage_message,
-which re-encodes that message before it accepts the word).
+which re-encodes that message before it accepts the word).  Encoding is
+evaluate_word, one FieldSpec.frobenius_sums call at the n points; the n
+points are GF(q)-independent, so it is injective below q-degree k, and a
+caller that knows a word's message, as adversarial.verify_instance knows
+pivot - member, checks membership by that one evaluation and no
+elimination.
 """
 
 from __future__ import annotations
@@ -199,8 +204,8 @@ def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
 
 def evaluate_word(code: GabidulinCode, poly: LinearizedPoly) -> RankWord:
     """Evaluation of any linearized polynomial at the code's points."""
-    return RankWord(code.field,
-                    tuple(poly.evaluate_serial(p) for p in code.eval_points))
+    return RankWord(code.field, tuple(
+        code.field.frobenius_sums(poly.coeffs, code.eval_points)))
 
 
 def encode(code: GabidulinCode, message: LinearizedPoly) -> RankWord:

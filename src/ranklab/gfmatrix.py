@@ -60,11 +60,16 @@ def _eliminate_gf2(vecs: Iterable[int], basis: Dict[int, int]):
 
 def _eliminate(vecs: Iterable[int], basis: dict, q: int):
     """_eliminate_gf2 for any prime q, on _spread vectors: each stored top
-    digit is scaled to 1."""
+    digit is scaled to 1.  A vector with a digit >= q raises
+    InvariantViolation: its top digit may be 0 mod q, and a key storing
+    the zero vector would leave _reduce adding it forever."""
     if q == 2:
         return _eliminate_gf2(vecs, basis)
     w = lane_layout(1, q).w
     for v in vecs:
+        if not lane_layout((v.bit_length() + w - 1) // w, q).reduced(v):
+            raise InvariantViolation(
+                f"a vector over GF({q}) holds a digit >= {q}")
         v = _reduce(v, basis, q)
         if v:
             h = (v.bit_length() + w - 1) // w
@@ -304,6 +309,13 @@ class LaneLayout:
         for off, sub in self._steps:
             x -= ((x + off & guard) >> top) * sub
         return x
+
+    def reduced(self, x: int) -> bool:
+        """Whether every lane of x holds a digit below q, on odd q: the
+        last step's off carries a lane into its guard exactly when the
+        lane is >= q, and a lane that already sets its guard is not a
+        digit."""
+        return not (x | x + self._steps[-1][0]) & self._guard
 
     def add(self, x: int, y: int) -> int:
         """Lane-wise x + y mod q, each lane of y at most (q - 1)^2."""

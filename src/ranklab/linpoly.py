@@ -259,6 +259,6 @@ def kernel(poly: LinearizedPoly, ambient: FieldSpec):
     embedded first when P lives over an extension of the ambient field."""
     from ranklab.subspace import Subspace
 
-    images = [poly.evaluate_serial(b)
-              for b in embedded_basis(ambient, poly.spec)]
+    images = poly.spec.frobenius_sums(poly.coeffs,
+                                      embedded_basis(ambient, poly.spec))
     return Subspace(ambient, gfmatrix.nullspace(images, ambient.q))

@@ -31,7 +31,14 @@ from ranklab.adversarial import (
     technical_sqrt_inequality,
     verify_instance,
 )
-from ranklab.gabidulin import enumerate_ball, make_code, rank_distance
+from ranklab.gabidulin import (
+    enumerate_ball,
+    evaluate_word,
+    make_code,
+    preimage_message,
+    rank_distance,
+)
+from ranklab.linpoly import field_vanishing_poly
 from ranklab.subspace_code import verify_lifted_instance
 
 import reference
@@ -183,6 +190,51 @@ def test_verify_catches_tampered_codeword():
     assert not report.all_passed
     assert "fail" in (statuses["codewords_encode_low_degree"],
                       statuses["distances_exactly_tau"])
+
+
+# q in {2, 3, 5}, m = n and m > n, on both routes
+CROSS_CHECK_INSTANCES = [
+    (build_explicit_instance, (2, 2, 1, 4, 8)),
+    (build_explicit_instance, (3, 2, 1, 4, 4)),
+    (build_explicit_instance, (3, 2, 1, 4, 8)),
+    (build_explicit_instance, (5, 2, 1, 4, 4)),
+    (build_explicit_instance, (5, 2, 1, 4, 8)),
+    (build_counting_instance, (2, 6, 6, 3, 2)),
+    (build_counting_instance, (2, 6, 12, 3, 2)),
+    (build_counting_instance, (3, 4, 8, 2, 2)),
+    (build_counting_instance, (5, 4, 4, 2, 2)),
+    (build_counting_instance, (5, 4, 8, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("build, args", CROSS_CHECK_INSTANCES)
+def test_preimage_oracle_finds_pivot_minus_member(build, args):
+    # verify re-encodes pivot - member i and compares it with codeword i;
+    # preimage_message solves the message system instead, and must find
+    # that same message for every listed word
+    inst = build(*args)
+    assert len(inst.codewords) == len(inst.family.members) > 1
+    for cw, member in zip(inst.codewords, inst.family.members):
+        assert preimage_message(inst.code, cw) == inst.pivot - member
+    assert verify_instance(inst).all_passed
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_explicit_instance, (2, 2, 1, 4, 4)),
+    (build_explicit_instance, (3, 2, 1, 4, 8)),
+    (build_counting_instance, (2, 6, 12, 3, 2))])
+def test_pivot_plus_a_vanishing_polynomial_fails_only_the_degree_check(
+        build, args):
+    # x^(q^m) - x vanishes on all of GF(q^m): the center and every
+    # pivot - member re-encode to the same words, but at q-degree m >= k,
+    # so only the degree test of codewords_encode_low_degree fails
+    inst = build(*args)
+    code = inst.code
+    pivot = inst.pivot + field_vanishing_poly(code.field)
+    assert evaluate_word(code, pivot) == inst.center
+    report = verify_instance(dataclasses.replace(inst, pivot=pivot))
+    assert [c.name for c in report.checks if c.status == "fail"] \
+        == ["codewords_encode_low_degree"]
 
 
 def test_verify_catches_shrunk_radius():

@@ -494,6 +494,56 @@ def test_forged_family_fails_verify(tmp_path, capsys, forge, check):
     assert f"{check}: fail" in out.splitlines()
 
 
+def _next_digit(v, q):
+    """v with its lowest base-q digit stepped by one, mod q."""
+    return v - v % q + (v % q + 1) % q
+
+
+def _degree_k_coefficient_changed(data):
+    # the coefficient at index k lies in the mutual top, so it changes
+    # there and in every member alike, and the family still loads; the
+    # pivot keeps the old one, so pivot - member has q-degree k
+    q, k = data["code"]["q"], data["code"]["k"]
+    fam = data["family"]
+    r = len(fam["members"][0]) - 1
+    new = _next_digit(fam["mutual_top"][r - k], q)
+    fam["mutual_top"][r - k] = new
+    for member in fam["members"]:
+        member[k] = new
+
+
+def _two_codewords_swapped(data):
+    cws = data["codewords"]
+    cws[0], cws[1] = cws[1], cws[0]
+
+
+def _one_codeword_digit_flipped(data):
+    data["codewords"][0][0] = _next_digit(data["codewords"][0][0],
+                                          data["code"]["q"])
+
+
+@pytest.mark.parametrize("gen", [
+    ["gen-explicit", "--q", "2", "--g", "2", "--s", "1", "--n", "4",
+     "--m", "4"],
+    ["gen-explicit", "--q", "3", "--g", "2", "--s", "1", "--n", "4",
+     "--m", "8"],
+    ["gen-counting", "--q", "2", "--n", "6", "--m", "6", "--k", "3",
+     "--g", "2"]])
+@pytest.mark.parametrize("forge", [_degree_k_coefficient_changed,
+                                   _two_codewords_swapped,
+                                   _one_codeword_digit_flipped])
+def test_forged_codewords_fail_the_encoding_check(tmp_path, capsys, gen,
+                                                  forge):
+    inst = tmp_path / "inst.json"
+    assert main(gen + ["--out", str(inst)]) == 0
+    data = json.loads(inst.read_text())
+    forge(data)
+    inst.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--in", str(inst))
+    assert code == 1
+    assert "codewords_encode_low_degree: fail" in out.splitlines()
+
+
 def _top_level_array(data):
     return [data]
 

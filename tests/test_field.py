@@ -143,6 +143,34 @@ def test_table_frobenius_and_evaluation_match_schoolbook(q, e):
                     (step, coeffs, x)
 
 
+@pytest.mark.parametrize("q, e, tables", [
+    (2, 8, True), (3, 5, True), (5, 3, True),
+    (2, 17, False), (3, 11, False), (5, 7, False)])
+def test_frobenius_sums_is_frobenius_sum_at_each_point(q, e, tables):
+    # the multi-point kernel against the one-point one: zero points in
+    # the middle and at both ends, repeated points, runs of zero
+    # coefficients, no coefficients and no points
+    spec = make_field(q, e)
+    assert (spec.order <= TABLE_LIMIT) == tables
+    rng = random.Random(f"sums:{q}:{e}")
+
+    def nz():
+        return rng.randrange(1, spec.order)
+
+    shapes = [[], [0, 0], [nz()], [0, nz()], [nz(), 0, 0, nz()],
+              [nz() for _ in range(5)]]
+    points = [[], [0], [0, nz(), 0, 1, nz(), nz(), 0],
+              [nz() for _ in range(6)], [1, 1, nz(), 0]]
+    for step in (1, 2):
+        for coeffs in shapes:
+            for xs in points:
+                assert spec.frobenius_sums(coeffs, xs, step) == [
+                    spec.frobenius_sum(coeffs, x, step) for x in xs], \
+                    (step, coeffs, xs)
+    assert spec.frobenius_sums(shapes[-1], tuple(points[2])) == [
+        spec.frobenius_sum(shapes[-1], x) for x in points[2]]
+
+
 def test_embed_fixes_zero_and_one():
     src, dst = make_field(2, 2), make_field(2, 4)
     assert embed_serial(0, src, dst) == 0

@@ -2,7 +2,10 @@
 the list-of-lists reference rref and brute force over GF(q)."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -442,3 +445,42 @@ def test_lane_rank_counts_from_the_start_basis(q):
                 start + [_pack(d, 2) for d in row]) for row in digits]
         assert gfmatrix.rank_lanes_exceed(start, vecs, r, lanes, q) \
             == sum(1 << lane * lay.w for lane, k in enumerate(ranks) if k > r)
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_reduced_is_every_lane_below_q(q):
+    # lanes of every value a w-bit field holds, the guard bit included
+    rng = random.Random(f"reduced:{q}")
+    w = gfmatrix.lane_layout(1, q).w
+    for _ in range(2000):
+        digits = [rng.randrange(1 << w) if rng.random() < 0.2
+                  else rng.randrange(q) for _ in range(rng.randrange(1, 9))]
+        v = sum(d << w * j for j, d in enumerate(digits))
+        lay = gfmatrix.lane_layout((v.bit_length() + w - 1) // w, q)
+        assert lay.reduced(v) == all(d < q for d in digits), digits
+
+
+def test_digit_at_least_q_raises_at_once():
+    # the digit 3 over GF(3) is a pivot 0 mod 3: stored as the zero vector
+    # under key 1, it left the next _reduce at that key adding 0 forever.
+    # A subprocess, so that a hang fails the test at its timeout
+    script = (
+        "from ranklab import gfmatrix\n"
+        "from ranklab.errors import InvariantViolation\n"
+        "ech = {}\n"
+        "try:\n"
+        "    gfmatrix._eliminate([3], ech, 3)\n"
+        "except InvariantViolation:\n"
+        "    print('raised', ech)\n"
+        "else:\n"
+        "    gfmatrix._reduce(1, ech, 3)\n")
+    src = os.path.dirname(os.path.dirname(gfmatrix.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "raised {}\n"), done.stderr
+    for q in (3, 5):
+        # a top digit 1 above a low digit q: no zero pivot, still refused
+        w = gfmatrix.lane_layout(1, q).w
+        with pytest.raises(InvariantViolation):
+            gfmatrix._eliminate([1 << w | q], {}, q)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time ranklab's layers: the lane scans, the family builds and the
-supports walk.
+"""Time ranklab's layers: the lane scans, the family builds, the supports
+walk and the evaluation of linearized polynomials at a code's points.
 
     python3 tools/time_layers.py [SRC]
 
@@ -22,7 +22,11 @@ seed 1 as tools/same_reports.py builds them.  Its sections:
 - "supports": gabidulin.ball_by_supports at the instance radius on the two
   Gab[6,3]/GF(2^6) instances of q2-exhaustive and the frontier Gab[8,5]
   and Gab[10,7], whose supports walk tools/same_reports.py runs as
-  ball-wide.
+  ball-wide;
+- "evaluation": gabidulin.evaluate_word at every family member of the
+  frontier explicit instances Gab[8,5] and Gab[10,7], and the codeword
+  check of adversarial.verify_instance on its own
+  (adversarial.codewords_check; null in a tree without it).
 
 Two source trees are compared by running it on each:
 
@@ -54,6 +58,7 @@ FAMILY_PARAMS = [
 ]
 SUPPORT_CASES = ("q2-counting-gab6-3", "q2-explicit-gab6-3",
                  "q2-explicit-gab8-5", "q2-explicit-gab10-7")
+EVALUATION_CASES = ("q2-explicit-gab8-5", "q2-explicit-gab10-7")
 
 
 def median_seconds(repeats, fn, *args) -> float:
@@ -78,7 +83,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(src, "src"))
     sys.path.insert(0, os.path.join(HERE, "..", "bench"))
     from workloads import WORKLOADS
-    from ranklab import gabidulin
+    from ranklab import adversarial, gabidulin
     from ranklab.adversarial import (
         build_counting_instance,
         build_explicit_instance,
@@ -94,7 +99,7 @@ def main(argv=None) -> int:
                   for inst in WORKLOADS[name].instances}
 
     def build(name):
-        """The instance's code, center and radius, and its repeats."""
+        """The built instance and its repeats."""
         inst = exhaustive.get(name) or frontier[name]
         beta = inst.beta_exponent(1)
         if inst.kind == "counting":
@@ -104,11 +109,12 @@ def main(argv=None) -> int:
             built = build_explicit_instance(inst.q, inst.g, inst.s, inst.n,
                                             inst.m, beta)
         repeats = FRONTIER_REPEATS if name in frontier else REPEATS
-        return built.code, built.center, built.tau, repeats
+        return built, repeats
 
     lanes = []
     for name in [*exhaustive, *LANE_FRONTIER]:
-        code, center, tau, repeats = build(name)
+        built, repeats = build(name)
+        code, center, tau = built.code, built.center, built.tau
 
         def walk():
             for _ in gabidulin._lane_walk(code):
@@ -134,7 +140,8 @@ def main(argv=None) -> int:
     } for q, n, r, g, ell in FAMILY_PARAMS]
     supports = []
     for name in SUPPORT_CASES:
-        code, center, tau, repeats = build(name)
+        built, repeats = build(name)
+        code, center, tau = built.code, built.center, built.tau
         supports.append({
             "instance": name,
             "code": repr(code),
@@ -142,6 +149,22 @@ def main(argv=None) -> int:
             "ball": len(gabidulin.ball_by_supports(code, center, tau)),
             "ball_by_supports_s": median_seconds(
                 repeats, gabidulin.ball_by_supports, code, center, tau),
+        })
+    evaluation = []
+    check = getattr(adversarial, "codewords_check", None)
+    for name in EVALUATION_CASES:
+        # milliseconds a call, so REPEATS on the frontier too
+        built = build(name)[0]
+        code, members = built.code, built.family.members
+        evaluation.append({
+            "instance": name,
+            "code": repr(code),
+            "members": len(members),
+            "evaluate_word_s": median_seconds(
+                REPEATS, lambda: [gabidulin.evaluate_word(code, member)
+                                  for member in members]),
+            "codewords_check_s": check and median_seconds(
+                REPEATS, check, built),
         })
     print(json.dumps({
         "machine": {"platform": platform.platform(),
@@ -152,6 +175,7 @@ def main(argv=None) -> int:
         "lanes": lanes,
         "families": families,
         "supports": supports,
+        "evaluation": evaluation,
     }, indent=1))
     return 0
 
