@@ -244,17 +244,27 @@ def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
 def codewords_check(inst: AdversarialInstance) -> CheckResult:
     """Check (b) of verify_instance, codewords_encode_low_degree: each
     listed codeword is the evaluation of pivot - member, one
-    FieldSpec.frobenius_sums call per codeword."""
+    FieldSpec.frobenius_sums call per codeword.  The message's
+    coefficients are the pivot's, padded once to the longest member, less
+    each member's by field.sub; it has q-degree < k exactly when those at
+    k and above are zero."""
     code, top, members = inst.code, inst.family.mutual_top, \
         inst.family.members
+    field, k, points = code.field, code.k, code.eval_points
+    pivot = inst.pivot.coeffs
+    pivot += (0,) * (max((len(m.coeffs) for m in members), default=0)
+                     - len(pivot))
     good = 0
     for cw, member in zip(inst.codewords, members):
-        msg = inst.pivot - member
+        coeffs = member.coeffs
+        msg = [*map(field.sub, pivot, coeffs), *pivot[len(coeffs):]]
         r = member.q_degree
-        if msg.q_degree < code.k \
-                and evaluate_word(code, msg).coords == cw.coords \
-                and r - len(top) < code.k \
-                and all(member.coeff(r - i) == c for i, c in enumerate(top)):
+        if not any(msg[k:]) \
+                and tuple(field.frobenius_sums(msg[:k], points)) \
+                == cw.coords \
+                and r - len(top) < k \
+                and all(member.coeff(r - i) == c
+                        for i, c in enumerate(top)):
             good += 1
     ok = good == len(inst.codewords) == len(members)
     return CheckResult("codewords_encode_low_degree",

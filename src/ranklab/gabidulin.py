@@ -160,6 +160,13 @@ class GabidulinCode:
         return gfmatrix.tagged_basis(
             [_packed(self, c) for c in self._basis_contributions], self.q)
 
+    @cached_property
+    def _lane_lows(self) -> dict:
+        """_lane_low's slices by b, filled as _lane_walk asks for them: the
+        lane count follows gabidulin.LANE_BITS, which may change between
+        walks of one code."""
+        return {}
+
 
 def check_code_params(n: int, m: int, k: int):
     """Reject a Gab[n, k] over GF(q^m) unless n >= 1, m >= 1, n | m and
@@ -245,6 +252,35 @@ def _lane_digits(code: GabidulinCode) -> int:
     return b
 
 
+def _lane_low(code: GabidulinCode, b: int) -> Tuple[Tuple[int, ...], ...]:
+    """The slices of the codewords of the b low message digits, in the
+    layout of _lane_walk: lane L of [j][p] is digit p of coordinate j of
+    the codeword whose message digits are L's base-q digits.  Each digit of
+    a codeword is GF(q)-linear in the message digits, so they are sums of
+    the lane patterns of the b low digits, each a repunit multiple of one
+    block.  Built once per code object and b (code._lane_lows)."""
+    low = code._lane_lows.get(b)
+    if low is not None:
+        return low
+    q, m = code.q, code.m
+    lay = gfmatrix.lane_layout(q ** b, q)
+    w, add, digits = lay.w, lay.add, code.field.digits
+    rows = [[0] * m for _ in range(code.n)]
+    for i, c in enumerate(code._basis_contributions[:b]):
+        # lane L holds digit i of L: runs of q^i lanes holding 0, 1, ..,
+        # q - 1, the block of q^(i+1) lanes repeated q^(b-i-1) times
+        block = gfmatrix.lane_layout(q ** i, q).ones * sum(
+            d << d * q ** i * w for d in range(q))
+        pattern = lay.tile(block, q ** (i + 1))
+        times = [d * pattern for d in range(q)]
+        for row, cj in zip(rows, c):
+            for p, d in enumerate(digits(cj)):
+                if d:
+                    row[p] = add(row[p], times[d])
+    low = code._lane_lows[b] = tuple(map(tuple, rows))
+    return low
+
+
 def _lane_walk(code: GabidulinCode, offset: Sequence[int] = ()) \
         -> Iterator[Tuple[int, Tuple[int, ...], List[List[int]]]]:
     """Every codeword, in batches of lanes = q^b codewords side by side, b
@@ -254,29 +290,14 @@ def _lane_walk(code: GabidulinCode, offset: Sequence[int] = ()) \
     digits as its b low digits and the batch's high part above them, which
     _walk visits over contributions b.. in Gray order; high is the
     codeword of that high part, lane 0's, which every lane adds to the
-    codeword of its low digits.  Each digit of a codeword is GF(q)-linear
-    in the message digits, so the slices of the low part are sums of the
-    lane patterns of the b low digits, each a repunit multiple of one
-    block, built once per call; a batch adds each digit d of high to every
-    lane, as d ones.  A nonempty offset word is added to high before its
-    digits are taken: the slices then hold c + offset, high stays c's."""
-    contribs = code._basis_contributions
-    q, m = code.q, code.m
+    _lane_low slices of its low digits; a batch adds each digit d of high
+    to every lane, as d ones.  A nonempty offset word is added to high
+    before its digits are taken: the slices then hold c + offset, high
+    stays c's."""
     b = _lane_digits(code)
-    lay = gfmatrix.lane_layout(q ** b, q)
-    w, add, digits = lay.w, lay.add, code.field.digits
-    low = [[0] * m for _ in range(code.n)]
-    for i, c in enumerate(contribs[:b]):
-        # lane L holds digit i of L: runs of q^i lanes holding 0, 1, ..,
-        # q - 1, the block of q^(i+1) lanes repeated q^(b-i-1) times
-        block = gfmatrix.lane_layout(q ** i, q).ones * sum(
-            d << d * q ** i * w for d in range(q))
-        pattern = lay.tile(block, q ** (i + 1))
-        times = [d * pattern for d in range(q)]
-        for row, cj in zip(low, c):
-            for p, d in enumerate(digits(cj)):
-                if d:
-                    row[p] = add(row[p], times[d])
+    lay = gfmatrix.lane_layout(code.q ** b, code.q)
+    add, digits = lay.add, code.field.digits
+    low = _lane_low(code, b)
     for high in _walk(code, b):
         moved = map(code.field.add, high, offset) if offset else high
         yield lay.count, tuple(high), [[add(s, lay.digit[d]) if d else s
@@ -392,9 +413,9 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
 
 def ball_by_lanes(code: GabidulinCode, center: RankWord,
                   tau: int) -> List[RankWord]:
-    """The ball of enumerate_ball, one gfmatrix.rank_lanes_exceed call per
-    batch of _lane_walk, offset by -center: its slices hold c - center
-    lane by lane, so the lanes the call does not return are the ball.  The
+    """The ball of enumerate_ball, one gfmatrix.rank_lanes call per batch
+    of _lane_walk, offset by -center: its slices hold c - center lane by
+    lane, so the lanes outside its last mask, rank > tau, are the ball.  The
     rank of c - center is that of its transpose, and v vectors of width u
     take O(v u^2) lane operations to eliminate, so the call takes the m
     digit planes, vectors of n <= m coordinates (n points independent over
@@ -415,8 +436,8 @@ def ball_by_lanes(code: GabidulinCode, center: RankWord,
     for lanes, high, slices in _lane_walk(
             code, tuple(map(field.neg, center.coords))):
         lay = gfmatrix.lane_layout(lanes, q)
-        inside = lay.ones ^ gfmatrix.rank_lanes_exceed([], zip(*slices), tau,
-                                                       lanes, q)
+        inside = lay.ones ^ gfmatrix.rank_lanes([], zip(*slices), tau,
+                                                lanes, q)[-1]
         bits = bin(inside)[:1:-1]     # bit w L is lane L's flag
         i = bits.find("1")
         while i >= 0:

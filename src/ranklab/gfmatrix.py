@@ -18,12 +18,14 @@ each vector's pivot is its top nonzero digit, the key the loop stores it
 under; this module is the only place that convention lives.  Results are
 plain ints and tuples so they can be hashed and compared.
 
-Next to that loop, rank_lanes_exceed() runs the same top-digit elimination
-with the same digit arithmetic turned sideways: lane L of a lane int holds
-one digit of the L-th of thousands of independent sets of vectors, so one
-pass tests all their ranks, each pivot's presence a lane mask.  It exists
-for the two scans that test every codeword, the lifted count and the ball
-of gabidulin.ball_by_lanes, where the codewords of one batch share every
+Next to that loop, rank_lanes() runs the same top-digit elimination with
+the same digit arithmetic turned sideways: lane L of a lane int holds one
+digit of the L-th of thousands of independent sets of vectors, so one pass
+finds all their ranks, each pivot's presence a lane mask and the ranks as
+"rank >= r" masks; to_lanes() transposes packed vectors into that layout.
+It exists for the scans that test every codeword, the lifted count and
+the ball of gabidulin.ball_by_lanes, and for the lifted distances of the
+words an instance lists, where the words of one batch share every
 operation and a call per word costs far more in interpreter overhead than
 in arithmetic.
 """
@@ -353,34 +355,35 @@ def lane_layout(lanes: int, q: int) -> LaneLayout:
     return LaneLayout(lanes, q)
 
 
-def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
-                      limit: int, lanes: int, q: int) -> int:
-    """The GF(q) rank test in lanes independent lanes at once: lane L of
-    vecs[i][p], a lane int of lane_layout(lanes, q), is digit p of vector
-    i in lane L, and the packed vectors of start lie in every lane.
-    Returns the lane int with 1 in each lane whose rank of start and vecs
-    is > limit.
+def rank_lanes(start: Sequence[int], vecs: Iterable[Sequence[int]],
+               limit: int, lanes: int, q: int) -> List[int]:
+    """The GF(q) rank of lanes independent sets of vectors at once: lane L
+    of vecs[i][p], a lane int of lane_layout(lanes, q), is digit p of
+    vector i in lane L, and the packed vectors of start lie in every lane.
+    Returns ge, max(limit, -1) + 2 lane ints: ge[r] has 1 in each lane
+    whose rank of start and vecs is >= r.  So ge[-1] is the test rank >
+    limit, and a lane's rank, where it is at most limit + 1, is the number
+    of r >= 1 whose ge[r] holds the lane.
 
     The loop is _eliminate's, top digit first, with each pivot's presence
     a mask: at digit p, the lanes where v has a digit c != 0 and a pivot
     subtract c times it, and in the rest v, scaled by 1/c, becomes the
     pivot.  On q = 2 that is one XOR under the mask; on odd q the lanes
     are split by c and add (q - c) times the pivot row, then reduce mod q.
-    ge[i] masks the lanes of rank >= len(ech) + i, ech the basis of
-    start, which every lane reaches, for len(ech) + i up to limit + 1,
-    below the vector width; it stops once every lane passes the limit."""
+    Every lane reaches the rank of start, the basis ech, and none passes
+    the vector width, so the loop tracks ge[r] for len(ech) < r <= top =
+    min(limit + 1, width), and the ge above width are 0; a lane stops
+    reducing once it reaches top, and the loop stops once every lane
+    has."""
     lay = lane_layout(lanes, q)
     ones, full, digit, w = lay.ones, lay.full, lay.digit, lay.w
     vecs = [list(v) for v in vecs]
     width = max([len(v) for v in vecs] + [_width(start, q)])
-    if limit < 0:
-        return ones
-    if limit >= width:
-        return 0
+    limit = max(limit, -1)
+    top = min(limit + 1, width)
     ech = basis(start, q)
-    if len(ech) > limit:
-        return ones
-    ge = [full] + [0] * (limit + 1 - len(ech))
+    base = min(len(ech), top)
+    ge = [full] * (base + 1) + [0] * (top - base)
     held = [0] * width
     # rows[p][i], i < p: digit i of the pivot at p, in the lanes of held[p]
     rows = [[0] * p for p in range(width)]
@@ -389,8 +392,10 @@ def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
         rows[h - 1] = [digit[b >> w * i & (1 << w) - 1] for i in range(h - 1)]
     mod = lay.mod
     for v in vecs:
+        live = full ^ ge[top]         # lanes still reducing v
+        if not live:
+            break
         v += [0] * (width - len(v))
-        live = full ^ ge[-1]          # lanes still reducing v
         for p in range(width - 1, -1, -1):
             x = v[p] & live
             if not x:
@@ -420,13 +425,37 @@ def rank_lanes_exceed(start: Sequence[int], vecs: Iterable[Sequence[int]],
             if new:
                 held[p] |= new
                 live ^= new
-                for r in range(len(ge) - 1, 0, -1):
+                for r in range(top, base, -1):
                     ge[r] |= ge[r - 1] & new
-                if ge[-1] == full:
-                    return ones
                 if not live:
                     break
-    return ge[-1] & ones
+    return [g & ones for g in ge] + [0] * (limit + 1 - top)
+
+
+def to_lanes(vecs: Sequence[int], width: int, q: int) -> List[int]:
+    """The transpose of len(vecs) packed base-q vectors of width digits:
+    width lane ints of lane_layout(len(vecs), q), digit p of vecs[L] in
+    lane L of the p-th.  Each lane's w bits are written as text, vector
+    L's digits in the L-th field from the right of one string per digit,
+    which int() reads at once; on q = 2 that string is every vector's
+    binary text, joined, at a stride of width.  A vector of more than
+    width digits raises InvariantViolation."""
+    if vecs and max(vecs) >= q ** width:
+        raise InvariantViolation(
+            f"a vector over GF({q}) has more than {width} digits")
+    if not vecs or not width:
+        return [0] * width
+    if q == 2:
+        text = "".join([format(v, f"0{width}b") for v in reversed(vecs)])
+        return [int(text[width - 1 - p::width], 2) for p in range(width)]
+    w = lane_layout(1, q).w
+    fields = [format(d, f"0{w}b") for d in range(q)]
+    cols: List[List[str]] = [[] for _ in range(width)]
+    for v in reversed(vecs):
+        for col in cols:
+            v, d = divmod(v, q)
+            col.append(fields[d])
+    return [int("".join(col), 2) for col in cols]
 
 
 def _width(vecs: Sequence[int], q: int) -> int:

@@ -11,7 +11,11 @@ rows; word rows] <= n + floor(tau_s/2).  It takes the codewords in batches
 of thousands side by side (gabidulin._lane_walk), lays each lane's rows
 out as lift_word does, [X | I_n] with an identity slice of ones, and
 eliminates a whole batch, stacked on the center's rows, in one
-gfmatrix.rank_lanes_exceed call, on every q.
+gfmatrix.rank_lanes call, on every q.  The listed words' distances come
+from lanes too (_listed_distances): gfmatrix.to_lanes transposes a batch
+of them into the same slices, and one rank_lanes call on the stacked rows
+and one on the digit planes of X - center give every lane's rank twice;
+lift_word and lifted_distance stay the per-word reference.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ranklab import gfmatrix
+from ranklab import gabidulin, gfmatrix
 from ranklab.adversarial import CheckResult, VerificationReport, instance_bound
 from ranklab.errors import InvariantViolation, ShapeMismatch
 from ranklab.field import sub_digits
@@ -120,17 +124,85 @@ def lifted_count(code: GabidulinCode, center: LiftedSubspace,
                  half: int) -> int:
     """The number of codewords whose lift lies within subspace distance
     2 half of center: d_s <= 2 half iff rank[center rows; word rows] <=
-    n + half, tested one _lane_walk batch per rank_lanes_exceed call."""
+    n + half, tested one _lane_walk batch per rank_lanes call, whose last
+    mask is rank > n + half."""
     q, n = code.q, code.n
     count = 0
     for lanes, _, slices in _lane_walk(code):
-        ones = gfmatrix.lane_layout(lanes, q).ones
-        # lane L's row j: its m slices of coordinate j, then the identity
-        # slice, 1 in every lane, at m + j
-        rows = [[*s, *(0,) * j, ones] for j, s in enumerate(slices)]
-        count += lanes - gfmatrix.rank_lanes_exceed(
-            center.packed, rows, n + half, lanes, q).bit_count()
+        rows = _lifted_rows(slices, gfmatrix.lane_layout(lanes, q).ones)
+        count += lanes - gfmatrix.rank_lanes(
+            center.packed, rows, n + half, lanes, q)[-1].bit_count()
     return count
+
+
+def _lifted_rows(slices: Sequence[Sequence[int]],
+                 ones: int) -> List[List[int]]:
+    """The rows of lift_word in lanes: lane L's row j is its m slices of
+    coordinate j, slices[j], then the identity slice, 1 in every lane,
+    at m + j."""
+    return [[*s, *(0,) * j, ones] for j, s in enumerate(slices)]
+
+
+def _listed_distances(center: LiftedSubspace, codewords: Sequence[RankWord],
+                      tau: int) -> Tuple[List[int], int]:
+    """The sorted distinct lifted distances of the distinct codewords from
+    center, a lift_word, and the number of them within 2 tau, as
+    lifted_distance finds them word by word; a word of another shape
+    raises ShapeMismatch, as lifted_distance does.
+
+    The words go in batches of up to 2^LANE_BITS, one lane each: a batch
+    packs each word into one vector, coordinate j at digit m j, and
+    gfmatrix.to_lanes transposes them, so that lane L of slices[j][p] is
+    digit p of coordinate j of word L.  One gfmatrix.rank_lanes call
+    stacks their _lifted_rows on center's rows, as lifted_count does, and
+    one eliminates the m digit planes of X - center, the same slices less
+    the center's digits, as ball_by_lanes does.  The stacked rank is n
+    plus that of the difference in every lane, or InvariantViolation; the
+    distance is twice the difference's rank, read off its masks."""
+    q, n, m = center.q, center.n, center.m
+    if any((cw.spec.q, len(cw.coords), cw.spec.e) != (q, n, m)
+           for cw in codewords):
+        raise ShapeMismatch("lifted subspaces of different shapes")
+    words = list(dict.fromkeys(cw.coords for cw in codewords))
+    base = q ** m
+    # the digits of -center, coordinate by coordinate
+    minus = [[(q - c // q ** p % q) % q for p in range(m)]
+             for c in center.packed]
+    present = 0       # bit r: some word's difference has rank r
+    listed = 0
+    step = 1 << gabidulin.LANE_BITS
+    for first in range(0, len(words), step):
+        batch = words[first:first + step]
+        lanes = len(batch)
+        lay = gfmatrix.lane_layout(lanes, q)
+        packed = []
+        for word in batch:
+            v = 0
+            for c in reversed(word):
+                v = v * base + c
+            packed.append(v)
+        flat = gfmatrix.to_lanes(packed, n * m, q)
+        slices = [flat[m * j:m * j + m] for j in range(n)]
+        stacked = gfmatrix.rank_lanes(
+            center.packed, _lifted_rows(slices, lay.ones), 2 * n - 1, lanes,
+            q)[n:]
+        moved = [[lay.add(s, lay.digit[d]) for s, d in zip(row, neg)]
+                 for row, neg in zip(slices, minus)]
+        ranks = gfmatrix.rank_lanes([], zip(*moved), n - 1, lanes, q)
+        for a, b in zip(stacked, ranks):
+            if a != b:
+                lane = (((a ^ b) & -(a ^ b)).bit_length() - 1) // lay.w
+                by_stack, by_rank = (2 * sum(g >> lay.w * lane & 1
+                                             for g in masks[1:])
+                                     for masks in (stacked, ranks))
+                raise InvariantViolation(
+                    f"distance identity violated: {by_stack} != {by_rank}")
+        for r, (a, b) in enumerate(zip(ranks, ranks[1:] + [0])):
+            if a & ~b:
+                present |= 1 << r
+        if tau >= 0:
+            listed += lanes - (ranks[tau + 1].bit_count() if tau < n else 0)
+    return [2 * r for r in range(n + 1) if present >> r & 1], listed
 
 
 def prior_lifted_bound(q: int, n: int, m: int, k: int,
@@ -145,13 +217,13 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
                            budget: int = BALL_BUDGET):
     """Subspace-level checks of a rank-level instance.
 
-    Lifts center and codewords, checks every lifted distance is within
-    tau_s (equality to 2 tau expected), compares the rank-level list size
-    with the lifted ball when enumerable (equal at floor(tau_s/2) == tau),
-    and checks the number of distinct listed codewords within lifted
-    distance 2 tau against adversarial.instance_bound at the instance
-    radius tau, which the lifted code carries over unchanged.  Returns a
-    VerificationReport.
+    Lifts the center, checks that the lifted distance of every distinct
+    listed codeword (_listed_distances) is within tau_s (equality to 2 tau
+    expected), compares the rank-level list size with the lifted ball when
+    enumerable (equal at floor(tau_s/2) == tau), and checks the number of
+    distinct listed codewords within lifted distance 2 tau against
+    adversarial.instance_bound at the instance radius tau, which the
+    lifted code carries over unchanged.  Returns a VerificationReport.
     """
     if tau_s is None:
         tau_s = 2 * inst.tau
@@ -159,9 +231,8 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
     checks = []
 
     lifted_center = lift_word(inst.center)
-    dist = {cw.coords: lifted_distance(lifted_center, lift_word(cw))
-            for cw in inst.codewords}
-    dists = sorted(set(dist.values()))
+    dists, listed = _listed_distances(lifted_center, inst.codewords,
+                                      inst.tau)
     checks.append(CheckResult(
         "lifted_distances_within_radius",
         "pass" if dists and dists[-1] <= tau_s else "fail",
@@ -185,7 +256,6 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
 
     # the bound belongs to the instance radius; tau_s only sets the
     # distance check and the lifted count
-    listed = sum(1 for d in dist.values() if d <= 2 * inst.tau)
     bound = instance_bound(inst)
     checks.append(CheckResult(
         f"lifted_{inst.kind}_bound",

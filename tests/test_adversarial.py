@@ -38,7 +38,7 @@ from ranklab.gabidulin import (
     preimage_message,
     rank_distance,
 )
-from ranklab.linpoly import field_vanishing_poly
+from ranklab.linpoly import LinearizedPoly, field_vanishing_poly
 from ranklab.subspace_code import verify_lifted_instance
 
 import reference
@@ -217,6 +217,43 @@ def test_preimage_oracle_finds_pivot_minus_member(build, args):
     for cw, member in zip(inst.codewords, inst.family.members):
         assert preimage_message(inst.code, cw) == inst.pivot - member
     assert verify_instance(inst).all_passed
+
+
+def _codewords_by_difference(inst):
+    """codewords_encode_low_degree's count, with pivot - member formed by
+    LinearizedPoly subtraction and re-encoded by evaluate_word."""
+    code, top = inst.code, inst.family.mutual_top
+    good = 0
+    for cw, member in zip(inst.codewords, inst.family.members):
+        msg = inst.pivot - member
+        r = member.q_degree
+        good += msg.q_degree < code.k \
+            and evaluate_word(code, msg).coords == cw.coords \
+            and r - len(top) < code.k \
+            and all(member.coeff(r - i) == c for i, c in enumerate(top))
+    return good
+
+
+@pytest.mark.parametrize("build, args", CROSS_CHECK_INSTANCES[::3])
+def test_codewords_check_is_the_polynomial_difference(build, args):
+    # the check's message coefficients, the padded pivot's less each
+    # member's, give the count of pivot - member as LinearizedPoly
+    # subtraction does: on the instance, on a pivot longer than the
+    # members (plus x^(q^m) - x) and shorter (its top coefficient
+    # dropped), on a changed low coefficient, a zero pivot, and swapped
+    # codewords
+    inst = build(*args)
+    f, coeffs = inst.code.field, inst.pivot.coeffs
+    pivots = [inst.pivot, inst.pivot + field_vanishing_poly(f),
+              LinearizedPoly(f, coeffs[:-1]),
+              LinearizedPoly(f, (f.add(coeffs[0], 1),) + coeffs[1:]),
+              LinearizedPoly(f, ())]
+    cws = inst.codewords
+    forged = [dataclasses.replace(inst, pivot=p) for p in pivots] + [
+        dataclasses.replace(inst, codewords=(cws[1], cws[0], *cws[2:]))]
+    counts = [adversarial.codewords_check(x).measured for x in forged]
+    assert counts == [_codewords_by_difference(x) for x in forged]
+    assert (counts[0], counts[1], counts[-1]) == (len(cws), 0, len(cws) - 2)
 
 
 @pytest.mark.parametrize("build, args", [

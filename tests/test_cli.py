@@ -598,3 +598,21 @@ def test_malformed_file_exits_2_with_one_line_error(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "MalformedInstance"
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_lift_verify_of_a_short_codeword_exits_2(tmp_path, capsys, q):
+    # a listed codeword one coordinate short has no lift of the center's
+    # shape: lift-verify stops before it tests any word, with a JSON error
+    inst = tmp_path / "inst.json"
+    assert main(["gen-explicit", "--q", str(q), "--g", "2", "--s", "1",
+                 "--n", "4", "--m", "4", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    data = json.loads(inst.read_text())
+    data["codewords"][-1] = data["codewords"][-1][:-1]
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lift-verify", "--in", str(inst))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ShapeMismatch",
+        "message": "lifted subspaces of different shapes"}

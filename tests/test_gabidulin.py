@@ -368,6 +368,22 @@ def test_ball_by_lanes_equals_enumerate_ball(monkeypatch, reference_ball, q,
                 assert ball_by_lanes(code, center, tau) == ball, (tau, b)
 
 
+def test_lane_low_slices_are_built_once_per_code_and_b(monkeypatch):
+    # _lane_walk's low slices depend on the code and b alone: a code object
+    # builds them once per b, also when LANE_BITS changes between walks
+    code = make_code(2, 4, 4, 2)
+    lows = {}
+    for bits in (3, gabidulin.LANE_BITS, 3, gabidulin.LANE_BITS):
+        monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
+        b = gabidulin._lane_digits(code)
+        for _ in range(2):
+            assert len([batch for batch in _lane_walk(code)]) \
+                == code.size // 2 ** b
+            assert lows.setdefault(b, gabidulin._lane_low(code, b)) \
+                is gabidulin._lane_low(code, b)
+    assert set(code._lane_lows) == set(lows) == {3, 8}
+
+
 @pytest.mark.parametrize("q, n, m, k, s",
                          [c for c in ORACLE_CODES if c[2] > c[1] - c[4]])
 def test_ball_by_lanes_eliminates_the_shorter_side(monkeypatch,
@@ -380,14 +396,14 @@ def test_ball_by_lanes_eliminates_the_shorter_side(monkeypatch,
     code, centers = _oracle_centers(q, n, m, k, s)
     assert code.m > code.n
     shapes = set()
-    original = gfmatrix.rank_lanes_exceed
+    original = gfmatrix.rank_lanes
 
     def spy(start, vecs, *args):
         vecs = [list(v) for v in vecs]
         shapes.add((len(vecs), *{len(v) for v in vecs}))
         return original(start, vecs, *args)
 
-    monkeypatch.setattr(gfmatrix, "rank_lanes_exceed", spy)
+    monkeypatch.setattr(gfmatrix, "rank_lanes", spy)
     for center in centers:
         for tau in range(code.n):
             assert ball_by_lanes(code, center, tau) \

@@ -350,10 +350,11 @@ def test_subspace_basis_is_the_reference_rref_of_its_digit_rows(q, n):
 
 @pytest.mark.parametrize("q", QS)
 def test_lane_elimination_matches_rank_gf2_in_every_lane(q):
-    # lane L of vecs[i][p] is digit p of vector i in lane L: the mask of
-    # rank_lanes_exceed, from a start basis and without one, at every limit
-    # from -1 to the width + 1, against basis and the reference rank of each
-    # lane's unpacked vectors; start and vecs stay unchanged.  Some lanes
+    # lane L of vecs[i][p] is digit p of vector i in lane L: every mask
+    # ge[r] of rank_lanes, r = 0..limit + 1, from a start basis and without
+    # one, at every limit from -2 to the width + 1, against basis and the
+    # reference rank of each lane's unpacked vectors; start and vecs stay
+    # unchanged.  Some lanes
     # hold q - 1 in every digit but the top one, which is q - 1 or 1: two
     # such vectors with top digit 1 and one length take a reduction to
     # q(q - 1), its largest value.  Most lane counts are not powers of q
@@ -379,11 +380,58 @@ def test_lane_elimination_matches_rank_gf2_in_every_lane(q):
             assert rank == reference.rank(
                 [_unpack(v, q, width) for v in start + unpacked], q)
             ranks.append(rank)
-        for limit in range(-1, width + 2):
-            assert gfmatrix.rank_lanes_exceed(start, vecs, limit, lanes, q) \
-                == sum(1 << lane * w for lane, r in enumerate(ranks)
-                       if r > limit)
+        for limit in range(-2, width + 2):
+            assert gfmatrix.rank_lanes(start, vecs, limit, lanes, q) == [
+                sum(1 << lane * w for lane, r in enumerate(ranks) if r >= g)
+                for g in range(max(limit, -1) + 2)]
         assert (start, vecs) == kept
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_rank_masks_from_one_to_many_lanes(q):
+    # each lane's rank read off the masks of rank_lanes, the number of r
+    # >= 1 whose mask holds it, against the reference rank of its vectors,
+    # from a start basis and without one, in one lane up to thousands; the
+    # lane ints are the to_lanes transpose of each lane's packed vectors,
+    # each lane's below q^d for a d of its own, so that ranks vary
+    rng = random.Random(f"masks:{q}")
+    for lanes in (1, 2, 37, 3000):
+        for with_start in (False, True):
+            width = rng.randrange(2, 7 if q == 2 else 5)
+            start = [rng.randrange(q ** width)
+                     for _ in range(rng.randrange(1, 4) if with_start
+                                    else 0)]
+            count = rng.randrange(1, width + 2)
+            caps = [q ** rng.randrange(width + 1) for _ in range(lanes)]
+            packed = [[rng.randrange(cap) for _ in range(count)]
+                      for cap in caps]
+            vecs = [gfmatrix.to_lanes([row[i] for row in packed], width, q)
+                    for i in range(count)]
+            w = gfmatrix.lane_layout(lanes, q).w
+            ge = gfmatrix.rank_lanes(start, vecs, width - 1, lanes, q)
+            assert len(ge) == width + 1 and ge[0] == \
+                gfmatrix.lane_layout(lanes, q).ones
+            for lane, row in enumerate(packed):
+                assert sum(g >> lane * w & 1 for g in ge[1:]) \
+                    == reference.rank([_unpack(v, q, width)
+                                       for v in start + row], q)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_to_lanes_is_the_digit_formula(q):
+    # digit p of vector L in lane L of the p-th lane int, on the q = 2
+    # string stride and the odd-q path alike; no vectors or no digits give
+    # zero lanes, and a vector wider than width raises
+    rng = random.Random(f"to-lanes:{q}")
+    for count in (0, 1, 2, 9, 200):
+        for width in (0, 1, 5, 13):
+            vecs = [rng.randrange(q ** width) for _ in range(count)]
+            w = gfmatrix.lane_layout(max(count, 1), q).w
+            assert gfmatrix.to_lanes(vecs, width, q) == [
+                sum(v // q ** p % q << lane * w
+                    for lane, v in enumerate(vecs)) for p in range(width)]
+    with pytest.raises(InvariantViolation):
+        gfmatrix.to_lanes([1, q ** 4], 4, q)
 
 
 def test_repunit_is_the_division_formula():
@@ -436,14 +484,14 @@ def test_lane_rank_counts_from_the_start_basis(q):
                      for lane in range(lanes)) for p in range(width)]
                 for i in range(count)]
         for limit in (r - 2, r - 1):
-            assert gfmatrix.rank_lanes_exceed(start, vecs, limit, lanes,
-                                              q) == lay.ones
+            assert gfmatrix.rank_lanes(start, vecs, limit, lanes, q) \
+                == [lay.ones] * (limit + 2)
         ranks = [len(gfmatrix.basis(start + [_pack(d, q) for d in row], q))
                  for row in digits]
         if q == 2:
             assert ranks == [gfmatrix.rank_gf2(
                 start + [_pack(d, 2) for d in row]) for row in digits]
-        assert gfmatrix.rank_lanes_exceed(start, vecs, r, lanes, q) \
+        assert gfmatrix.rank_lanes(start, vecs, r, lanes, q)[-1] \
             == sum(1 << lane * lay.w for lane, k in enumerate(ranks) if k > r)
 
 

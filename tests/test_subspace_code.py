@@ -256,6 +256,85 @@ def test_lifted_count_disagreeing_with_the_ball_raises(monkeypatch, q):
     assert (check.status, check.expected) == ("pass", 0)
 
 
+# q in {2, 3, 5}, m > n and a punctured code
+LISTED_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (3, 3, 3, 1, 0),
+                (3, 2, 4, 1, 0), (5, 2, 2, 1, 0), (5, 2, 4, 1, 0),
+                (2, 6, 6, 2, 2)]
+
+
+@pytest.mark.parametrize("q, n, m, k, s", LISTED_CODES)
+def test_listed_distances_are_the_per_word_loop(monkeypatch, q, n, m, k, s):
+    # the lane check of the listed words against one lift_word and one
+    # lifted_distance per word: the sorted distinct lifted distances and
+    # the number of distinct words within 2 tau, at every tau from -1 to
+    # n + 1, on codewords, other words, the center itself and duplicates,
+    # in one batch and in several of 2^LANE_BITS = 2 and 8 words; an empty
+    # list has no distance and lists nothing
+    rng = random.Random(f"listed:{q}:{n}:{m}:{k}:{s}")
+    code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
+    f = code.field
+
+    def word():
+        return RankWord(f, tuple(rng.randrange(f.order)
+                                 for _ in range(code.n)))
+
+    center = word()
+    words = rng.sample(list(codewords(code)), 20)
+    words += [word() for _ in range(10)] + [center]
+    words += rng.sample(words, 6)
+    lc = lift_word(center)
+    dist = {w.coords: lifted_distance(lc, lift_word(w)) for w in words}
+    assert 0 in dist.values() and len(dist) < len(words)
+    for bits in (1, 3, gabidulin.LANE_BITS):
+        monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
+        for tau in range(-1, code.n + 2):
+            assert subspace_code._listed_distances(lc, words, tau) == (
+                sorted(set(dist.values())),
+                sum(d <= 2 * tau for d in dist.values()))
+            assert subspace_code._listed_distances(lc, [], tau) == ([], 0)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_listed_word_beyond_the_radius_fails_the_lifted_check(q):
+    # a codeword outside the ball added to the list: measured lists its
+    # lifted distance next to 2 tau, the radius check fails, and the
+    # bound check still counts only the words within 2 tau
+    inst = build_explicit_instance(q, 2, 1, 4, 4)
+    far = next(w for w in codewords(inst.code)
+               if gabidulin.rank_distance(inst.center, w) > inst.tau)
+    d = 2 * gabidulin.rank_distance(inst.center, far)
+    report = verify_lifted_instance(dataclasses.replace(
+        inst, codewords=inst.codewords + (far,)))
+    by_name = {c.name: c for c in report.checks}
+    check = by_name["lifted_distances_within_radius"]
+    assert (check.status, check.measured) == ("fail", [2 * inst.tau, d])
+    assert by_name["lifted_explicit_bound"].measured == len(inst.codewords)
+    assert not report.all_passed
+
+
+@pytest.mark.parametrize("side", ["stacked", "difference"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_disagreeing_rank_masks_raise(monkeypatch, q, side):
+    # the stacked [X | I_n] rank less n and the rank of X - center must
+    # agree in every lane: lane 0, at rank tau = 2 in both, flipped into
+    # the top mask of either elimination counts one rank more there, and
+    # raises with both distances of that lane
+    inst = build_explicit_instance(q, 2, 1, 4, 4)
+    original = gfmatrix.rank_lanes
+
+    def flip(start, vecs, limit, lanes, q):
+        ge = original(start, vecs, limit, lanes, q)
+        if bool(start) == (side == "stacked"):
+            ge[-1] ^= 1
+        return ge
+
+    monkeypatch.setattr(gfmatrix, "rank_lanes", flip)
+    message = "4 != 6" if side == "difference" else "6 != 4"
+    with pytest.raises(InvariantViolation,
+                       match=f"distance identity violated: {message}"):
+        verify_lifted_instance(inst, budget=1)
+
+
 def _unpack(v, q, width):
     return [v // q ** j % q for j in range(width)]
 
@@ -263,8 +342,8 @@ def _unpack(v, q, width):
 def test_rank_gf2_exceeds_from_a_start_basis():
     # the early-exit rank tests of packed vectors against the reference
     # rref of the stacked rows, on q in {2, 3, 5}: rank_gf2_exceeds afresh
-    # on q = 2, and on every q rank_lanes_exceed in one lane, whose digits
-    # are the vectors' own, from a start basis and afresh
+    # on q = 2, and on every q the rank masks of rank_lanes in one lane,
+    # whose digits are the vectors' own, from a start basis and afresh
     rng = random.Random(31)
     for q in (2, 3, 5):
         for _ in range(300):
@@ -276,11 +355,11 @@ def test_rank_gf2_exceeds_from_a_start_basis():
             rank = reference.rank([_unpack(x, q, width) for x in a + v], q)
             assert len(start) == reference.rank(
                 [_unpack(x, q, width) for x in a], q)
-            assert gfmatrix.rank_lanes_exceed(
+            assert gfmatrix.rank_lanes(
                 a, [_unpack(x, q, width) for x in v], limit, 1, q) \
-                == gfmatrix.rank_lanes_exceed(
+                == gfmatrix.rank_lanes(
                     [], [_unpack(x, q, width) for x in a + v], limit, 1, q) \
-                == (rank > limit)
+                == [int(rank >= r) for r in range(max(limit, -1) + 2)]
             if q == 2:
                 assert gfmatrix.rank_gf2_exceeds(a + v, limit) \
                     == (gfmatrix.rank_gf2(a + v) > limit) == (rank > limit)

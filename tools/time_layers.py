@@ -7,7 +7,9 @@ walk and the evaluation of linearized polynomials at a code's points.
 imports ranklab from SRC/src (default: this checkout) and prints one JSON
 object.  Each timing is the median seconds of REPEATS calls (FRONTIER_REPEATS
 on a frontier instance, whose calls take seconds), after one untimed call
-that builds the fields, codes and lane layouts.  Instances are built at
+that builds the fields, codes and lane layouts, and, in a tree that keeps
+them on the code object, the low slices of each code's lane walk, which a
+CLI call builds once as it loads its instance.  Instances are built at
 seed 1 as tools/same_reports.py builds them.  Its sections:
 
 - "lanes": a full gabidulin._lane_walk, gabidulin.ball_by_lanes at the
@@ -26,7 +28,14 @@ seed 1 as tools/same_reports.py builds them.  Its sections:
 - "evaluation": gabidulin.evaluate_word at every family member of the
   frontier explicit instances Gab[8,5] and Gab[10,7], and the codeword
   check of adversarial.verify_instance on its own
-  (adversarial.codewords_check; null in a tree without it).
+  (adversarial.codewords_check; null in a tree without it);
+- "listed": the listed-word check of subspace_code.verify_lifted_instance,
+  the sorted distinct lifted distances of the listed codewords from the
+  lifted center and the number within 2 tau, on every instance of the
+  three workloads, with the center's lift_word outside the timing: the
+  lane check
+  (subspace_code._listed_distances) where the tree has it, else the loop
+  of one lift_word and one lifted_distance per codeword that it replaced.
 
 Two source trees are compared by running it on each:
 
@@ -92,7 +101,9 @@ def main(argv=None) -> int:
         pigeonhole_subfamily,
         subfield_linear_family,
     )
-    from ranklab.subspace_code import lift_word, lifted_count
+    from ranklab import subspace_code
+    from ranklab.subspace_code import lift_word, lifted_count, \
+        lifted_distance
 
     frontier = {inst.name: inst for inst in WORKLOADS["frontier"].instances}
     exhaustive = {inst.name: inst for name in LANE_WORKLOADS
@@ -166,6 +177,31 @@ def main(argv=None) -> int:
             "codewords_check_s": check and median_seconds(
                 REPEATS, check, built),
         })
+    lane_check = getattr(subspace_code, "_listed_distances", None)
+
+    def per_word(center, codewords, tau):
+        dist = {cw.coords: lifted_distance(center, lift_word(cw))
+                for cw in codewords}
+        return (sorted(set(dist.values())),
+                sum(1 for d in dist.values() if d <= 2 * tau))
+
+    listed_check = lane_check or per_word
+    listed = []
+    for name in [*exhaustive, *frontier]:
+        # milliseconds a call, so REPEATS on the frontier too
+        built = build(name)[0]
+        center = lift_word(built.center)
+        dists, count = listed_check(center, built.codewords, built.tau)
+        listed.append({
+            "instance": name,
+            "code": repr(built.code),
+            "words": len(built.codewords),
+            "distances": dists,
+            "listed": count,
+            "path": "lanes" if lane_check else "per_word",
+            "listed_s": median_seconds(REPEATS, listed_check, center,
+                                       built.codewords, built.tau),
+        })
     print(json.dumps({
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
@@ -176,6 +212,7 @@ def main(argv=None) -> int:
         "families": families,
         "supports": supports,
         "evaluation": evaluation,
+        "listed": listed,
     }, indent=1))
     return 0
 
