@@ -18,12 +18,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ranklab import gfmatrix
 from ranklab.errors import (
     BadDimension,
     BadParameters,
+    BudgetExceeded,
     ConstraintViolation,
     DivisibilityViolation,
     InvariantViolation,
@@ -133,7 +134,9 @@ def _build_instance(code: GabidulinCode, tau: int, family: PolyFamily,
         pivot_coeffs[r - i] = c
     pivot = LinearizedPoly(spec, pivot_coeffs)
     center = evaluate_word(code, pivot)
-    cws = tuple(evaluate_word(code, pivot - m) for m in family.members)
+    points = code.eval_points
+    cws = tuple(RankWord(spec, tuple(spec.frobenius_sums(msg, points)))
+                for msg in _messages(pivot, family.members))
     inst = AdversarialInstance(
         code=code, tau=tau, pivot=pivot, center=center, family=family,
         codewords=cws, claimed_bound=claimed_bound, kind=kind,
@@ -241,23 +244,31 @@ def build_explicit_instance(q: int, g: int, s: int, n: int, m: int,
                            list_bound("explicit", q, n, code.k, g, tau))
 
 
+def _messages(pivot: LinearizedPoly,
+              members: Sequence[LinearizedPoly]) -> Iterator[List[int]]:
+    """The coefficients of pivot - member, member by member: the pivot's,
+    padded once to the longest member, less the member's by field.sub.
+    The builder evaluates them into the listed codewords, and
+    codewords_check re-evaluates them."""
+    sub, coeffs = pivot.spec.sub, pivot.coeffs
+    coeffs += (0,) * (max((len(m.coeffs) for m in members), default=0)
+                      - len(coeffs))
+    for member in members:
+        c = member.coeffs
+        yield [*map(sub, coeffs, c), *coeffs[len(c):]]
+
+
 def codewords_check(inst: AdversarialInstance) -> CheckResult:
     """Check (b) of verify_instance, codewords_encode_low_degree: each
-    listed codeword is the evaluation of pivot - member, one
-    FieldSpec.frobenius_sums call per codeword.  The message's
-    coefficients are the pivot's, padded once to the longest member, less
-    each member's by field.sub; it has q-degree < k exactly when those at
-    k and above are zero."""
+    listed codeword is the evaluation of pivot - member (_messages), one
+    FieldSpec.frobenius_sums call per codeword; the message has q-degree
+    < k exactly when its coefficients at k and above are zero."""
     code, top, members = inst.code, inst.family.mutual_top, \
         inst.family.members
     field, k, points = code.field, code.k, code.eval_points
-    pivot = inst.pivot.coeffs
-    pivot += (0,) * (max((len(m.coeffs) for m in members), default=0)
-                     - len(pivot))
     good = 0
-    for cw, member in zip(inst.codewords, members):
-        coeffs = member.coeffs
-        msg = [*map(field.sub, pivot, coeffs), *pivot[len(coeffs):]]
+    for cw, member, msg in zip(inst.codewords, members,
+                               _messages(inst.pivot, members)):
         r = member.q_degree
         if not any(msg[k:]) \
                 and tuple(field.frobenius_sums(msg[:k], points)) \
@@ -309,18 +320,19 @@ def verify_instance(inst: AdversarialInstance,
         "list_meets_claimed_bound", "pass" if ok else "fail",
         measured=distinct, expected=bound))
 
-    if code.size <= ball_budget:
+    try:
         ball = exact_ball(code, inst.center, tau, ball_budget)
+    except BudgetExceeded:
+        checks.append(CheckResult(
+            "ball_oracle_containment", "skipped",
+            measured=f"code size {code.size} over budget {ball_budget}"))
+    else:
         coords = {w.coords for w in ball}
         contained = all(cw.coords in coords for cw in inst.codewords)
         ok = contained and len(ball) >= len(inst.codewords)
         checks.append(CheckResult(
             "ball_oracle_containment", "pass" if ok else "fail",
             measured=len(ball), expected=len(inst.codewords)))
-    else:
-        checks.append(CheckResult(
-            "ball_oracle_containment", "skipped",
-            measured=f"code size {code.size} over budget {ball_budget}"))
 
     return VerificationReport(checks)
 

@@ -416,9 +416,6 @@ class FieldSpec:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k == 0:

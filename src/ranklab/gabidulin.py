@@ -157,8 +157,9 @@ class GabidulinCode:
     def _message_system(self) -> dict:
         """gfmatrix.tagged_basis of the mk basis codewords, packed as
         _packed does: tag digit i*m + t is message digit i*m + t."""
+        order = self.field.order
         return gfmatrix.tagged_basis(
-            [_packed(self, c) for c in self._basis_contributions], self.q)
+            [_packed(order, c) for c in self._basis_contributions], self.q)
 
     @cached_property
     def _lane_lows(self) -> dict:
@@ -181,27 +182,17 @@ def check_code_params(n: int, m: int, k: int):
         raise BadDimension(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
-def make_code(q: int, n: int, m: int, k: int, beta_exponent: int = 0,
-              points: Optional[Sequence[int]] = None) -> GabidulinCode:
+def make_code(q: int, n: int, m: int, k: int,
+              beta_exponent: int = 0) -> GabidulinCode:
     """Gab[n, k] over GF(q^m) with evaluation points beta * (power basis of
-    the embedded GF(q^n)).
-
-    Custom points (serials of GF(q^m)) may be supplied for exploration;
-    they must be GF(q)-independent but need not lie in a shifted subfield,
-    in which case none of the certified-instance claims apply.
-    """
+    the embedded GF(q^n))."""
     check_code_params(n, m, k)
     field = make_field(q, m)
     beta = field.pow(field.generator_serial, beta_exponent)
-    if points is None:
-        sub = make_field(q, n)
-        base = [embed_serial(sub.pow(sub.generator_serial, j), sub, field)
-                for j in range(n)]
-        points = tuple(field.mul(beta, b) for b in base)
-    else:
-        points = tuple(points)
-        if len(points) != n:
-            raise BadDimension(f"expected {n} evaluation points")
+    sub = make_field(q, n)
+    base = [embed_serial(sub.pow(sub.generator_serial, j), sub, field)
+            for j in range(n)]
+    points = tuple(field.mul(beta, b) for b in base)
     if len(gfmatrix.basis(points, q)) != n:
         raise BadDimension("evaluation points are not independent")
     return GabidulinCode(field=field, n=n, k=k, beta=beta,
@@ -319,12 +310,12 @@ def _check_code_context(code: GabidulinCode, w: RankWord):
         raise ContextMismatch("word does not match the code context")
 
 
-def _packed(code: GabidulinCode, coords: Sequence[int]) -> int:
-    """The word's nm GF(q) digits packed base q: digit j*m + b is digit b of
-    coordinate j."""
+def _packed(order: int, coords: Sequence[int]) -> int:
+    """A word over GF(q^m), order = q^m, as its nm GF(q) digits packed base
+    q: digit j*m + b is digit b of coordinate j."""
     out = 0
     for c in reversed(coords):
-        out = out * code.field.order + c
+        out = out * order + c
     return out
 
 
@@ -333,7 +324,8 @@ def _syndrome(code: GabidulinCode, coords: Sequence[int]) -> int:
     against the message system: GF(q)-linear in w and zero exactly on the
     code."""
     return gfmatrix.reduce_tagged(code._message_system,
-                                  _packed(code, coords), code.q)[0]
+                                  _packed(code.field.order, coords),
+                                  code.q)[0]
 
 
 def preimage_message(code: GabidulinCode,
@@ -347,15 +339,11 @@ def preimage_message(code: GabidulinCode,
     """
     _check_code_context(code, w)
     order = code.field.order
-    x = gfmatrix.reduce_tagged(code._message_system, _packed(code, w.coords),
-                               code.q)[1]
+    x = gfmatrix.reduce_tagged(code._message_system,
+                               _packed(order, w.coords), code.q)[1]
     msg = LinearizedPoly(code.field, [x // order ** i % order
                                       for i in range(code.k)])
     return msg if evaluate_word(code, msg).coords == w.coords else None
-
-
-def contains(code: GabidulinCode, w: RankWord) -> bool:
-    return preimage_message(code, w) is not None
 
 
 def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,

@@ -41,12 +41,6 @@ class LinearizedPoly:
         """The polynomial x (the identity map)."""
         return cls(spec, (1,))
 
-    @classmethod
-    def monomial(cls, spec: FieldSpec, i: int,
-                 coeff: int = 1) -> "LinearizedPoly":
-        """coeff * x^(q^i)."""
-        return cls(spec, (0,) * i + (coeff,))
-
     # -- shape -------------------------------------------------------------
 
     @property
@@ -57,10 +51,6 @@ class LinearizedPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0

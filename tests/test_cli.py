@@ -600,6 +600,31 @@ def test_malformed_file_exits_2_with_one_line_error(tmp_path, capsys,
     assert json.loads(err)["error"] == "MalformedInstance"
 
 
+@pytest.mark.parametrize("command", ["verify", "lift-verify", "ball"])
+def test_repeated_eval_point_in_file_exits_2(tmp_path, capsys, command):
+    # the loader's own independence check: a repeated point makes the n
+    # points GF(q)-dependent
+    inst, data = _gen_gab41(tmp_path, capsys)
+    data["code"]["eval_points"][1] = data["code"]["eval_points"][0]
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--in", str(inst))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParamMismatch"
+
+
+@pytest.mark.parametrize("command", ["verify", "lift-verify"])
+def test_short_words_over_budget_exit_2(tmp_path, capsys, command):
+    # the ball check reads the center's shape before its budget, so a
+    # center and list one coordinate short exit 2 under any budget
+    inst, data = _gen_gab41(tmp_path, capsys)
+    data["center"] = data["center"][:3]
+    data["codewords"] = [cw[:3] for cw in data["codewords"]]
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--in", str(inst), "--budget", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ContextMismatch"
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_lift_verify_of_a_short_codeword_exits_2(tmp_path, capsys, q):
     # a listed codeword one coordinate short has no lift of the center's

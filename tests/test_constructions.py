@@ -68,7 +68,7 @@ def test_subfield_family_stride_structure():
     fam = subfield_linear_family(2, 4, 2, 2)
     for m in fam.members:
         assert m.coeff(1) == 0
-        assert m.is_monic and m.q_degree == 2
+        assert m.coeffs[-1] == 1 and m.q_degree == 2
 
 
 def test_subfield_family_matches_pattern_scan():
@@ -274,7 +274,7 @@ def test_orbit_representatives_gf16():
     for i in range(5):
         for j in range(5):
             if i != j:
-                ratio = F16.div(reps[i], reps[j])
+                ratio = F16.mul(reps[i], F16.inv(reps[j]))
                 assert F16.pow(ratio, 3) != 1
 
 

@@ -1,5 +1,6 @@
-"""The package's public names: __all__ and the attributes agree, and no
-module reads another's private gfmatrix names."""
+"""The package's public names: __all__ and the attributes agree, every
+public function has a reader outside the tests, and no module reads
+another's private gfmatrix names."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,52 @@ def test_no_module_reads_a_private_gfmatrix_name():
                           for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def _probed_functions(tracing: Path):
+    """(module, name) of each module-level function that bench/tracing.py
+    probes: the module and attribute of every Probe(...) in it."""
+    out = set()
+    for node in ast.walk(ast.parse(tracing.read_text(), str(tracing))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Probe"):
+            module, attr = (a.value for a in node.args[1:3])
+            if "." not in attr:
+                out.add((module.split(".")[-1], attr))
+    return out
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    # a public module-level function is read by src code, exported in
+    # ranklab.__all__, or probed by the benchmark's tracer; trial division
+    # stays only as the tests' reference for Rabin's irreducibility test
+    src = Path(ranklab.__file__).parent
+    defined, used = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined |= {(path.stem, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")}
+        names, modules = {}, {}     # local name -> (module, name), module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ranklab":
+                modules.update((a.asname or a.name, a.name)
+                               for a in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("ranklab.")):
+                names.update((a.asname or a.name,
+                              (node.module.split(".")[1], a.name))
+                             for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(names.get(node.id, (path.stem, node.id)))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                used.add((modules[node.value.id], node.attr))
+    exported = {(getattr(ranklab, name).__module__.split(".")[-1], name)
+                for name in ranklab.__all__}
+    probed = _probed_functions(
+        Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    unreached = defined - used - exported - probed
+    assert unreached == {("field", "is_irreducible_trial")}

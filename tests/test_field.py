@@ -266,7 +266,6 @@ def test_field_inverses_exhaustive():
     f = make_field(2, 4)
     g = f.generator_serial
     assert f.mul(g, f.pow(g, -1)) == 1
-    assert f.div(g, g) == 1
     assert f.add(g, g) == f.sub(g, g) == 0
     assert f.neg(g) == g  # characteristic 2
     f9 = make_field(3, 2)
