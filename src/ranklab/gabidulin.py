@@ -14,8 +14,20 @@ codewords() on every q; ball_by_lanes tests a whole _lane_walk batch in
 one lane elimination; ball_by_supports solves the syndrome equations
 along the sum_{t<=tau} [n,t]_q error supports of rank <= tau with
 gfmatrix.tagged_walk, each extending its parent's GF(q) elimination by
-m columns.  exact_ball runs ball_by_supports or ball_by_lanes, whichever
-costs less, a support counted as SUPPORT_COST codeword tests.
+m columns.  Where the Singer group permutes the ball, it walks only the
+supports through e_0, about theta(n)/theta(t) fewer, theta(n) = (q^n -
+1)/(q - 1), and lists the ball from their hits by the error map psi(E) =
+gamma^(-q^r) sigma_gamma(E), gamma the embedded generator of GF(q^n)
+and sigma_gamma (_sigma) the multiplication of the points by it.  Two
+checks decide that: the points' span is gamma-stable (code._singer, a
+GF(q) solve of each gamma p_j), and sigma_gamma(center) - gamma^(q^r)
+center is a codeword for some r in [k, n) (_singer_power, one syndrome
+per r), as for every center whose pivot is c x^(q^r) plus terms of
+q-degree < k: each explicit instance and the benchmark's counting ones.
+Where either fails (a punctured code, n not dividing m, any other
+center) it declines to the full walk.  exact_ball runs ball_by_supports
+or ball_by_lanes, whichever costs less, a support counted as
+SUPPORT_COST codeword tests of the full walk.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
@@ -35,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -48,6 +61,7 @@ from ranklab.errors import (
     NotASubfield,
     RadiusTooLarge,
     TooManyPunctures,
+    require,
 )
 from ranklab.field import FieldSpec, embed_serial, make_field
 from ranklab.linpoly import LinearizedPoly
@@ -68,7 +82,11 @@ LANE_BITS = 14
 # the four exhaustive benchmark codes where the two are close (61-77 on
 # Gab[4,2]/GF(3^4) and Gab[4,1]/GF(3^8), 240-307 on both Gab[6,3]/GF(2^6)
 # centers, tau 2).  exact_ball takes the cheaper oracle by it; any value
-# from 39 to 366 picks the same.
+# from 39 to 366 picks the same.  Those are costs of the full walk, and
+# exact_ball still prices every support of it, also where ball_by_supports
+# walks only those through e_0: the choice stays as it was, and the
+# supports oracle it picks runs faster (3.3 -> 0.6 ms on both
+# Gab[6,3]/GF(2^6) centers, same machine and Python).
 SUPPORT_COST = 100
 
 
@@ -160,6 +178,51 @@ class GabidulinCode:
         order = self.field.order
         return gfmatrix.tagged_basis(
             [_packed(order, c) for c in self._basis_contributions], self.q)
+
+    @cached_property
+    def _singer(self) -> Optional[tuple]:
+        """(gamma, terms) for _sigma, or None where n does not divide m or
+        the points' GF(q) span is not gamma-stable (a punctured code, say):
+        gamma is the embedded generator of GF(q^n), and terms[j] the pairs
+        (i, A_ij), A_ij != 0, of gamma p_j = sum_i A_ij p_i, each solved
+        in the points' basis by gfmatrix.tagged_basis/reduce_tagged."""
+        field, q, n = self.field, self.q, self.n
+        if field.e % n:
+            return None
+        sub = make_field(q, n)
+        gamma = embed_serial(sub.generator_serial, sub, field)
+        system = gfmatrix.tagged_basis(self.eval_points, q)
+        terms = []
+        for p in self.eval_points:
+            residue, x = gfmatrix.reduce_tagged(system, field.mul(gamma, p),
+                                                q)
+            if residue:
+                return None
+            terms.append(tuple((i, x // q ** i % q) for i in range(n)
+                               if x // q ** i % q))
+        return gamma, tuple(terms)
+
+    @cached_property
+    def _singer_logs(self) -> dict:
+        """The Singer log of every nonzero v in GF(q)^n, packed base q: the
+        j < theta(n) = (q^n - 1)/(q - 1) with v = c e_0 A^j, c in GF(q)^*,
+        where v A is _sigma of v's digits.  Read off e_0's first theta(n)
+        images, each with its q - 1 multiples (a GF(q) scalar times a
+        packed vector, as a serial); a primitive gamma makes them all the
+        q^n - 1 vectors and brings e_0 back to a multiple of itself,
+        InvariantViolation where it does not."""
+        field, q, n = self.field, self.q, self.n
+        v = (1,) + (0,) * (n - 1)
+        logs = {}
+        for j in range(gaussian_binomial(n, 1, q)):
+            packed = _packed(q, v)
+            logs[packed] = j
+            for c in range(2, q):
+                logs[field.mul(c, packed)] = j
+            v = _sigma(self, v)
+        require(not any(v[1:]) and len(logs) == q ** n - 1,
+                "gamma's multiplication is not one cycle on the points")
+        return logs
 
     @cached_property
     def _lane_lows(self) -> dict:
@@ -328,6 +391,84 @@ def _syndrome(code: GabidulinCode, coords: Sequence[int]) -> int:
                                   code.q)[0]
 
 
+def _sigma(code: GabidulinCode, coords: Sequence[int]) -> Tuple[int, ...]:
+    """sigma_gamma(w), for a code whose _singer is not None: coordinate j
+    is sum_i A_ij w_i, the value at p_j of w's GF(q)-linear map on the
+    points' span after multiplication by gamma.  So w A, GF(q)-linear and
+    rank-preserving; a codeword f(p_j) goes to the codeword f(gamma p_j),
+    and a word's support V to V A."""
+    field = code.field
+    out = []
+    for terms in code._singer[1]:
+        s = 0
+        for i, a in terms:
+            s = field.add(s, coords[i] if a == 1 else field.mul(a, coords[i]))
+        out.append(s)
+    return tuple(out)
+
+
+def _singer_power(code: GabidulinCode, center: RankWord) -> Optional[int]:
+    """The first r in [k, n) with sigma_gamma(y) - gamma^(q^r) y in the
+    code, y the center; None where there is none or code._singer is
+    None.  A center whose pivot is c x^(q^r) plus terms of q-degree < k
+    passes at that r."""
+    if code._singer is None:
+        return None
+    field, y = code.field, center.coords
+    moved = _sigma(code, y)
+    for r in range(code.k, code.n):
+        g = field.frobenius(code._singer[0], r)
+        if not _syndrome(code, [field.sub(s, field.mul(g, c))
+                                for s, c in zip(moved, y)]):
+            return r
+    return None
+
+
+def _singer_orbits(code: GabidulinCode, center: RankWord,
+                   hits: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]],
+                   r: int) -> List[Tuple[int, ...]]:
+    """The ball words center - E of the errors psi^j(E), E each
+    (support rows, error) hit of the walk through e_0, psi(E) =
+    gamma^(-q^r) sigma_gamma(E), each word once.
+
+    psi permutes the ball's errors, keeping their rank, and moves a
+    support V to V A, so D(psi^j(E)) = D(E) + j mod theta(n), D(E) the
+    Singer logs of the points of E's support.  The Singer group is regular
+    on the theta(n) points, so a word W of rank t >= 1 is psi^j(E) for
+    exactly theta(t) pairs of a hit E and j < theta(n), one per point of
+    W's support, and only the pair with j = min D(W) has j < theta(n) -
+    max D(E): each hit emits those j.  The root, the center when it is a
+    codeword, is emitted once.  InvariantViolation unless the first j
+    past them, where E's orbit next meets a support through e_0, gives a
+    hit, theta(t) divides theta(n) F_t and rank t lists theta(n) F_t /
+    theta(t) words, F_t its hits, and no word repeats.  A hit missing
+    from the walk passes them only where its orbit holds no other hit,
+    as the one orbit of an explicit instance's ball does."""
+    field, q, n = code.field, code.q, code.n
+    scale = field.frobenius(field.inv(code._singer[0]), r)
+    theta = gaussian_binomial(n, 1, q)
+    hit_count, listed = [0] * (n + 1), [0] * (n + 1)
+    errors = {err for _, err in hits}
+    found = []
+    for rows, err in hits:
+        t = len(rows)
+        steps = theta - max(
+            code._singer_logs[v] for (v,) in gfmatrix.digit_sums(
+                [[b] for b in rows], 1, q, field.add)[1:]) if t else 1
+        hit_count[t] += 1
+        listed[t] += steps
+        for _ in range(steps):
+            found.append(tuple(map(field.sub, center.coords, err)))
+            err = tuple(field.mul(scale, e) for e in _sigma(code, err))
+        require(err in errors, f"a rank {t} orbit returns to no hit")
+    for t in range(1, n + 1):
+        words, rest = divmod(theta * hit_count[t], gaussian_binomial(t, 1, q))
+        require(not rest and listed[t] == words,
+                f"rank {t}: {listed[t]} words from {hit_count[t]} hits")
+    require(len(set(found)) == len(found), "a ball word repeats")
+    return found
+
+
 def preimage_message(code: GabidulinCode,
                      w: RankWord) -> Optional[LinearizedPoly]:
     """Message polynomial of q-degree < k encoding w, or None.
@@ -376,17 +517,35 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     Below d the code is MRD, so no support's syndromes are dependent;
     InvariantViolation where they are.  A hit's x holds the x_si; a
     counts only if its entries are GF(q)-independent, so each word is
-    found once, under its error's row space.  Output is sorted by
-    coordinate serials.
+    found once, under its error's row space.
+
+    The walk is reduced where the ball is invariant under the Singer
+    group: where the points' span is stable under gamma, the embedded
+    generator of GF(q^n) (code._singer), and some r in [k, n) has
+    sigma_gamma(center) - gamma^(q^r) center in the code (_singer_power),
+    as every center whose pivot is c x^(q^r) plus terms of q-degree < k
+    has.  Then psi(E) = gamma^(-q^r) sigma_gamma(E) permutes the ball's
+    errors, and the walk covers only the supports through e_0: the row
+    e_0, then the rows of rref_walk(n - 1, range(tau), q) shifted up one
+    digit, sum_{1<=t<=tau} [n-1,t-1]_q supports, about theta(n)/theta(t)
+    fewer; _singer_orbits lists the ball from their hits.  Elsewhere (a
+    punctured code, n not dividing m, any other center) it walks every
+    support.  Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
     field, q, n, m = code.field, code.q, code.n, code.m
     units = [[_syndrome(code, [q ** i * (u == j) for u in range(n)])
               for i in range(m)] for j in range(n)]
-    found = []
+    r = _singer_power(code, center)
+    if r is None:
+        walk = rref_walk(n, range(tau + 1), q)
+    else:
+        walk = chain([[]] if tau >= 0 else [],
+                     ([1, *(q * b for b in rows)]
+                      for rows in rref_walk(n - 1, range(tau), q)))
+    hits = []
     for rows, x in gfmatrix.tagged_walk(
-            rref_walk(n, range(tau + 1), q), units,
-            _syndrome(code, center.coords), m * max(tau, 0), q):
+            walk, units, _syndrome(code, center.coords), m * max(tau, 0), q):
         t = len(rows)
         a = [x // field.order ** s % field.order for s in range(t)]
         if len(gfmatrix.basis(a, q)) == t:
@@ -394,7 +553,12 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
             for a_s, row in zip(a, rows):
                 err = [field.add(e, field.mul(a_s, row // q ** j % q))
                        for j, e in enumerate(err)]
-            found.append(tuple(map(field.sub, center.coords, err)))
+            hits.append((tuple(rows), tuple(err)))
+    if r is None:
+        found = [tuple(map(field.sub, center.coords, err))
+                 for _, err in hits]
+    else:
+        found = _singer_orbits(code, center, hits, r)
     found.sort()
     return [RankWord(field, c) for c in found]
 

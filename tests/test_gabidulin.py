@@ -481,30 +481,44 @@ def test_exact_ball_budget_is_enumerate_ball_budget():
         exact_ball(code, RankWord(code.field, (0,) * 3), 1)
 
 
+def _walk_depths(monkeypatch):
+    """A list that gets the depth of every node of each walk that
+    ball_by_supports passes to gfmatrix.tagged_walk."""
+    depths, original = [], gfmatrix.tagged_walk
+
+    def spy(walk, *args):
+        def counted():
+            for rows in walk:
+                depths.append(len(rows))
+                yield rows
+        return original(counted(), *args)
+
+    monkeypatch.setattr(gfmatrix, "tagged_walk", spy)
+    return depths
+
+
 @pytest.mark.parametrize("q, n, m, k, s", ORACLE_CODES)
 def test_ball_by_supports_expands_each_support_once(q, n, m, k, s,
                                                     monkeypatch):
     # one elimination per node of the walk ball_by_supports passes to
-    # gfmatrix.tagged_walk but the root (the empty support), so one per
-    # support of dimension 1..tau: the _eliminate calls less those of
-    # the hit test's basis() calls.  No tagged elimination once the
-    # code's message system is built: a hit is read off the walk's own
-    # residue, not solved again
+    # gfmatrix.tagged_walk but the root (the empty support): the
+    # _eliminate calls less those of the hit test's basis() calls.  This
+    # pins the full walk, one node per support of dimension 1..tau, which
+    # a random center takes: on the three unpunctured codes with n - k = 1
+    # every word's pivot is c x^(q^k) plus terms of q-degree < k, so every
+    # center takes the walk through e_0 there.  No tagged elimination once
+    # the code's message system and its gamma solve (code._singer) are
+    # built: a hit is read off the walk's own residue, not solved again
     rng = random.Random(f"expand:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     center = RankWord(code.field, tuple(rng.randrange(code.field.order)
                                         for _ in range(code.n)))
     code._message_system
-    eliminate, basis, walk = (gfmatrix._eliminate, gfmatrix.basis,
-                              gabidulin.rref_walk)
-    calls, tests, nodes, tagged = [], [], [], []
-
-    def counted_walk(*args):
-        for rows in walk(*args):
-            nodes.append(len(rows))
-            yield rows
-
-    monkeypatch.setattr(gabidulin, "rref_walk", counted_walk)
+    full = gabidulin._singer_power(code, center) is None
+    assert full == (n - k > 1 or s > 0)
+    eliminate, basis = gfmatrix._eliminate, gfmatrix.basis
+    calls, tests, tagged = [], [], []
+    nodes = _walk_depths(monkeypatch)
     monkeypatch.setattr(gfmatrix, "_eliminate",
                         lambda *a: calls.append(a) or eliminate(*a))
     monkeypatch.setattr(gfmatrix, "basis",
@@ -516,7 +530,8 @@ def test_ball_by_supports_expands_each_support_once(q, n, m, k, s,
         for seen in (calls, tests, nodes):
             seen.clear()
         ball_by_supports(code, center, tau)
-        supports = sum(gaussian_binomial(code.n, t, q)
+        supports = sum(gaussian_binomial(code.n, t, q) if full
+                       else gaussian_binomial(code.n - 1, t - 1, q)
                        for t in range(1, tau + 1))
         assert len(calls) - len(tests) == sum(map(bool, nodes)) \
             == supports, tau
@@ -548,12 +563,95 @@ def test_ball_by_supports_raises_on_dependent_columns():
                                   gabidulin._syndrome(flat, (1, 2)), 4, 3))
 
 
+# (builder, args) of small instances whose centers' balls the Singer group
+# permutes: q in {2, 3, 5}, m > n, beta != 1, explicit and counting
+INVARIANT_INSTANCES = [
+    (build_explicit_instance, (2, 2, 1, 4, 4, 3)),      # Gab[4,1]/GF(2^4)
+    (build_explicit_instance, (2, 2, 1, 4, 8, 5)),      # Gab[4,1]/GF(2^8)
+    (build_explicit_instance, (2, 3, 1, 6, 6, 2)),      # Gab[6,1]/GF(2^6)
+    (build_explicit_instance, (3, 2, 1, 4, 4, 7)),      # Gab[4,1]/GF(3^4)
+    (build_explicit_instance, (5, 2, 1, 4, 4, 11)),     # Gab[4,1]/GF(5^4)
+    (build_counting_instance, (2, 4, 4, 2, 2, 3)),      # Gab[4,2]/GF(2^4)
+    (build_counting_instance, (3, 4, 4, 2, 2, 5)),      # Gab[4,2]/GF(3^4)
+]
+
+
+@pytest.mark.parametrize("build, args", INVARIANT_INSTANCES)
+def test_ball_by_supports_walks_the_supports_through_e0_on_invariant_centers(
+        monkeypatch, build, args):
+    # the instance center and a listed codeword, whose ball holds itself
+    # from tau = 0 on: both take the reduced walk, sum_{1<=t<=tau}
+    # [n-1,t-1]_q supports, and give the reference ball at every radius
+    inst = build(*args)
+    code = inst.code
+    assert code.beta != 1
+    depths = _walk_depths(monkeypatch)
+    for center in (inst.center, inst.codewords[0]):
+        assert gabidulin._singer_power(code, center) is not None
+        for tau in range(-1, code.min_distance):
+            depths.clear()
+            assert ball_by_supports(code, center, tau) \
+                == enumerate_ball(code, center, tau), tau
+            assert sum(map(bool, depths)) == sum(
+                gaussian_binomial(code.n - 1, t - 1, code.q)
+                for t in range(1, tau + 1)), tau
+
+
+def _declined_cases():
+    """(code, center) pairs that ball_by_supports walks in full: a center
+    with two nonzero pivot coefficients at q-degree >= k, a punctured code
+    around an explicit center, and points whose span is not stable under
+    the generator of GF(q^n), around a one-term pivot."""
+    code = make_code(3, 4, 4, 1, 5)
+    two_terms = evaluate_word(code, LinearizedPoly(code.field, [0, 1, 2]))
+    inst = build_explicit_instance(2, 3, 1, 6, 6, 5)
+    punctured = puncture(inst.code, 3)
+    flat = GabidulinCode(field=make_field(5, 4), n=2, k=1, beta=1,
+                         eval_points=(1, 5), subfield_degree=2)
+    return [(code, two_terms),
+            (punctured, puncture_word(inst.center, range(3, 6))),
+            (flat, evaluate_word(flat, LinearizedPoly(flat.field, [0, 1])))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_ball_by_supports_walks_every_support_where_a_check_fails(
+        monkeypatch, case):
+    code, center = _declined_cases()[case]
+    assert (code._singer is None) == (case > 0)
+    assert gabidulin._singer_power(code, center) is None
+    depths = _walk_depths(monkeypatch)
+    for tau in range(-1, code.min_distance):
+        depths.clear()
+        assert ball_by_supports(code, center, tau) \
+            == enumerate_ball(code, center, tau), tau
+        assert sum(map(bool, depths)) == sum(
+            gaussian_binomial(code.n, t, code.q)
+            for t in range(1, tau + 1)), tau
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_ball_by_supports_raises_where_the_reduced_walk_loses_or_repeats_a_hit(
+        monkeypatch, q, change):
+    # a counting ball of several orbits: without its first hit, or with
+    # that hit twice, the orbits no longer add up, and the oracle raises
+    # rather than return a short or repeated ball
+    inst = build_counting_instance(q, 4, 4, 2, 2, 3)
+    original = gfmatrix.tagged_walk
+
+    def spy(*args):
+        hits = original(*args)
+        first = next(hits)
+        yield from [first] * (2 if change == "repeat" else 0)
+        yield from hits
+
+    monkeypatch.setattr(gfmatrix, "tagged_walk", spy)
+    with pytest.raises(InvariantViolation):
+        ball_by_supports(inst.code, inst.center, inst.tau)
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BALL_SIZES = json.loads((BENCH / "ball_sizes.json").read_text())
-# the supports oracle takes about 6-7 s and 1-2 s on these two (308,993
-# and 45,256 supports, against 2^16 and 3^6 codewords); exact_ball runs
-# the lane scan on both, so only the two codeword scans are checked here
-DENSE_SUPPORTS = {"q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3"}
 
 
 def _bench_instance(name, seed=1):
@@ -581,8 +679,7 @@ def test_ball_oracles_give_the_stored_ball_sizes(name):
     assert len(ball) == BALL_SIZES[name]
     assert exact_ball(inst.code, inst.center, inst.tau) == ball
     assert ball_by_lanes(inst.code, inst.center, inst.tau) == ball
-    if name not in DENSE_SUPPORTS:
-        assert ball_by_supports(inst.code, inst.center, inst.tau) == ball
+    assert ball_by_supports(inst.code, inst.center, inst.tau) == ball
 
 
 def test_preimage_roundtrip_and_rejection():

@@ -22,9 +22,12 @@ seed 1 as tools/same_reports.py builds them.  Its sections:
   of FAMILY_PARAMS: the counting builds of the benchmark's instances, the
   two frontier ones included, and two mid-size builds;
 - "supports": gabidulin.ball_by_supports at the instance radius on the two
-  Gab[6,3]/GF(2^6) instances of q2-exhaustive and the frontier Gab[8,5]
+  Gab[6,3]/GF(2^6) instances of q2-exhaustive, the frontier Gab[8,5]
   and Gab[10,7], whose supports walk tools/same_reports.py runs as
-  ball-wide;
+  ball-wide, and the two dense exhaustive instances Gab[8,1]/GF(2^16)
+  and Gab[6,1]/GF(3^6), timed FRONTIER_REPEATS times, where a walk of
+  every support takes seconds; "nodes" counts the nodes, the root
+  included, of the walk it hands gfmatrix.tagged_walk;
 - "evaluation": gabidulin.evaluate_word at every family member of the
   frontier explicit instances Gab[8,5] and Gab[10,7], and the codeword
   check of adversarial.verify_instance on its own
@@ -66,7 +69,9 @@ FAMILY_PARAMS = [
     (2, 12, 6, 3, 1),   # q2-counting-gab12-2-g3 (frontier)
 ]
 SUPPORT_CASES = ("q2-counting-gab6-3", "q2-explicit-gab6-3",
-                 "q2-explicit-gab8-5", "q2-explicit-gab10-7")
+                 "q2-explicit-gab8-5", "q2-explicit-gab10-7",
+                 "q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3")
+DENSE_SUPPORTS = ("q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3")
 EVALUATION_CASES = ("q2-explicit-gab8-5", "q2-explicit-gab10-7")
 
 
@@ -92,7 +97,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(src, "src"))
     sys.path.insert(0, os.path.join(HERE, "..", "bench"))
     from workloads import WORKLOADS
-    from ranklab import adversarial, gabidulin
+    from ranklab import adversarial, gabidulin, gfmatrix
     from ranklab.adversarial import (
         build_counting_instance,
         build_explicit_instance,
@@ -149,17 +154,37 @@ def main(argv=None) -> int:
         "subfield_linear_family_s": median_seconds(
             REPEATS, subfield_linear_family, q, n, r, g),
     } for q, n, r, g, ell in FAMILY_PARAMS]
+
+    def walked(code, center, tau):
+        """The ball's size and the nodes of the walk that ball_by_supports
+        hands gfmatrix.tagged_walk."""
+        nodes, tagged_walk = [], gfmatrix.tagged_walk
+
+        def counted(walk, *args):
+            return tagged_walk((nodes.append(1) or rows for rows in walk),
+                               *args)
+
+        gfmatrix.tagged_walk = counted
+        try:
+            ball = gabidulin.ball_by_supports(code, center, tau)
+        finally:
+            gfmatrix.tagged_walk = tagged_walk
+        return len(ball), len(nodes)
+
     supports = []
     for name in SUPPORT_CASES:
         built, repeats = build(name)
         code, center, tau = built.code, built.center, built.tau
+        ball, nodes = walked(code, center, tau)
         supports.append({
             "instance": name,
             "code": repr(code),
             "tau": tau,
-            "ball": len(gabidulin.ball_by_supports(code, center, tau)),
+            "ball": ball,
+            "nodes": nodes,
             "ball_by_supports_s": median_seconds(
-                repeats, gabidulin.ball_by_supports, code, center, tau),
+                FRONTIER_REPEATS if name in DENSE_SUPPORTS else repeats,
+                gabidulin.ball_by_supports, code, center, tau),
         })
     evaluation = []
     check = getattr(adversarial, "codewords_check", None)
