@@ -491,11 +491,16 @@ def code_from_dict(d: dict) -> GabidulinCode:
     points = tuple(d["eval_points"])
     if len(points) != n or len(gfmatrix.basis(points, q)) != n:
         raise ParamMismatch("evaluation points are not independent")
+    degree = _int(d, "subfield_degree")
+    punctured = _int(d, "punctured") if "punctured" in d else 0
+    if punctured < 0 or degree != n + punctured:
+        raise ParamMismatch(
+            f"need punctured >= 0 and subfield_degree = n + punctured, got "
+            f"punctured={punctured}, subfield_degree={degree}, n={n}")
     return GabidulinCode(
         field=field, n=n, k=k, beta=beta, eval_points=points,
-        subfield_degree=_int(d, "subfield_degree"),
-        beta_exponent=beta_exponent,
-        punctured=_int(d, "punctured") if "punctured" in d else 0)
+        subfield_degree=degree, beta_exponent=beta_exponent,
+        punctured=punctured)
 
 
 def instance_to_dict(inst: AdversarialInstance, pretty: bool = False) -> dict:

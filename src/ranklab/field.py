@@ -354,9 +354,6 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.order)
 
-    def nonzero(self) -> range:
-        return range(1, self.order)
-
     # -- serial arithmetic -----------------------------------------------
 
     def add(self, a: int, b: int) -> int:

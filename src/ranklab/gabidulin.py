@@ -25,9 +25,10 @@ center is a codeword for some r in [k, n) (_singer_power, one syndrome
 per r), as for every center whose pivot is c x^(q^r) plus terms of
 q-degree < k: each explicit instance and the benchmark's counting ones.
 Where either fails (a punctured code, n not dividing m, any other
-center) it declines to the full walk.  exact_ball runs ball_by_supports
-or ball_by_lanes, whichever costs less, a support counted as
-SUPPORT_COST codeword tests of the full walk.
+center) it declines to the full walk.  _supports_plan decides that walk
+and counts its nodes, once per call; exact_ball runs ball_by_supports or
+ball_by_lanes, whichever costs less, a node of that walk counted as
+SUPPORT_COST codeword tests.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
@@ -77,16 +78,15 @@ BALL_BUDGET = 1 << 22
 # CPython 3.11, 2-core x86-64 VM).  At 2^14 that benchmark's peak_rss_mb
 # went 26.61 -> 26.77 MB (medians of ten runs against 2^12).
 LANE_BITS = 14
-# What one support of ball_by_supports costs in codeword tests of
-# ball_by_lanes: 61 to 307 in process time, with batches of 2^14 lanes, on
-# the four exhaustive benchmark codes where the two are close (61-77 on
-# Gab[4,2]/GF(3^4) and Gab[4,1]/GF(3^8), 240-307 on both Gab[6,3]/GF(2^6)
-# centers, tau 2).  exact_ball takes the cheaper oracle by it; any value
-# from 39 to 366 picks the same.  Those are costs of the full walk, and
-# exact_ball still prices every support of it, also where ball_by_supports
-# walks only those through e_0: the choice stays as it was, and the
-# supports oracle it picks runs faster (3.3 -> 0.6 ms on both
-# Gab[6,3]/GF(2^6) centers, same machine and Python).
+# What one node of ball_by_supports' walk costs in codeword tests of
+# ball_by_lanes, both oracles on a fresh code object, in process time, with
+# 2^14-lane batches, at the radius of the seven exhaustive benchmark
+# instances.  Full walk: 70-93 on Gab[4,2]/GF(3^4) and Gab[4,1]/GF(3^8),
+# 310-319 on both Gab[6,3]/GF(2^6) centers, 17-19 on Gab[4,1]/GF(5^4).
+# Through e_0, each call's fixed costs on fewer nodes: 198-314, 1,347-1,374,
+# 77-78, and 182-262 on Gab[8,1]/GF(2^16) (CPython 3.11, 2-core x86-64 VM).
+# exact_ball takes the cheaper oracle by it on all seven; any value from 39
+# to 366 picks the same on both walks, 19 to 437 on the walk through e_0.
 SUPPORT_COST = 100
 
 
@@ -504,6 +504,27 @@ def enumerate_ball(code: GabidulinCode, center: RankWord, tau: int,
     return [RankWord(code.field, c) for c in found]
 
 
+def _supports_plan(code: GabidulinCode, center: RankWord, tau: int,
+                   most: float = math.inf) -> Optional[tuple]:
+    """The walk of ball_by_supports, (r, walk), or None where it has more
+    than most nodes.  r is _singer_power's, and walk takes the supports
+    through e_0 when r is not None, (tau >= 0) + sum_{1<=t<=tau}
+    [n-1,t-1]_q nodes, else every support, sum_{t<=tau} [n,t]_q; the
+    Singer check is skipped where even the first has more than most."""
+    q, n = code.q, code.n
+    nodes = (tau >= 0) + sum(gaussian_binomial(n - 1, t - 1, q)
+                             for t in range(1, tau + 1))
+    r = _singer_power(code, center) if nodes <= most else None
+    if r is None:
+        nodes = sum(gaussian_binomial(n, t, q) for t in range(tau + 1))
+        walk = rref_walk(n, range(tau + 1), q)
+    else:
+        walk = chain([[]] if tau >= 0 else [],
+                     ([1, *(q * b for b in rows)]
+                      for rows in rref_walk(n - 1, range(tau), q)))
+    return (r, walk) if nodes <= most else None
+
+
 def ball_by_supports(code: GabidulinCode, center: RankWord,
                      tau: int) -> List[RankWord]:
     """The ball of enumerate_ball by Ourivski-Johansson basis enumeration.
@@ -530,19 +551,19 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     digit, sum_{1<=t<=tau} [n-1,t-1]_q supports, about theta(n)/theta(t)
     fewer; _singer_orbits lists the ball from their hits.  Elsewhere (a
     punctured code, n not dividing m, any other center) it walks every
-    support.  Output is sorted by coordinate serials.
+    support (_supports_plan).  Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
+    return _walk_supports(code, center, tau, *_supports_plan(code, center,
+                                                             tau))
+
+
+def _walk_supports(code: GabidulinCode, center: RankWord, tau: int,
+                   r: Optional[int], walk) -> List[RankWord]:
+    """ball_by_supports along the walk of its _supports_plan (r, walk)."""
     field, q, n, m = code.field, code.q, code.n, code.m
     units = [[_syndrome(code, [q ** i * (u == j) for u in range(n)])
               for i in range(m)] for j in range(n)]
-    r = _singer_power(code, center)
-    if r is None:
-        walk = rref_walk(n, range(tau + 1), q)
-    else:
-        walk = chain([[]] if tau >= 0 else [],
-                     ([1, *(q * b for b in rows)]
-                      for rows in rref_walk(n - 1, range(tau), q)))
     hits = []
     for rows, x in gfmatrix.tagged_walk(
             walk, units, _syndrome(code, center.coords), m * max(tau, 0), q):
@@ -603,16 +624,17 @@ def ball_by_lanes(code: GabidulinCode, center: RankWord,
 
 def exact_ball(code: GabidulinCode, center: RankWord, tau: int,
                budget: int = BALL_BUDGET) -> List[RankWord]:
-    """The ball from ball_by_supports where tau < d and its
-    sum_{t<=tau} [n,t]_q supports, at SUPPORT_COST codeword tests each,
-    cost less than the q^(mk) codewords, else from ball_by_lanes; over
-    budget exactly where enumerate_ball is."""
+    """The ball from ball_by_supports where tau < d and the walk of its
+    _supports_plan, at SUPPORT_COST codeword tests a node, costs less
+    than the q^(mk) codewords, else from ball_by_lanes; over budget
+    exactly where enumerate_ball is."""
     _check_code_context(code, center)
     if code.size > budget:
         raise BudgetExceeded(f"code has {code.size} words, budget {budget}")
-    if tau < code.min_distance and code.size > SUPPORT_COST * sum(
-            gaussian_binomial(code.n, t, code.q) for t in range(tau + 1)):
-        return ball_by_supports(code, center, tau)
+    plan = tau < code.min_distance and _supports_plan(
+        code, center, tau, (code.size - 1) // SUPPORT_COST)
+    if plan:
+        return _walk_supports(code, center, tau, *plan)
     return ball_by_lanes(code, center, tau)
 
 

@@ -30,17 +30,6 @@ class LinearizedPoly:
         self.spec = spec
         self.coeffs = tuple(vals)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, spec: FieldSpec) -> "LinearizedPoly":
-        return cls(spec, ())
-
-    @classmethod
-    def identity(cls, spec: FieldSpec) -> "LinearizedPoly":
-        """The polynomial x (the identity map)."""
-        return cls(spec, (1,))
-
     # -- shape -------------------------------------------------------------
 
     @property
@@ -83,10 +72,6 @@ class LinearizedPoly:
     def __neg__(self) -> "LinearizedPoly":
         spec = self.spec
         return LinearizedPoly(spec, [spec.neg(c) for c in self.coeffs])
-
-    def scale(self, c: int) -> "LinearizedPoly":
-        spec = self.spec
-        return LinearizedPoly(spec, [spec.mul(c, a) for a in self.coeffs])
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)

@@ -36,14 +36,6 @@ class Subspace:
         self.ambient = ambient
         self.basis = gfmatrix.rref(list(elements), ambient.q)
 
-    @classmethod
-    def zero(cls, ambient: FieldSpec) -> "Subspace":
-        return cls(ambient, ())
-
-    @classmethod
-    def full(cls, ambient: FieldSpec) -> "Subspace":
-        return cls(ambient, [ambient.q ** i for i in range(ambient.e)])
-
     @property
     def dim(self) -> int:
         return len(self.basis)

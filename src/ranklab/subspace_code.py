@@ -54,19 +54,6 @@ class LiftedSubspace:
     m: int
     packed: Tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    @property
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """The rows [I_n | X] as digit tuples: the identity digits
-        m..m+n-1 first, then the m digits of X."""
-        q, m = self.q, self.m
-        order = (*range(m, m + self.n), *range(m))
-        return tuple(tuple(v // q ** j % q for j in order)
-                     for v in self.packed)
-
 
 def lift(x_rows: Sequence[Sequence[int]], q: int) -> LiftedSubspace:
     """Rowspace of [I_n | X] for an n x m matrix X over GF(q)."""

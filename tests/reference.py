@@ -7,7 +7,8 @@ q^g-step per row; the pigeonhole bucket keyed over the whole built family,
 which constructions.pigeonhole_subfamily replaced with keys read off each
 leaf's parent; and Frobenius powers, linearized evaluation and the
 subspace-polynomial step on the schoolbook multiply, which the log tables
-replace in fields up to field.TABLE_LIMIT."""
+replace in fields up to field.TABLE_LIMIT; and the rows [I_n | X] of a
+lifted subspace, which subspace_code keeps packed in the order [X | I_n]."""
 
 from typing import List, Sequence, Tuple
 
@@ -157,3 +158,12 @@ def extend_schoolbook(spec, coeffs: Sequence[int], b: int,
     for i, a in enumerate(coeffs):
         new[i] = spec.sub(new[i], spec._mul_schoolbook(factor, a))
     return new
+
+
+def lifted_rows(ls) -> Tuple[Row, ...]:
+    """The rows [I_n | X] of a subspace_code.LiftedSubspace as digit
+    tuples: the identity digits m..m+n-1 of each packed row first, then
+    its m digits of X."""
+    q, m = ls.q, ls.m
+    order = (*range(m, m + ls.n), *range(m))
+    return tuple(tuple(v // q ** j % q for j in order) for v in ls.packed)

@@ -185,7 +185,7 @@ def test_criterion_07_lifting_suite():
     dmin = min(lifted_distance(a, b)
                for i, a in enumerate(lifted) for b in lifted[i + 1:])
     params_ok = (len(lifted) == 16 and dmin == 8
-                 and all(ls.dim == 4 and ls.n + ls.m == 8 for ls in lifted))
+                 and all(ls.n == 4 and ls.n + ls.m == 8 for ls in lifted))
     inst = build_explicit_instance(2, 2, 1, 4, 4)
     lc = lift_word(inst.center)
     within = sum(1 for cw in inst.codewords

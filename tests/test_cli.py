@@ -583,13 +583,26 @@ def _boolean_eval_point(data):
     data["code"]["eval_points"][0] = True
 
 
+# integers of the right type that no code has: the loader's ParamMismatch
+def _negative_punctured(data):
+    data["code"]["punctured"] = -3
+
+
+def _wrong_subfield_degree(data):
+    data["code"]["subfield_degree"] = 0
+
+
+PARAM_MISMATCHES = (_negative_punctured, _wrong_subfield_degree)
+
+
 @pytest.mark.parametrize("command", ["verify", "lift-verify", "ball"])
 @pytest.mark.parametrize("malform", [_top_level_array, _string_dimension,
                                      _string_radius, _unknown_family_param,
                                      _unknown_kind, _unknown_format,
                                      _string_degenerate,
                                      _boolean_center_serial,
-                                     _boolean_eval_point])
+                                     _boolean_eval_point,
+                                     *PARAM_MISMATCHES])
 def test_malformed_file_exits_2_with_one_line_error(tmp_path, capsys,
                                                     malform, command):
     inst, data = _gen_gab41(tmp_path, capsys)
@@ -597,7 +610,9 @@ def test_malformed_file_exits_2_with_one_line_error(tmp_path, capsys,
     code, out, err = run(capsys, command, "--in", str(inst))
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "MalformedInstance"
+    assert json.loads(err)["error"] == (
+        "ParamMismatch" if malform in PARAM_MISMATCHES
+        else "MalformedInstance")
 
 
 @pytest.mark.parametrize("command", ["verify", "lift-verify", "ball"])

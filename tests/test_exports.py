@@ -1,6 +1,6 @@
 """The package's public names: __all__ and the attributes agree, every
-public function has a reader outside the tests, and no module reads
-another's private gfmatrix names."""
+public function and method has a reader outside the tests, and no module
+reads another's private gfmatrix names."""
 
 import ast
 from pathlib import Path
@@ -39,16 +39,20 @@ def test_no_module_reads_a_private_gfmatrix_name():
     assert found == []
 
 
-def _probed_functions(tracing: Path):
-    """(module, name) of each module-level function that bench/tracing.py
-    probes: the module and attribute of every Probe(...) in it."""
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _probed(tracing: Path):
+    """(module, name) of each module-level function and (class, name) of
+    each method that bench/tracing.py probes: the module and attribute of
+    every Probe(...) in it, an attribute Class.name naming a method."""
     out = set()
     for node in ast.walk(ast.parse(tracing.read_text(), str(tracing))):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "Probe"):
             module, attr = (a.value for a in node.args[1:3])
-            if "." not in attr:
-                out.add((module.split(".")[-1], attr))
+            owner, _, name = attr.rpartition(".")
+            out.add((owner or module.split(".")[-1], name))
     return out
 
 
@@ -82,7 +86,25 @@ def test_every_public_function_is_reached_outside_the_tests():
                 used.add((modules[node.value.id], node.attr))
     exported = {(getattr(ranklab, name).__module__.split(".")[-1], name)
                 for name in ranklab.__all__}
-    probed = _probed_functions(
-        Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
-    unreached = defined - used - exported - probed
+    unreached = defined - used - exported - _probed(TRACING)
     assert unreached == {("field", "is_irreducible_trial")}
+
+
+def test_every_public_method_is_reached_outside_the_tests():
+    # a public method or property of a ranklab class is read by src code,
+    # as an attribute of its name on any object, or probed by the
+    # benchmark's tracer; Subspace.contains stays only as the tests'
+    # span-membership reference
+    src = Path(ranklab.__file__).parent
+    defined, read = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                defined |= {(node.name, f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and not f.name.startswith("_")}
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unreached = {(owner, name) for owner, name in defined
+                 if name not in read} - _probed(TRACING)
+    assert unreached == {("Subspace", "contains")}

@@ -261,7 +261,7 @@ def test_serial_packing_roundtrip():
 def test_field_inverses_exhaustive():
     for q, e in [(2, 4), (3, 2), (5, 2)]:
         f = make_field(q, e)
-        for a in f.nonzero():
+        for a in range(1, f.order):
             assert f.mul(a, f.inv(a)) == 1
     f = make_field(2, 4)
     g = f.generator_serial

@@ -79,9 +79,9 @@ def test_any_independent_points_give_an_mrd_code():
 
 def test_encode_zero_and_identity():
     code = make_code(2, 4, 4, 2)
-    zero = encode(code, LinearizedPoly.zero(code.field))
+    zero = encode(code, LinearizedPoly(code.field, ()))
     assert zero.coords == (0, 0, 0, 0)
-    ident = encode(code, LinearizedPoly.identity(code.field))
+    ident = encode(code, LinearizedPoly(code.field, (1,)))
     assert ident.coords == code.eval_points
 
 
@@ -448,23 +448,50 @@ def test_every_ball_oracle_is_empty_at_negative_radius(q, n, m, k, s):
 
 
 def test_exact_ball_dispatch_compares_supports_with_codewords(monkeypatch):
+    # the supports walk where the nodes of its _supports_plan, at
+    # SUPPORT_COST codeword tests each, cost less than the code's words:
+    # the Singer check runs at most once, and not where tau >= d or even
+    # the walk through e_0 costs more.  Constant centers fail that check
+    # on q = 3 and keep the full walk; every benchmark center passes it
     calls = []
-    monkeypatch.setattr(gabidulin, "ball_by_supports",
-                        lambda *a: calls.append("supports") or [])
-    monkeypatch.setattr(gabidulin, "ball_by_lanes",
-                        lambda *a: calls.append("lanes") or [])
-    cases = [((2, 6, 6, 3), 2, "supports"),     # 715 supports, 2^18 words
-             ((3, 4, 4, 2), 2, "lanes"),        # 171 supports, 3^8 words
-             ((3, 4, 8, 1), 2, "lanes"),        # 171 supports, 3^8 words
-             ((2, 8, 16, 1), 4, "lanes"),       # 308,993 supports, 2^16
-             ((5, 4, 4, 1), 2, "lanes"),        # 963 supports, 625 words
-             ((2, 6, 6, 3), 4, "lanes"),        # tau >= d
-             ((2, 4, 4, 2), 3, "lanes")]        # tau = d
-    for (q, n, m, k), tau, oracle in cases:
+
+    def spy(name):
+        original = getattr(gabidulin, name)
+        monkeypatch.setattr(gabidulin, name,
+                            lambda *a: calls.append(name) or original(*a))
+
+    for name in ("_walk_supports", "ball_by_lanes", "_singer_power"):
+        spy(name)
+    cases = []
+    for (q, n, m, k), tau, oracle, checks in [
+            ((2, 6, 6, 3), 2, "supports", 1),   # 33 nodes, 2^18 words
+            ((3, 4, 4, 2), 2, "lanes", 1),      # 171 nodes, 3^8 words
+            ((3, 4, 8, 1), 2, "lanes", 1),      # 171 nodes, 3^8 words
+            ((2, 8, 16, 1), 4, "lanes", 0),     # 14,607 nodes, 2^16
+            ((5, 4, 4, 1), 2, "lanes", 0),      # 33 nodes, 625 words
+            ((2, 6, 6, 3), 4, "lanes", 0),      # tau >= d
+            ((2, 4, 4, 2), 3, "lanes", 0)]:     # tau = d
         code = make_code(q, n, m, k)
+        cases.append((code, RankWord(code.field, (1,) * n), tau, oracle,
+                      checks, None))
+    for name, oracle, checks in [
+            ("q2-counting-gab6-3", "supports", 1),      # 33 nodes, 2^18
+            ("q2-explicit-gab6-3", "supports", 1),
+            ("q3-counting-gab4-2", "supports", 1),      # 15 nodes, 3^8
+            ("q3-explicit-gab4-1-m8", "supports", 1),
+            ("q2-explicit-gab8-1-m16", "lanes", 0),     # 14,607, 2^16
+            ("q3-explicit-gab6-1-g3", "lanes", 0),      # 1,333, 3^6
+            ("q5-explicit-gab4-1", "lanes", 0)]:        # 33, 5^4
+        inst = _bench_instance(name)
+        cases.append((inst.code, inst.center, inst.tau, oracle, checks,
+                      BALL_SIZES[name]))
+    for code, center, tau, oracle, checks, size in cases:
         calls.clear()
-        exact_ball(code, RankWord(code.field, (1,) * n), tau)
-        assert calls == [oracle], (q, n, m, k, tau)
+        ball = exact_ball(code, center, tau)
+        assert calls.count("_singer_power") == checks, (code, tau)
+        assert [c for c in calls if c != "_singer_power"] == [
+            "_walk_supports" if oracle == "supports" else "ball_by_lanes"]
+        assert size is None or len(ball) == size
 
 
 def test_exact_ball_budget_is_enumerate_ball_budget():

@@ -28,17 +28,24 @@ seed 1 as tools/same_reports.py builds them.  Its sections:
   and Gab[6,1]/GF(3^6), timed FRONTIER_REPEATS times, where a walk of
   every support takes seconds; "nodes" counts the nodes, the root
   included, of the walk it hands gfmatrix.tagged_walk;
+- "exact_ball": gabidulin.exact_ball at the instance radius on every
+  instance of the q2-exhaustive and odd-exhaustive workloads: the oracle
+  it runs ("lanes" where it calls gabidulin.ball_by_lanes, else
+  "supports"), the nodes, root included, of the full supports walk,
+  sum_{t<=tau} [n,t]_q, and of the walk through e_0, 1 + sum_{1<=t<=tau}
+  [n-1,t-1]_q, and its seconds on a fresh copy of the code object per
+  call, so that the membership system, the Singer tables and the lane
+  walk's low slices are built inside the timing, as a CLI call builds
+  them;
 - "evaluation": gabidulin.evaluate_word at every family member of the
   frontier explicit instances Gab[8,5] and Gab[10,7], and the codeword
   check of adversarial.verify_instance on its own
-  (adversarial.codewords_check; null in a tree without it);
+  (adversarial.codewords_check);
 - "listed": the listed-word check of subspace_code.verify_lifted_instance,
   the sorted distinct lifted distances of the listed codewords from the
   lifted center and the number within 2 tau, on every instance of the
-  three workloads, with the center's lift_word outside the timing: the
-  lane check
-  (subspace_code._listed_distances) where the tree has it, else the loop
-  of one lift_word and one lifted_distance per codeword that it replaced.
+  three workloads, with the center's lift_word outside the timing
+  (subspace_code._listed_distances).
 
 Two source trees are compared by running it on each:
 
@@ -48,6 +55,7 @@ Two source trees are compared by running it on each:
 Standard library only; nothing under bench/ imports it.
 """
 
+import dataclasses
 import json
 import os
 import platform
@@ -106,9 +114,9 @@ def main(argv=None) -> int:
         pigeonhole_subfamily,
         subfield_linear_family,
     )
-    from ranklab import subspace_code
-    from ranklab.subspace_code import lift_word, lifted_count, \
-        lifted_distance
+    from ranklab.subspace import gaussian_binomial
+    from ranklab.subspace_code import _listed_distances, lift_word, \
+        lifted_count
 
     frontier = {inst.name: inst for inst in WORKLOADS["frontier"].instances}
     exhaustive = {inst.name: inst for name in LANE_WORKLOADS
@@ -186,8 +194,36 @@ def main(argv=None) -> int:
                 FRONTIER_REPEATS if name in DENSE_SUPPORTS else repeats,
                 gabidulin.ball_by_supports, code, center, tau),
         })
+
+    def oracle(code, center, tau):
+        """The oracle exact_ball runs on the center at tau."""
+        ran, lanes = [], gabidulin.ball_by_lanes
+        gabidulin.ball_by_lanes = lambda *args: ran.append(1) or lanes(*args)
+        try:
+            gabidulin.exact_ball(code, center, tau)
+        finally:
+            gabidulin.ball_by_lanes = lanes
+        return "lanes" if ran else "supports"
+
+    exact = []
+    for name in exhaustive:
+        built, repeats = build(name)
+        code, center, tau = built.code, built.center, built.tau
+        q, n = code.q, code.n
+        exact.append({
+            "instance": name,
+            "code": repr(code),
+            "tau": tau,
+            "oracle": oracle(code, center, tau),
+            "full_nodes": sum(gaussian_binomial(n, t, q)
+                              for t in range(tau + 1)),
+            "e0_nodes": 1 + sum(gaussian_binomial(n - 1, t - 1, q)
+                                for t in range(1, tau + 1)),
+            "exact_ball_s": median_seconds(
+                repeats, lambda: gabidulin.exact_ball(
+                    dataclasses.replace(code), center, tau)),
+        })
     evaluation = []
-    check = getattr(adversarial, "codewords_check", None)
     for name in EVALUATION_CASES:
         # milliseconds a call, so REPEATS on the frontier too
         built = build(name)[0]
@@ -199,32 +235,22 @@ def main(argv=None) -> int:
             "evaluate_word_s": median_seconds(
                 REPEATS, lambda: [gabidulin.evaluate_word(code, member)
                                   for member in members]),
-            "codewords_check_s": check and median_seconds(
-                REPEATS, check, built),
+            "codewords_check_s": median_seconds(
+                REPEATS, adversarial.codewords_check, built),
         })
-    lane_check = getattr(subspace_code, "_listed_distances", None)
-
-    def per_word(center, codewords, tau):
-        dist = {cw.coords: lifted_distance(center, lift_word(cw))
-                for cw in codewords}
-        return (sorted(set(dist.values())),
-                sum(1 for d in dist.values() if d <= 2 * tau))
-
-    listed_check = lane_check or per_word
     listed = []
     for name in [*exhaustive, *frontier]:
         # milliseconds a call, so REPEATS on the frontier too
         built = build(name)[0]
         center = lift_word(built.center)
-        dists, count = listed_check(center, built.codewords, built.tau)
+        dists, count = _listed_distances(center, built.codewords, built.tau)
         listed.append({
             "instance": name,
             "code": repr(built.code),
             "words": len(built.codewords),
             "distances": dists,
             "listed": count,
-            "path": "lanes" if lane_check else "per_word",
-            "listed_s": median_seconds(REPEATS, listed_check, center,
+            "listed_s": median_seconds(REPEATS, _listed_distances, center,
                                        built.codewords, built.tau),
         })
     print(json.dumps({
@@ -236,6 +262,7 @@ def main(argv=None) -> int:
         "lanes": lanes,
         "families": families,
         "supports": supports,
+        "exact_ball": exact,
         "evaluation": evaluation,
         "listed": listed,
     }, indent=1))
