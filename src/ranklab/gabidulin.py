@@ -71,7 +71,8 @@ from ranklab.subspace import gaussian_binomial, rref_walk
 BALL_BUDGET = 1 << 22
 # A batch of _lane_walk holds <= 2^LANE_BITS codewords.  A lane operation
 # costs interpreter overhead per big int, so wider batches cost less per
-# codeword, up to a point: one lifted count took 18 ms at 2^12 lanes, 12
+# codeword, up to a point: one lifted count over every codeword
+# (tests/reference.py's lifted_count) took 18 ms at 2^12 lanes, 12
 # at 2^13, 4.7-4.8 at 2^14, 3.6-3.7 at 2^15 and 5.1-6.7 at 2^16 on the two
 # Gab[6,3]/GF(2^6) instances of the q2-exhaustive benchmark, and 13, 11,
 # 4.9, 5.0 and 5.8 ms on its Gab[8,1]/GF(2^16) (medians of seven calls,

@@ -23,11 +23,11 @@ the same digit arithmetic turned sideways: lane L of a lane int holds one
 digit of the L-th of thousands of independent sets of vectors, so one pass
 finds all their ranks, each pivot's presence a lane mask and the ranks as
 "rank >= r" masks; to_lanes() transposes packed vectors into that layout.
-It exists for the scans that test every codeword, the lifted count and
-the ball of gabidulin.ball_by_lanes, and for the lifted distances of the
-words an instance lists, where the words of one batch share every
-operation and a call per word costs far more in interpreter overhead than
-in arithmetic.
+It exists for the scan that tests every codeword, the ball of
+gabidulin.ball_by_lanes, and for the lifted distances of the words an
+instance lists and of the ball's words, where the words of one batch
+share every operation and a call per word costs far more in interpreter
+overhead than in arithmetic.
 """
 
 from __future__ import annotations

@@ -5,17 +5,19 @@ n-dimensional subspace of GF(q)^(n+m); the map is injective and doubles
 distances: d_s(lift X, lift Y) = 2 rank(X - Y).  A word over GF(q^m) lifts
 its transposed matrix: row j of X holds the digits of coordinate j.
 
-The lifted count of verify_lifted_instance, lifted_count, tests every
-codeword's lift against the lifted center, d_s <= tau_s iff rank[center
-rows; word rows] <= n + floor(tau_s/2).  It takes the codewords in batches
-of thousands side by side (gabidulin._lane_walk), lays each lane's rows
-out as lift_word does, [X | I_n] with an identity slice of ones, and
-eliminates a whole batch, stacked on the center's rows, in one
-gfmatrix.rank_lanes call, on every q.  The listed words' distances come
-from lanes too (_listed_distances): gfmatrix.to_lanes transposes a batch
-of them into the same slices, and one rank_lanes call on the stacked rows
-and one on the digit planes of X - center give every lane's rank twice;
-lift_word and lifted_distance stay the per-word reference.
+The lifted ball of verify_lifted_instance is the rank ball's words: the
+identity d_s(lift X, lift Y) = 2 rank(X - Y) (Silva, Kschischang and
+Koetter, IEEE TIT 54, 2008) makes the lifts within subspace distance
+2 floor(tau_s/2) of the lifted center exactly the lifts of the codewords
+of gabidulin.exact_ball at floor(tau_s/2), so no codeword outside that
+ball is tested.  Its words and the listed ones are checked in lanes
+(_listed_distances): gfmatrix.to_lanes transposes a batch of them into
+slices laid out as lift_word lays out a word, [X | I_n] with an identity
+slice of ones, and one gfmatrix.rank_lanes call on those rows stacked on
+the center's and one on the digit planes of X - center give every lane's
+rank twice; lift_word and lifted_distance stay the per-word reference.
+The exhaustive count over every codeword, which would show a word that
+exact_ball misses, is the tests' cross-check (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -30,16 +32,12 @@ from ranklab.errors import BudgetExceeded, InvariantViolation, ShapeMismatch
 from ranklab.field import sub_digits
 from ranklab.gabidulin import (
     BALL_BUDGET,
-    GabidulinCode,
     RankWord,
-    _lane_walk,
     _packed,
-    codewords,
+    codewords,      # unused here; bench/test_bench.py traces it here
     exact_ball,
     prior_counting_bound,
 )
-
-LIFT_BUDGET = 1 << 18          # lift_code keeps every lifted subspace
 
 
 @dataclass(frozen=True)
@@ -95,30 +93,6 @@ def lifted_distance(a: LiftedSubspace, b: LiftedSubspace) -> int:
     return by_stack
 
 
-def lift_code(code: GabidulinCode) -> List[LiftedSubspace]:
-    """Lift of all transposed codewords: an (n+m, q^(mk), 2d, n)_q code;
-    raises BudgetExceeded above LIFT_BUDGET codewords."""
-    out = [lift_word(w) for w in codewords(code, LIFT_BUDGET)]
-    if len({ls.packed for ls in out}) != len(out):
-        raise InvariantViolation("lifting merged distinct codewords")
-    return out
-
-
-def lifted_count(code: GabidulinCode, center: LiftedSubspace,
-                 half: int) -> int:
-    """The number of codewords whose lift lies within subspace distance
-    2 half of center: d_s <= 2 half iff rank[center rows; word rows] <=
-    n + half, tested one _lane_walk batch per rank_lanes call, whose last
-    mask is rank > n + half."""
-    q, n = code.q, code.n
-    count = 0
-    for lanes, _, slices in _lane_walk(code):
-        rows = _lifted_rows(slices, gfmatrix.lane_layout(lanes, q).ones)
-        count += lanes - gfmatrix.rank_lanes(
-            center.packed, rows, n + half, lanes, q)[-1].bit_count()
-    return count
-
-
 def _lifted_rows(slices: Sequence[Sequence[int]],
                  ones: int) -> List[List[int]]:
     """The rows of lift_word in lanes: lane L's row j is its m slices of
@@ -139,9 +113,8 @@ def _listed_distances(center: LiftedSubspace, codewords: Sequence[RankWord],
     digit m j, and gfmatrix.to_lanes transposes them, so that lane L of
     slices[j][p] is digit p of coordinate j of word L.  One
     gfmatrix.rank_lanes call stacks their _lifted_rows on center's rows,
-    as lifted_count does, and one eliminates the m digit planes of X -
-    center, the same slices less the center's digits, as ball_by_lanes
-    does.  The stacked rank is n plus that of the difference in every
+    and one eliminates the m digit planes of X - center, the same slices
+    less the center's digits, as ball_by_lanes does.  The stacked rank is n plus that of the difference in every
     lane, or InvariantViolation; the distance is twice the difference's
     rank, read off its masks."""
     q, n, m = center.q, center.n, center.m
@@ -199,11 +172,18 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
 
     Lifts the center, checks that the lifted distance of every distinct
     listed codeword (_listed_distances) is within tau_s (equality to 2 tau
-    expected), compares the rank-level list size with the lifted ball when
-    enumerable (equal at floor(tau_s/2) == tau), and checks the number of
-    distinct listed codewords within lifted distance 2 tau against
+    expected), compares the rank-level ball at tau with the lifted ball at
+    floor(tau_s/2) when enumerable, and checks the number of distinct
+    listed codewords within lifted distance 2 tau against
     adversarial.instance_bound at the instance radius tau, which the
     lifted code carries over unchanged.  Returns a VerificationReport.
+
+    The lifted ball is the lifts of exact_ball at floor(tau_s/2), the rank
+    ball's own list where floor(tau_s/2) == tau: one _listed_distances
+    call must find every one of its words distinct and within lifted
+    distance tau_s, or InvariantViolation, and its count is the measured
+    size.  That shows every word it counts, not that exact_ball missed
+    none.
     """
     if tau_s is None:
         tau_s = 2 * inst.tau
@@ -220,23 +200,27 @@ def verify_lifted_instance(inst, tau_s: Optional[int] = None,
 
     code = inst.code
     try:
-        rank_count = len(exact_ball(code, inst.center, inst.tau, budget))
+        ball = exact_ball(code, inst.center, inst.tau, budget)
     except BudgetExceeded:
         checks.append(CheckResult(
             "ball_relation_inequality", "skipped",
             measured=f"code size {code.size} over budget {budget}"))
     else:
-        count = lifted_count(code, lifted_center, half)
-        if half == inst.tau and count != rank_count:
+        rank_count = len(ball)
+        if half != inst.tau:
+            ball = exact_ball(code, inst.center, half, budget)
+        count = _listed_distances(lifted_center, ball, half)[1]
+        if count != len(ball):
             raise InvariantViolation(
-                f"lifted ball has {count} words, rank ball {rank_count}")
+                f"lifted ball: {count} distinct words within lifted "
+                f"distance {2 * half} of the {len(ball)} listed")
         checks.append(CheckResult(
             "ball_relation_inequality",
             "pass" if rank_count <= count else "fail",
             measured=count, expected=rank_count))
 
     # the bound belongs to the instance radius; tau_s only sets the
-    # distance check and the lifted count
+    # distance check and the lifted ball
     bound = instance_bound(inst)
     checks.append(CheckResult(
         f"lifted_{inst.kind}_bound",

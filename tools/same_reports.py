@@ -4,8 +4,8 @@
 For each instance of every workload in bench/workloads.py, at seed 1, this
 runs `gen-*`, `verify --out`, `lift-verify --out`, `lift-verify --tau-s
 <2 tau + 2> --out` (tau the instance radius; floor(tau_s/2) = tau + 1, where
-the lifted count is not held equal to the rank-level ball), `lift-verify
---tau-s <2 tau - 1> --out` (floor(tau_s/2) = tau - 1, where the lifted count
+the lifted ball may hold more than the rank-level ball), `lift-verify
+--tau-s <2 tau - 1> --out` (floor(tau_s/2) = tau - 1, where the lifted ball
 falls below the rank-level ball, so the report fails with exit 1), `ball
 --out`, `ball --tau <d - 1> --out` and `bounds --out` (with the instance's
 q, n, m, k, g and s) with the ranklab found in SRC/src and writes into

@@ -12,11 +12,16 @@ them on the code object, the low slices of each code's lane walk, which a
 CLI call builds once as it loads its instance.  Instances are built at
 seed 1 as tools/same_reports.py builds them.  Its sections:
 
-- "lanes": a full gabidulin._lane_walk, gabidulin.ball_by_lanes at the
-  instance radius and subspace_code.lifted_count at floor(tau_s/2) = tau,
-  on every instance of the q2-exhaustive and odd-exhaustive workloads of
-  bench/workloads.py and on the 2^24-word counting Gab[12,2]/GF(2^12) of
-  the frontier workload, whose ball the benchmark skips as over budget;
+- "lanes": a full gabidulin._lane_walk and gabidulin.ball_by_lanes at
+  the instance radius, and the lifted ball of
+  subspace_code.verify_lifted_instance at floor(tau_s/2) = tau, one
+  subspace_code._listed_distances call on the words of
+  gabidulin.exact_ball at the instance radius (the ball, built at a
+  budget of the code's size, and the center's lift_word outside the
+  timing), on every instance of the q2-exhaustive and odd-exhaustive
+  workloads of bench/workloads.py and on the 2^24-word counting
+  Gab[12,2]/GF(2^12) of the frontier workload, whose ball the benchmark
+  skips as over budget;
 - "families": constructions.pigeonhole_subfamily(q, n, r, g, ell) and
   constructions.subfield_linear_family(q, n, r, g) for each parameter set
   of FAMILY_PARAMS: the counting builds of the benchmark's instances, the
@@ -115,8 +120,7 @@ def main(argv=None) -> int:
         subfield_linear_family,
     )
     from ranklab.subspace import gaussian_binomial
-    from ranklab.subspace_code import _listed_distances, lift_word, \
-        lifted_count
+    from ranklab.subspace_code import _listed_distances, lift_word
 
     frontier = {inst.name: inst for inst in WORKLOADS["frontier"].instances}
     exhaustive = {inst.name: inst for name in LANE_WORKLOADS
@@ -139,6 +143,7 @@ def main(argv=None) -> int:
     for name in [*exhaustive, *LANE_FRONTIER]:
         built, repeats = build(name)
         code, center, tau = built.code, built.center, built.tau
+        ball = gabidulin.exact_ball(code, center, tau, code.size)
 
         def walk():
             for _ in gabidulin._lane_walk(code):
@@ -152,8 +157,8 @@ def main(argv=None) -> int:
             "lane_walk_s": median_seconds(repeats, walk),
             "ball_by_lanes_s": median_seconds(
                 repeats, gabidulin.ball_by_lanes, code, center, tau),
-            "lifted_count_s": median_seconds(
-                repeats, lifted_count, code, lift_word(center), tau),
+            "lifted_ball_s": median_seconds(
+                repeats, _listed_distances, lift_word(center), ball, tau),
         })
     families = [{
         "params": [q, n, r, g, ell],
