@@ -19,16 +19,16 @@ supports through e_0, about theta(n)/theta(t) fewer, theta(n) = (q^n -
 1)/(q - 1), and lists the ball from their hits by the error map psi(E) =
 gamma^(-q^r) sigma_gamma(E), gamma the embedded generator of GF(q^n)
 and sigma_gamma (_sigma) the multiplication of the points by it.  Two
-checks decide that: the points' span is gamma-stable (code._singer, a
-GF(q) solve of each gamma p_j), and sigma_gamma(center) - gamma^(q^r)
-center is a codeword for some r in [k, n) (_singer_power, one syndrome
-per r), as for every center whose pivot is c x^(q^r) plus terms of
-q-degree < k: each explicit instance and the benchmark's counting ones.
-Where either fails (a punctured code, n not dividing m, any other
-center) it declines to the full walk.  _supports_plan decides that walk
-and counts its nodes, once per call; exact_ball runs ball_by_supports or
-ball_by_lanes, whichever costs less, a node of that walk counted as
-SUPPORT_COST codeword tests.
+checks decide that: the points' span is gamma-stable (code._singer, an
+order test of gamma and a GF(q) solve of each gamma p_j), and
+sigma_gamma(center) - gamma^(q^r) center is a codeword for some r in
+[k, n) (_singer_power, one syndrome per r), as for every center whose
+pivot is c x^(q^r) plus terms of q-degree < k: each explicit instance
+and the benchmark's counting ones.  Where either fails (a punctured
+code, n not dividing m, any other center) it declines to the full
+walk.  _supports_plan decides that walk and counts its nodes, once per
+call; exact_ball runs ball_by_supports or ball_by_lanes, whichever costs
+less, a node of that walk counted as SUPPORT_COST codeword tests.
 
 Membership and the supports oracle share one GF(q) elimination per code,
 _message_system: the mk basis codewords, packed base q, each tagged with
@@ -64,7 +64,7 @@ from ranklab.errors import (
     TooManyPunctures,
     require,
 )
-from ranklab.field import FieldSpec, embed_serial, make_field
+from ranklab.field import FieldSpec, _prime_factors, embed_serial, make_field
 from ranklab.linpoly import LinearizedPoly
 from ranklab.subspace import gaussian_binomial, rref_walk
 
@@ -84,8 +84,9 @@ LANE_BITS = 14
 # 2^14-lane batches, at the radius of the seven exhaustive benchmark
 # instances.  Full walk: 70-93 on Gab[4,2]/GF(3^4) and Gab[4,1]/GF(3^8),
 # 310-319 on both Gab[6,3]/GF(2^6) centers, 17-19 on Gab[4,1]/GF(5^4).
-# Through e_0, each call's fixed costs on fewer nodes: 198-314, 1,347-1,374,
-# 77-78, and 182-262 on Gab[8,1]/GF(2^16) (CPython 3.11, 2-core x86-64 VM).
+# Through e_0, each call's fixed costs on fewer nodes: 182-269, 1,072-1,166,
+# 62-64, and 258-280 on Gab[8,1]/GF(2^16) (medians of 15 calls, two runs;
+# CPython 3.11, 2-core x86-64 VM).
 # exact_ball takes the cheaper oracle by it on all seven; any value from 39
 # to 366 picks the same on both walks, 19 to 437 on the walk through e_0.
 SUPPORT_COST = 100
@@ -186,11 +187,18 @@ class GabidulinCode:
         the points' GF(q) span is not gamma-stable (a punctured code, say):
         gamma is the embedded generator of GF(q^n), and terms[j] the pairs
         (i, A_ij), A_ij != 0, of gamma p_j = sum_i A_ij p_i, each solved
-        in the points' basis by gfmatrix.tagged_basis/reduce_tagged."""
+        in the points' basis by gfmatrix.tagged_basis/reduce_tagged.
+        InvariantViolation unless gamma^((q^n - 1)/p) != 1 for each prime p
+        | q^n - 1 in GF(q^n): gamma has order q^n - 1, so its
+        multiplication cycles e_0 through all theta(n) points."""
         field, q, n = self.field, self.q, self.n
         if field.e % n:
             return None
         sub = make_field(q, n)
+        units = sub.order - 1
+        require(all(sub.pow(sub.generator_serial, units // p) != 1
+                    for p in _prime_factors(units)),
+                f"the generator of GF({q}^{n}) is not primitive")
         gamma = embed_serial(sub.generator_serial, sub, field)
         system = gfmatrix.tagged_basis(self.eval_points, q)
         terms = []
@@ -202,28 +210,6 @@ class GabidulinCode:
             terms.append(tuple((i, x // q ** i % q) for i in range(n)
                                if x // q ** i % q))
         return gamma, tuple(terms)
-
-    @cached_property
-    def _singer_logs(self) -> dict:
-        """The Singer log of every nonzero v in GF(q)^n, packed base q: the
-        j < theta(n) = (q^n - 1)/(q - 1) with v = c e_0 A^j, c in GF(q)^*,
-        where v A is _sigma of v's digits.  Read off e_0's first theta(n)
-        images, each with its q - 1 multiples (a GF(q) scalar times a
-        packed vector, as a serial); a primitive gamma makes them all the
-        q^n - 1 vectors and brings e_0 back to a multiple of itself,
-        InvariantViolation where it does not."""
-        field, q, n = self.field, self.q, self.n
-        v = (1,) + (0,) * (n - 1)
-        logs = {}
-        for j in range(gaussian_binomial(n, 1, q)):
-            packed = _packed(q, v)
-            logs[packed] = j
-            for c in range(2, q):
-                logs[field.mul(c, packed)] = j
-            v = _sigma(self, v)
-        require(not any(v[1:]) and len(logs) == q ** n - 1,
-                "gamma's multiplication is not one cycle on the points")
-        return logs
 
     @cached_property
     def _lane_lows(self) -> dict:
@@ -426,41 +412,39 @@ def _singer_power(code: GabidulinCode, center: RankWord) -> Optional[int]:
 
 
 def _singer_orbits(code: GabidulinCode, center: RankWord,
-                   hits: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]],
+                   hits: Sequence[Tuple[int, Tuple[int, ...]]],
                    r: int) -> List[Tuple[int, ...]]:
-    """The ball words center - E of the errors psi^j(E), E each
-    (support rows, error) hit of the walk through e_0, psi(E) =
-    gamma^(-q^r) sigma_gamma(E), each word once.
+    """The ball words center - E of the errors psi^j(E), E each (rank,
+    error) hit of the walk through e_0, psi(E) = gamma^(-q^r)
+    sigma_gamma(E), each word once.
 
     psi permutes the ball's errors, keeping their rank, and moves a
-    support V to V A, so D(psi^j(E)) = D(E) + j mod theta(n), D(E) the
-    Singer logs of the points of E's support.  The Singer group is regular
-    on the theta(n) points, so a word W of rank t >= 1 is psi^j(E) for
-    exactly theta(t) pairs of a hit E and j < theta(n), one per point of
-    W's support, and only the pair with j = min D(W) has j < theta(n) -
-    max D(E): each hit emits those j.  The root, the center when it is a
-    codeword, is emitted once.  InvariantViolation unless the first j
-    past them, where E's orbit next meets a support through e_0, gives a
-    hit, theta(t) divides theta(n) F_t and rank t lists theta(n) F_t /
-    theta(t) words, F_t its hits, and no word repeats.  A hit missing
-    from the walk passes them only where its orbit holds no other hit,
-    as the one orbit of an explicit instance's ball does."""
+    support V to V A, and the hits are the root (error 0, where the
+    center is a codeword) and exactly the ball's errors whose support
+    holds e_0.  Each hit E emits psi^j(E) for j = 0, 1, ... until the
+    first j >= 1 with psi^j(E) a hit, where E's orbit next meets a
+    support through e_0: the hits cut each orbit into runs, each starting
+    at a hit, so every word is emitted once, the root too.
+    InvariantViolation unless that hit comes within theta(n) = (q^n -
+    1)/(q - 1) steps, as V A^theta(n) = V makes it, theta(t) divides
+    theta(n) F_t and rank t lists theta(n) F_t / theta(t) words, F_t its
+    hits, and no word repeats.  A hit missing from the walk lengthens
+    the run before it, so it passes them only where its orbit holds no
+    other hit, as the one orbit of an explicit instance's ball does."""
     field, q, n = code.field, code.q, code.n
     scale = field.frobenius(field.inv(code._singer[0]), r)
     theta = gaussian_binomial(n, 1, q)
     hit_count, listed = [0] * (n + 1), [0] * (n + 1)
     errors = {err for _, err in hits}
     found = []
-    for rows, err in hits:
-        t = len(rows)
-        steps = theta - max(
-            code._singer_logs[v] for (v,) in gfmatrix.digit_sums(
-                [[b] for b in rows], 1, q, field.add)[1:]) if t else 1
+    for t, err in hits:
         hit_count[t] += 1
-        listed[t] += steps
-        for _ in range(steps):
+        for _ in range(theta):
             found.append(tuple(map(field.sub, center.coords, err)))
+            listed[t] += 1
             err = tuple(field.mul(scale, e) for e in _sigma(code, err))
+            if err in errors:
+                break
         require(err in errors, f"a rank {t} orbit returns to no hit")
     for t in range(1, n + 1):
         words, rest = divmod(theta * hit_count[t], gaussian_binomial(t, 1, q))
@@ -550,9 +534,10 @@ def ball_by_supports(code: GabidulinCode, center: RankWord,
     errors, and the walk covers only the supports through e_0: the row
     e_0, then the rows of rref_walk(n - 1, range(tau), q) shifted up one
     digit, sum_{1<=t<=tau} [n-1,t-1]_q supports, about theta(n)/theta(t)
-    fewer; _singer_orbits lists the ball from their hits.  Elsewhere (a
-    punctured code, n not dividing m, any other center) it walks every
-    support (_supports_plan).  Output is sorted by coordinate serials.
+    fewer; _singer_orbits lists the ball from their hits, each hit's
+    orbit under psi up to the next hit.  Elsewhere (a punctured code, n
+    not dividing m, any other center) it walks every support
+    (_supports_plan).  Output is sorted by coordinate serials.
     """
     _check_code_context(code, center)
     return _walk_supports(code, center, tau, *_supports_plan(code, center,
@@ -575,7 +560,7 @@ def _walk_supports(code: GabidulinCode, center: RankWord, tau: int,
             for a_s, row in zip(a, rows):
                 err = [field.add(e, field.mul(a_s, row // q ** j % q))
                        for j, e in enumerate(err)]
-            hits.append((tuple(rows), tuple(err)))
+            hits.append((t, tuple(err)))
     if r is None:
         found = [tuple(map(field.sub, center.coords, err))
                  for _, err in hits]

@@ -114,9 +114,9 @@ def _listed_distances(center: LiftedSubspace, codewords: Sequence[RankWord],
     slices[j][p] is digit p of coordinate j of word L.  One
     gfmatrix.rank_lanes call stacks their _lifted_rows on center's rows,
     and one eliminates the m digit planes of X - center, the same slices
-    less the center's digits, as ball_by_lanes does.  The stacked rank is n plus that of the difference in every
-    lane, or InvariantViolation; the distance is twice the difference's
-    rank, read off its masks."""
+    less the center's digits, as ball_by_lanes does.  The stacked rank is
+    n plus that of the difference in every lane, or InvariantViolation;
+    the distance is twice the difference's rank, read off its masks."""
     q, n, m = center.q, center.n, center.m
     if any((cw.spec.q, len(cw.coords), cw.spec.e) != (q, n, m)
            for cw in codewords):

@@ -1,6 +1,7 @@
 """Gabidulin codes: encoding, the rank metric, the ball oracle, puncturing,
 and the bound calculators."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from ranklab.adversarial import (
     code_from_dict,
     code_to_dict,
 )
-from ranklab.field import make_field, sub_digits
+from ranklab.field import FieldSpec, make_field, sub_digits
 from ranklab.linpoly import LinearizedPoly
 from ranklab.subspace import gaussian_binomial, rref_walk
 from ranklab import gabidulin
@@ -620,6 +621,34 @@ def test_ball_by_supports_walks_the_supports_through_e0_on_invariant_centers(
                 for t in range(1, tau + 1)), tau
 
 
+@pytest.mark.parametrize("build, args", INVARIANT_INSTANCES)
+def test_ball_by_supports_steps_sigma_once_a_listed_word(monkeypatch, build,
+                                                         args):
+    # on a fresh code object, one sigma_gamma step in _singer_power and one
+    # per word the orbits list: no walk over the theta(n) points of the
+    # Singer group is made to tell where a hit's run of its orbit ends
+    inst = build(*args)
+    code, sigma, steps = dataclasses.replace(inst.code), gabidulin._sigma, []
+    monkeypatch.setattr(gabidulin, "_sigma",
+                        lambda *a: steps.append(1) or sigma(*a))
+    ball = ball_by_supports(code, inst.center, inst.tau)
+    assert ball == enumerate_ball(code, inst.center, inst.tau)
+    assert len(steps) == 1 + len(ball)
+
+
+@pytest.mark.parametrize("q, n, power", [(2, 4, 3), (3, 2, 2)])
+def test_singer_raises_where_gamma_is_not_primitive(monkeypatch, q, n, power):
+    # gamma = x^power has order (q^n - 1)/power: its multiplication would
+    # not take e_0 through all theta(n) points
+    code = make_code(q, n, n, 1)
+    assert dataclasses.replace(code)._singer is not None
+    generator = FieldSpec.generator_serial
+    monkeypatch.setattr(FieldSpec, "generator_serial", property(
+        lambda spec: spec.pow(generator.fget(spec), power)))
+    with pytest.raises(InvariantViolation):
+        code._singer
+
+
 def _declined_cases():
     """(code, center) pairs that ball_by_supports walks in full: a center
     with two nonzero pivot coefficients at q-degree >= k, a punctured code
@@ -653,19 +682,21 @@ def test_ball_by_supports_walks_every_support_where_a_check_fails(
 
 
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("change", ["drop", "repeat"])
+@pytest.mark.parametrize("change", ["drop", "repeat", "perturb"])
 def test_ball_by_supports_raises_where_the_reduced_walk_loses_or_repeats_a_hit(
         monkeypatch, q, change):
-    # a counting ball of several orbits: without its first hit, or with
-    # that hit twice, the orbits no longer add up, and the oracle raises
-    # rather than return a short or repeated ball
+    # a counting ball of several orbits: without its first hit, with that
+    # hit twice, or with its digits x + 1 in place of x (an error outside
+    # the ball), the orbits no longer add up, and the oracle raises rather
+    # than return a short, repeated or wrong ball
     inst = build_counting_instance(q, 4, 4, 2, 2, 3)
     original = gfmatrix.tagged_walk
 
     def spy(*args):
         hits = original(*args)
-        first = next(hits)
-        yield from [first] * (2 if change == "repeat" else 0)
+        rows, x = next(hits)
+        yield from {"drop": [], "repeat": [(rows, x)] * 2,
+                    "perturb": [(rows, x + 1)]}[change]
         yield from hits
 
     monkeypatch.setattr(gfmatrix, "tagged_walk", spy)

@@ -39,9 +39,9 @@ seed 1 as tools/same_reports.py builds them.  Its sections:
   "supports"), the nodes, root included, of the full supports walk,
   sum_{t<=tau} [n,t]_q, and of the walk through e_0, 1 + sum_{1<=t<=tau}
   [n-1,t-1]_q, and its seconds on a fresh copy of the code object per
-  call, so that the membership system, the Singer tables and the lane
-  walk's low slices are built inside the timing, as a CLI call builds
-  them;
+  call, so that the membership system, the Singer check (code._singer)
+  and the lane walk's low slices are built inside the timing, as a CLI
+  call builds them;
 - "evaluation": gabidulin.evaluate_word at every family member of the
   frontier explicit instances Gab[8,5] and Gab[10,7], and the codeword
   check of adversarial.verify_instance on its own
