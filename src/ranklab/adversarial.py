@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ranklab import gfmatrix
 from ranklab.errors import (
@@ -55,8 +54,7 @@ from ranklab.linpoly import LinearizedPoly
 from ranklab.subspace import gaussian_binomial
 
 
-@dataclass(frozen=True)
-class AdversarialInstance:
+class AdversarialInstance(NamedTuple):
     """Certified dense list around a non-codeword center.
 
     pivot is the polynomial R whose evaluation is the center; every listed
@@ -71,19 +69,17 @@ class AdversarialInstance:
     codewords: Tuple[RankWord, ...]
     claimed_bound: int
     kind: str                      # counting | explicit
-    degenerate: bool = dc_field(default=False)
+    degenerate: bool = False
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str                    # pass | fail | skipped
     measured: object = None
     expected: object = None
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: List[CheckResult]
 
     @property
@@ -341,8 +337,7 @@ def verify_instance(inst: AdversarialInstance,
 # Parameter families and analyses
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioFamily:
+class RatioFamily(NamedTuple):
     """Code parameters scaled from (length, radius) ratios."""
 
     q: int
@@ -384,8 +379,7 @@ def technical_sqrt_inequality(i: int) -> bool:
     return 1.0 - math.sqrt((2 ** i - 1) / 2 ** i) > 1.0 / 2 ** (i + 1)
 
 
-@dataclass(frozen=True)
-class RadiusComparison:
+class RadiusComparison(NamedTuple):
     """Our smallest non-decodable radius vs the prior square-root radius."""
 
     i: int
@@ -413,8 +407,7 @@ def compare_radius_to_prior(i: int, n: int) -> RadiusComparison:
         inequality_holds=technical_sqrt_inequality(i))
 
 
-@dataclass(frozen=True)
-class RSRouteReport:
+class RSRouteReport(NamedTuple):
     """Size cap of the same family strategy applied to ordinary evaluation
     codes: never more than 4 q^n, so never super-polynomial."""
 
@@ -517,7 +510,7 @@ def instance_to_dict(inst: AdversarialInstance, pretty: bool = False) -> dict:
         "degenerate": inst.degenerate,
         "family": {
             "kind": fam.kind,
-            "params": asdict(fam.params),
+            "params": fam.params._asdict(),
             "mutual_top": list(fam.mutual_top),
             "members": [list(m.coeffs) for m in fam.members],
         },
@@ -567,7 +560,7 @@ def instance_from_dict(d: dict) -> AdversarialInstance:
     for m in _list(f["members"], "family members"):
         _check_serials(spec, m, "family member")
     p = _object(f["params"], "family params")
-    names = [fl.name for fl in fields(FamilyParams)]
+    names = FamilyParams._fields
     if sorted(p) != sorted(names):
         raise MalformedInstance(
             f"family params: keys {sorted(p)}, expected {sorted(names)}")

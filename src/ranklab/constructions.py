@@ -25,9 +25,8 @@ relate these families to ordinary (Reed-Solomon style) evaluation codes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ranklab.errors import (
     BudgetExceeded,
@@ -54,8 +53,7 @@ from ranklab.subspace import (
 FAMILY_BUDGET = 10 ** 5
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     q: int
     n: int
     r: int
@@ -64,22 +62,27 @@ class FamilyParams:
     ell: int = 0
 
 
-@dataclass(frozen=True)
 class PolyFamily:
     """A set of monic subspace polynomials sharing their top coefficients.
 
-    mutual_top lists the agreed topmost coefficients from the leading one
-    downward: mutual_top[i] is the coefficient at index r - i.
+    kind is one of subfield, pigeonhole, orbit and orbit_shifted; spec is
+    the coefficient field of the members.  mutual_top lists the agreed
+    topmost coefficients from the leading one downward: mutual_top[i] is
+    the coefficient at index r - i.
     """
 
-    params: FamilyParams
-    kind: str                       # subfield | pigeonhole | orbit | orbit_shifted
-    spec: FieldSpec                 # coefficient field of the members
-    members: Tuple[LinearizedPoly, ...]
-    mutual_top: Tuple[int, ...]
-    degenerate: bool = dc_field(default=False)
+    __slots__ = ("params", "kind", "spec", "members", "mutual_top",
+                 "degenerate")
 
-    def __post_init__(self):
+    def __init__(self, params: FamilyParams, kind: str, spec: FieldSpec,
+                 members: Tuple[LinearizedPoly, ...],
+                 mutual_top: Tuple[int, ...], degenerate: bool = False):
+        self.params = params
+        self.kind = kind
+        self.spec = spec
+        self.members = members
+        self.mutual_top = mutual_top
+        self.degenerate = degenerate
         r, top = self.params.r, self.mutual_top
         # a member's coefficients from index r + 1 - len(head) up, which
         # mutual_top lists downward; below index 0 they are all zero
@@ -94,8 +97,26 @@ class PolyFamily:
         if len(set(self.members)) != len(self.members):
             raise ParamMismatch("family members are not pairwise distinct")
 
+    def _key(self):
+        return (self.params, self.kind, self.spec, self.members,
+                self.mutual_top, self.degenerate)
+
+    def __eq__(self, other):
+        if other.__class__ is not PolyFamily:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __len__(self):
         return len(self.members)
+
+    def __repr__(self):
+        return (f"PolyFamily(params={self.params!r}, kind={self.kind!r}, "
+                f"spec={self.spec!r}, members={self.members!r}, "
+                f"mutual_top={self.mutual_top!r}, "
+                f"degenerate={self.degenerate!r})")
 
 
 # ----------------------------------------------------------------------

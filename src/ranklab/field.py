@@ -271,27 +271,45 @@ class FieldSpec:
     # -- construction helpers -------------------------------------------
 
     def _build_tables(self):
+        """exp[i] = x^i for 0 <= i < 2(q^e - 1), log[x^i] = i, walked one
+        multiplication by x at a time: on q = 2 a shift and, where x^e
+        appears, one XOR of the packed modulus; on odd q the closure of
+        _times_generator.  NotPrimitive unless x has order q^e - 1: the
+        walk returns to 1 after q^e - 1 steps, and not after (q^e - 1)/p
+        steps for any prime p | q^e - 1, the test _verify_order makes
+        above the tables."""
         n1 = self.order - 1
-        exp = [0] * (2 * n1)
+        exp = [0] * n1
         log = [0] * self.order
-        step = self._times_generator()
         val = 1
-        for i in range(n1):
-            if i > 0 and val == 1:
-                raise NotPrimitive(
-                    f"x has order {i} < {n1} in GF({self.q}^{self.e})")
-            exp[i] = val
-            log[val] = i
-            val = step(val)
+        if self.q == 2:
+            top, modulus = self.order, self.from_digits(self.modulus)
+            for i in range(n1):
+                exp[i] = val
+                log[val] = i
+                val <<= 1
+                if val & top:
+                    val ^= modulus
+        else:
+            step = self._times_generator()
+            for i in range(n1):
+                exp[i] = val
+                log[val] = i
+                val = step(val)
         if val != 1:
             raise NotPrimitive("x^({}) != 1".format(n1))
-        for i in range(n1, 2 * n1):
-            exp[i] = exp[i - n1]
+        # so the order of x divides q^e - 1, and is smaller exactly when
+        # x^((q^e - 1)/p) = 1 for some prime p | q^e - 1
+        if any(exp[n1 // p] == 1 for p in _prime_factors(n1)):
+            raise NotPrimitive(f"x has order {exp.index(1, 1)} < {n1} "
+                               f"in GF({self.q}^{self.e})")
+        exp.extend(exp)
         self._exp = exp
         self._log = log
 
     def _times_generator(self):
-        """O(e) multiply-by-x closure used to walk the power table."""
+        """O(e) multiply-by-x closure for odd q, used to walk the power
+        table."""
         q = self.q
         top_pow = self._qpows[self.e - 1]
         # x^e reduced: for each possible top coordinate t, the packed
@@ -300,16 +318,6 @@ class FieldSpec:
         for t in range(1, q):
             reductions[t] = self.from_digits(
                 (t * c) % q for c in self.modulus[:-1])
-        if q == 2:
-            mask = self._qpows[self.e] - 1
-            red = reductions[1]
-
-            def step(a):
-                shifted = a << 1
-                if shifted > mask:
-                    return (shifted & mask) ^ red
-                return shifted
-            return step
 
         def step(a):
             top, low = divmod(a, top_pow)

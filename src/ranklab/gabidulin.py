@@ -46,7 +46,6 @@ elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from fractions import Fraction
@@ -92,15 +91,28 @@ LANE_BITS = 14
 SUPPORT_COST = 100
 
 
-@dataclass(frozen=True)
 class RankWord:
     """A length-n word over GF(q^m), coordinates as serials."""
 
-    spec: FieldSpec
-    coords: Tuple[int, ...]
+    __slots__ = ("spec", "coords")
+
+    def __init__(self, spec: FieldSpec, coords: Tuple[int, ...]):
+        self.spec = spec
+        self.coords = coords
 
     def __len__(self):
         return len(self.coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not RankWord:
+            return NotImplemented
+        return self.coords == other.coords and self.spec == other.spec
+
+    def __hash__(self):
+        return hash((self.spec, self.coords))
+
+    def __repr__(self):
+        return f"RankWord(spec={self.spec!r}, coords={self.coords!r})"
 
 
 def _same_context(w1: RankWord, w2: RankWord):
@@ -123,22 +135,39 @@ def rank_distance(w1: RankWord, w2: RankWord) -> int:
     return rank_weight(diff)
 
 
-@dataclass(frozen=True)
 class GabidulinCode:
     """Evaluation code of linearized polynomials of q-degree < k.
 
     eval_points are n GF(q)-independent serials of GF(q^m), all inside
     beta * GF(q^n).  punctured marks codes whose length no longer divides m.
+    Two codes are equal when all eight constructor arguments are; the
+    cached properties below live in the instance __dict__ and take no part
+    in equality or hashing.
     """
 
-    field: FieldSpec
-    n: int
-    k: int
-    beta: int
-    eval_points: Tuple[int, ...]
-    subfield_degree: int
-    beta_exponent: int = 0
-    punctured: int = 0
+    def __init__(self, field: FieldSpec, n: int, k: int, beta: int,
+                 eval_points: Tuple[int, ...], subfield_degree: int,
+                 beta_exponent: int = 0, punctured: int = 0):
+        self.field = field
+        self.n = n
+        self.k = k
+        self.beta = beta
+        self.eval_points = eval_points
+        self.subfield_degree = subfield_degree
+        self.beta_exponent = beta_exponent
+        self.punctured = punctured
+
+    def _key(self):
+        return (self.field, self.n, self.k, self.beta, self.eval_points,
+                self.subfield_degree, self.beta_exponent, self.punctured)
+
+    def __eq__(self, other):
+        if other.__class__ is not GabidulinCode:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def q(self) -> int:

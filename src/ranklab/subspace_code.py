@@ -22,9 +22,8 @@ exact_ball misses, is the tests' cross-check (tests/reference.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ranklab import gabidulin, gfmatrix
 from ranklab.adversarial import CheckResult, VerificationReport, instance_bound
@@ -40,8 +39,7 @@ from ranklab.gabidulin import (
 )
 
 
-@dataclass(frozen=True)
-class LiftedSubspace:
+class LiftedSubspace(NamedTuple):
     """Rowspace of [I_n | X] inside GF(q)^(n+m), stored as the n rows of
     that RREF with the columns in the order [X | I_n], packed base q: row j
     is sum_i X[j][i] q^i + q^(m+j), so a word's row j is its serial w_j

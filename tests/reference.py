@@ -12,7 +12,8 @@ lifted subspace, which subspace_code keeps packed in the order [X | I_n];
 the lifted code and the lifted count over every codeword, which
 subspace_code.verify_lifted_instance replaced with the words of the rank
 ball; and the benchmark's exhaustive instances, built as bench/workloads.py
-builds them, with their brute-force ball sizes."""
+builds them, with their brute-force ball sizes; and a fresh copy of a
+code object, with none of its cached properties built."""
 
 import importlib.util
 import json
@@ -28,7 +29,7 @@ from ranklab.adversarial import (
 from ranklab.constructions import PolyFamily
 from ranklab.errors import InvariantViolation
 from ranklab.field import embed_serial, make_field
-from ranklab.gabidulin import _lane_walk, codewords
+from ranklab.gabidulin import GabidulinCode, _lane_walk, codewords
 from ranklab.subspace import extend_polynomial, rref_walk
 from ranklab.subspace_code import _lifted_rows, lift_word
 
@@ -234,3 +235,12 @@ def bench_instance(name, seed=1):
                                        inst.beta_exponent(seed))
     return build_explicit_instance(inst.q, inst.g, inst.s, inst.n, inst.m,
                                    inst.beta_exponent(seed))
+
+
+def fresh_code(code: GabidulinCode) -> GabidulinCode:
+    """An equal code object with no cached property built yet, as a CLI
+    call builds its code from the instance file."""
+    return GabidulinCode(
+        field=code.field, n=code.n, k=code.k, beta=code.beta,
+        eval_points=code.eval_points, subfield_degree=code.subfield_degree,
+        beta_exponent=code.beta_exponent, punctured=code.punctured)

@@ -1,7 +1,6 @@
 """Adversarial instances: both builders, independent verification,
 the bound calculators, and the side analyses."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +8,11 @@ from fractions import Fraction
 import pytest
 
 from ranklab import adversarial
-from ranklab.constructions import shift_family, subfield_linear_family
+from ranklab.constructions import (
+    PolyFamily,
+    shift_family,
+    subfield_linear_family,
+)
 from ranklab.errors import (
     BadParameters,
     ConstraintViolation,
@@ -184,7 +187,7 @@ def test_verify_catches_tampered_codeword():
     coords = list(bad[0].coords)
     coords[0] = f.add(coords[0], 1)
     bad[0] = RankWord(f, tuple(coords))
-    tampered = dataclasses.replace(inst, codewords=tuple(bad))
+    tampered = inst._replace(codewords=tuple(bad))
     report = verify_instance(tampered)
     statuses = _statuses(report)
     assert not report.all_passed
@@ -249,8 +252,8 @@ def test_codewords_check_is_the_polynomial_difference(build, args):
               LinearizedPoly(f, (f.add(coeffs[0], 1),) + coeffs[1:]),
               LinearizedPoly(f, ())]
     cws = inst.codewords
-    forged = [dataclasses.replace(inst, pivot=p) for p in pivots] + [
-        dataclasses.replace(inst, codewords=(cws[1], cws[0], *cws[2:]))]
+    forged = [inst._replace(pivot=p) for p in pivots] + [
+        inst._replace(codewords=(cws[1], cws[0], *cws[2:]))]
     counts = [adversarial.codewords_check(x).measured for x in forged]
     assert counts == [_codewords_by_difference(x) for x in forged]
     assert (counts[0], counts[1], counts[-1]) == (len(cws), 0, len(cws) - 2)
@@ -269,14 +272,14 @@ def test_pivot_plus_a_vanishing_polynomial_fails_only_the_degree_check(
     code = inst.code
     pivot = inst.pivot + field_vanishing_poly(code.field)
     assert evaluate_word(code, pivot) == inst.center
-    report = verify_instance(dataclasses.replace(inst, pivot=pivot))
+    report = verify_instance(inst._replace(pivot=pivot))
     assert [c.name for c in report.checks if c.status == "fail"] \
         == ["codewords_encode_low_degree"]
 
 
 def test_verify_catches_shrunk_radius():
     inst = build_explicit_instance(2, 2, 1, 4, 4)
-    shrunk = dataclasses.replace(inst, tau=inst.tau - 1)
+    shrunk = inst._replace(tau=inst.tau - 1)
     report = verify_instance(shrunk)
     assert _statuses(report)["distances_exactly_tau"] == "fail"
     assert not report.all_passed
@@ -507,13 +510,15 @@ def test_family_of_another_kind_or_shape_fails_both_bound_checks(build,
     inst = build(*args)
     fam = inst.family
     other = "orbit" if inst.kind == "counting" else "pigeonhole"
-    forged = [dataclasses.replace(fam, kind=kind)
+    forged = [PolyFamily(fam.params, kind, fam.spec, fam.members,
+                         fam.mutual_top, fam.degenerate)
               for kind in (other, "subfield", "bogus")]
-    forged += [dataclasses.replace(fam, params=dataclasses.replace(
-        fam.params, **{key: getattr(fam.params, key) + step}))
+    forged += [PolyFamily(
+        fam.params._replace(**{key: getattr(fam.params, key) + step}),
+        fam.kind, fam.spec, fam.members, fam.mutual_top, fam.degenerate)
         for key in ("q", "n", "g", "s", "ell") for step in (-1, 1)]
     for family in forged:
-        bad = dataclasses.replace(inst, family=family)
+        bad = inst._replace(family=family)
         for report, name in (
                 (verify_instance(bad, ball_budget=1),
                  "list_meets_claimed_bound"),

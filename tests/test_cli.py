@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every ranklab command starts by importing the CLI, in a fresh
+    # process: dataclasses (6 ms) would pull in inspect, ast, dis and
+    # tokenize, and each @dataclass class build execs generated code
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import ranklab.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    new = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout.split()
+    assert "ranklab.cli" in new
+    assert {"dataclasses", "inspect"}.isdisjoint(new), new
 
 
 def test_gen_explicit_then_verify(tmp_path, capsys):

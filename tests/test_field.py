@@ -10,6 +10,7 @@ from ranklab.errors import (
     NotASubfield,
     NotIrreducible,
     NotPrime,
+    NotPrimitive,
 )
 from ranklab.field import (
     TABLE_LIMIT,
@@ -57,6 +58,16 @@ def test_unknown_modulus_rejected():
 def test_reducible_modulus_rejected():
     with pytest.raises(NotIrreducible):
         make_field(2, 4, modulus=(1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4
+
+
+@pytest.mark.parametrize("q, e, modulus, message", [
+    # x^4 + x^3 + x^2 + x + 1 divides x^5 - 1; x^2 + 1 divides x^4 - 1
+    (2, 4, (1, 1, 1, 1, 1), "x has order 5 < 15"),
+    (3, 2, (1, 0, 1), "x has order 4 < 8")])
+def test_irreducible_modulus_whose_x_is_not_primitive_is_rejected(
+        q, e, modulus, message):
+    with pytest.raises(NotPrimitive, match=message):
+        make_field(q, e, modulus=modulus)
 
 
 def test_supplied_modulus_works():

@@ -1,7 +1,6 @@
 """Gabidulin codes: encoding, the rank metric, the ball oracle, puncturing,
 and the bound calculators."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -628,7 +627,7 @@ def test_ball_by_supports_steps_sigma_once_a_listed_word(monkeypatch, build,
     # per word the orbits list: no walk over the theta(n) points of the
     # Singer group is made to tell where a hit's run of its orbit ends
     inst = build(*args)
-    code, sigma, steps = dataclasses.replace(inst.code), gabidulin._sigma, []
+    code, sigma, steps = reference.fresh_code(inst.code), gabidulin._sigma, []
     monkeypatch.setattr(gabidulin, "_sigma",
                         lambda *a: steps.append(1) or sigma(*a))
     ball = ball_by_supports(code, inst.center, inst.tau)
@@ -641,7 +640,7 @@ def test_singer_raises_where_gamma_is_not_primitive(monkeypatch, q, n, power):
     # gamma = x^power has order (q^n - 1)/power: its multiplication would
     # not take e_0 through all theta(n) points
     code = make_code(q, n, n, 1)
-    assert dataclasses.replace(code)._singer is not None
+    assert reference.fresh_code(code)._singer is not None
     generator = FieldSpec.generator_serial
     monkeypatch.setattr(FieldSpec, "generator_serial", property(
         lambda spec: spec.pow(generator.fget(spec), power)))

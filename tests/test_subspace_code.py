@@ -1,7 +1,6 @@
 """Lifting: the distance-doubling identity, lifted codes, lifted instances."""
 
 import ast
-import dataclasses
 import inspect
 import os
 import random
@@ -225,8 +224,8 @@ def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
             monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
             for tau_s in (2 * tau - 1, 2 * tau, 2 * tau + 1, 2 * tau + 2,
                           2 * code.n, -1):
-                report = verify_lifted_instance(dataclasses.replace(
-                    inst, code=code, center=center, tau=tau, codewords=()),
+                report = verify_lifted_instance(inst._replace(
+                    code=code, center=center, tau=tau, codewords=()),
                     tau_s=tau_s)
                 check = {c.name: c
                          for c in report.checks}["ball_relation_inequality"]
@@ -342,8 +341,8 @@ def test_a_listed_word_beyond_the_radius_fails_the_lifted_check(q):
     far = next(w for w in codewords(inst.code)
                if gabidulin.rank_distance(inst.center, w) > inst.tau)
     d = 2 * gabidulin.rank_distance(inst.center, far)
-    report = verify_lifted_instance(dataclasses.replace(
-        inst, codewords=inst.codewords + (far,)))
+    report = verify_lifted_instance(inst._replace(
+        codewords=inst.codewords + (far,)))
     by_name = {c.name: c for c in report.checks}
     check = by_name["lifted_distances_within_radius"]
     assert (check.status, check.measured) == ("fail", [2 * inst.tau, d])
@@ -438,7 +437,6 @@ def test_lift_verify_budget_defaults_agree():
 # Each probe breaks one invariant and prints whether InvariantViolation
 # was raised; run in-process and under python -O, which strips asserts.
 INVARIANT_PROBES = """
-import dataclasses
 from ranklab.adversarial import _check_instance, build_explicit_instance
 from ranklab.errors import InvariantViolation
 from ranklab.subspace_code import LiftedSubspace, lift, lifted_distance
@@ -448,8 +446,8 @@ from ranklab.subspace_code import LiftedSubspace, lift, lifted_distance
 broken = LiftedSubspace(q=2, n=1, m=1, packed=(0,))
 inst = build_explicit_instance(2, 2, 1, 4, 4)   # d = 4, radius in (1, 4)
 for probe in (lambda: lifted_distance(lift([[1]], 2), broken),
-              lambda: _check_instance(dataclasses.replace(inst, tau=1)),
-              lambda: _check_instance(dataclasses.replace(inst, tau=4))):
+              lambda: _check_instance(inst._replace(tau=1)),
+              lambda: _check_instance(inst._replace(tau=4))):
     try:
         probe()
         print("passed")

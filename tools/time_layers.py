@@ -12,6 +12,13 @@ them on the code object, the low slices of each code's lane walk, which a
 CLI call builds once as it loads its instance.  Instances are built at
 seed 1 as tools/same_reports.py builds them.  Its sections:
 
+- "startup": in STARTUP_PROCESSES fresh interpreters per workload of
+  bench/workloads.py, the seconds of `import ranklab.cli` alone (median
+  over all of them) and of make_field(q, e) for each field of the
+  workload, built in that order after the import (median per workload
+  and field): the start-up every ranklab command pays, which the
+  benchmark's setup_s times in the same way, with bytecode written and
+  warmed by one untimed interpreter first;
 - "lanes": a full gabidulin._lane_walk and gabidulin.ball_by_lanes at
   the instance radius, and the lifted ball of
   subspace_code.verify_lifted_instance at floor(tau_s/2) = tau, one
@@ -60,11 +67,11 @@ Two source trees are compared by running it on each:
 Standard library only; nothing under bench/ imports it.
 """
 
-import dataclasses
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -86,6 +93,23 @@ SUPPORT_CASES = ("q2-counting-gab6-3", "q2-explicit-gab6-3",
                  "q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3")
 DENSE_SUPPORTS = ("q2-explicit-gab8-1-m16", "q3-explicit-gab6-1-g3")
 EVALUATION_CASES = ("q2-explicit-gab8-5", "q2-explicit-gab10-7")
+STARTUP_PROCESSES = 11
+# run as python -c STARTUP_SCRIPT SRC FIELDS: prints the seconds of the
+# import and of each make_field call, in FIELDS order
+STARTUP_SCRIPT = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import ranklab.cli
+import_s = time.perf_counter() - t0
+from ranklab.field import make_field
+fields_s = []
+for q, e in json.loads(sys.argv[2]):
+    t0 = time.perf_counter()
+    make_field(q, e)
+    fields_s.append(time.perf_counter() - t0)
+print(json.dumps([import_s, fields_s]))
+"""
 
 
 def median_seconds(repeats, fn, *args) -> float:
@@ -96,6 +120,38 @@ def median_seconds(repeats, fn, *args) -> float:
         fn(*args)
         times.append(time.perf_counter() - t0)
     return round(statistics.median(times), 5)
+
+
+def startup(src: str, workloads) -> dict:
+    """The "startup" section, for the ranklab under src."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def spawn(degrees):
+        return json.loads(subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, src, json.dumps(degrees)],
+            env=env, capture_output=True, text=True, check=True).stdout)
+
+    spawn([])
+    import_s, fields = [], []
+    for name, workload in workloads.items():
+        degrees = workload.fields()[0]
+        runs = [spawn(degrees) for _ in range(STARTUP_PROCESSES)]
+        import_s += [run[0] for run in runs]
+        fields += [{"workload": name, "field": [q, e],
+                    "make_field_s": round(statistics.median(
+                        run[1][i] for run in runs), 5)}
+                   for i, (q, e) in enumerate(degrees)]
+    return {"import_cli_s": round(statistics.median(import_s), 5),
+            "make_field": fields}
+
+
+def fresh(code):
+    """An equal code object with no cached property built yet."""
+    return type(code)(
+        field=code.field, n=code.n, k=code.k, beta=code.beta,
+        eval_points=code.eval_points, subfield_degree=code.subfield_degree,
+        beta_exponent=code.beta_exponent, punctured=code.punctured)
 
 
 def main(argv=None) -> int:
@@ -121,6 +177,8 @@ def main(argv=None) -> int:
     )
     from ranklab.subspace import gaussian_binomial
     from ranklab.subspace_code import _listed_distances, lift_word
+
+    started = startup(os.path.join(src, "src"), WORKLOADS)
 
     frontier = {inst.name: inst for inst in WORKLOADS["frontier"].instances}
     exhaustive = {inst.name: inst for name in LANE_WORKLOADS
@@ -226,7 +284,7 @@ def main(argv=None) -> int:
                                 for t in range(1, tau + 1)),
             "exact_ball_s": median_seconds(
                 repeats, lambda: gabidulin.exact_ball(
-                    dataclasses.replace(code), center, tau)),
+                    fresh(code), center, tau)),
         })
     evaluation = []
     for name in EVALUATION_CASES:
@@ -264,6 +322,7 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count()},
         "repeats": REPEATS,
         "frontier_repeats": FRONTIER_REPEATS,
+        "startup": started,
         "lanes": lanes,
         "families": families,
         "supports": supports,
