@@ -5,23 +5,17 @@ n-dimensional subspace of GF(q)^(n+m); the map is injective and doubles
 distances: d_s(lift X, lift Y) = 2 rank(X - Y).  A word over GF(q^m) lifts
 its transposed matrix: row j of X holds the digits of coordinate j.
 
-The lifted ball of verify_lifted_instance is the rank ball's words: the
-identity d_s(lift X, lift Y) = 2 rank(X - Y) (Silva, Kschischang and
-Koetter, IEEE TIT 54, 2008) makes the lifts within subspace distance
-2 floor(tau_s/2) of the lifted center exactly the lifts of the codewords
-of gabidulin.exact_ball at floor(tau_s/2), so no codeword outside that
-ball is tested.  Its words and the listed ones are checked in lanes
-(_listed_distances): gfmatrix.to_lanes transposes a batch of them into
-slices laid out as lift_word lays out a word, [X | I_n] with an identity
-slice of ones, and one gfmatrix.rank_lanes call on those rows stacked on
-the center's and one on the digit planes of X - center give every lane's
-rank twice; lift_word and lifted_distance stay the per-word reference.
-The exhaustive count over every codeword, which would show a word that
-exact_ball misses, is the tests' cross-check (tests/reference.py).
+By that identity (Silva, Kschischang and Koetter, IEEE TIT 54, 2008),
+verify_lifted_instance reads both ball counts and the listed words'
+membership off one gabidulin.exact_ball call at max(tau, floor(tau_s/2)),
+in one lane pass (_listed_distances); over the budget the listed words are
+not tested for membership.  tests/reference.py counts every codeword's
+lift, which would show a word that exact_ball misses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -99,33 +93,34 @@ def _lifted_rows(slices: Sequence[Sequence[int]],
     return [[*s, *(0,) * j, ones] for j, s in enumerate(slices)]
 
 
-def _listed_distances(center: LiftedSubspace, codewords: Sequence[RankWord],
-                      tau: int) -> Tuple[List[int], int]:
-    """The sorted distinct lifted distances of the distinct codewords from
-    center, a lift_word, and the number of them within 2 tau, as
-    lifted_distance finds them word by word; a word of another shape
-    raises ShapeMismatch, as lifted_distance does.
+def _listed_distances(center: LiftedSubspace, listed: Sequence[RankWord],
+                      ball: Sequence[RankWord]) -> Tuple[Counter, ...]:
+    """Counters of the ranks of X - center, lifted_distance halved, over
+    the distinct listed words in ball, the other listed words and the
+    ball's words not listed, each word of center's shape.
 
-    The words go in batches of up to 2^LANE_BITS, one lane each: a batch
-    packs each word into one vector by gabidulin._packed, coordinate j at
-    digit m j, and gfmatrix.to_lanes transposes them, so that lane L of
-    slices[j][p] is digit p of coordinate j of word L.  One
+    The groups lie on contiguous lanes, batches of up to 2^LANE_BITS
+    words packed by gabidulin._packed and transposed by gfmatrix.to_lanes
+    (lane L of slices[j][p] is digit p of coordinate j of word L).  One
     gfmatrix.rank_lanes call stacks their _lifted_rows on center's rows,
-    and one eliminates the m digit planes of X - center, the same slices
-    less the center's digits, as ball_by_lanes does.  The stacked rank is
-    n plus that of the difference in every lane, or InvariantViolation;
-    the distance is twice the difference's rank, read off its masks."""
+    one eliminates the m digit planes of X - center, as ball_by_lanes
+    does, and the stacked rank must be n plus the difference's in every
+    lane, or InvariantViolation.  A group's counts are popcounts of the
+    difference's masks over its lanes."""
     q, n, m = center.q, center.n, center.m
-    if any((cw.spec.q, len(cw.coords), cw.spec.e) != (q, n, m)
-           for cw in codewords):
-        raise ShapeMismatch("lifted subspaces of different shapes")
-    words = list(dict.fromkeys(cw.coords for cw in codewords))
+    held = dict.fromkeys(w.coords for w in ball)
+    named = dict.fromkeys(w.coords for w in listed)
+    inside = [c for c in named if c in held]
+    outside = [c for c in named if c not in held]
+    for c in inside:
+        del held[c]
+    words = inside + outside + list(held)
+    bounds = (0, len(inside), len(inside) + len(outside), len(words))
     order = q ** m
     # the digits of -center, coordinate by coordinate
     minus = [[(q - c // q ** p % q) % q for p in range(m)]
              for c in center.packed]
-    present = 0       # bit r: some word's difference has rank r
-    listed = 0
+    hists = (Counter(), Counter(), Counter())
     step = 1 << gabidulin.LANE_BITS
     for first in range(0, len(words), step):
         batch = words[first:first + step]
@@ -148,12 +143,12 @@ def _listed_distances(center: LiftedSubspace, codewords: Sequence[RankWord],
                                      for masks in (stacked, ranks))
                 raise InvariantViolation(
                     f"distance identity violated: {by_stack} != {by_rank}")
-        for r, (a, b) in enumerate(zip(ranks, ranks[1:] + [0])):
-            if a & ~b:
-                present |= 1 << r
-        if tau >= 0:
-            listed += lanes - (ranks[tau + 1].bit_count() if tau < n else 0)
-    return [2 * r for r in range(n + 1) if present >> r & 1], listed
+        cut = [1 << lay.w * min(max(b - first, 0), lanes) for b in bounds]
+        for hist, lo, hi in zip(hists, cut, cut[1:]):
+            ge = [(g & (hi - lo)).bit_count() for g in ranks] + [0]
+            hist.update({r: a - b for r, (a, b) in enumerate(zip(ge, ge[1:]))
+                         if a > b})
+    return hists
 
 
 def prior_lifted_bound(q: int, n: int, m: int, k: int,
@@ -166,60 +161,64 @@ def prior_lifted_bound(q: int, n: int, m: int, k: int,
 
 def verify_lifted_instance(inst, tau_s: Optional[int] = None,
                            budget: int = BALL_BUDGET):
-    """Subspace-level checks of a rank-level instance.
-
-    Lifts the center, checks that the lifted distance of every distinct
-    listed codeword (_listed_distances) is within tau_s (equality to 2 tau
-    expected), compares the rank-level ball at tau with the lifted ball at
-    floor(tau_s/2) when enumerable, and checks the number of distinct
-    listed codewords within lifted distance 2 tau against
-    adversarial.instance_bound at the instance radius tau, which the
-    lifted code carries over unchanged.  Returns a VerificationReport.
-
-    The lifted ball is the lifts of exact_ball at floor(tau_s/2), the rank
-    ball's own list where floor(tau_s/2) == tau: one _listed_distances
-    call must find every one of its words distinct and within lifted
-    distance tau_s, or InvariantViolation, and its count is the measured
-    size.  That shows every word it counts, not that exact_ball missed
-    none.
-    """
+    """Subspace-level checks of a rank-level instance, as a
+    VerificationReport: every listed word's lifted distance within tau_s
+    (2 tau expected); the rank ball at tau against the lifted ball at
+    floor(tau_s/2), both counted in exact_ball's one ball at top; and
+    the listed words in that ball within lifted distance 2 tau against
+    adversarial.instance_bound at the instance radius, which the lifted
+    code carries over.  Over the budget the ball check is skipped and
+    every listed word within 2 tau counts.  A repeated ball word, or one
+    beyond 2 top, raises InvariantViolation: that shows every word
+    counted, not that exact_ball missed none."""
     if tau_s is None:
         tau_s = 2 * inst.tau
-    half = tau_s // 2
+    tau, half = inst.tau, tau_s // 2
+    top = max(tau, half)
     checks = []
 
+    def within(hist, t):
+        return sum(c for r, c in hist.items() if r <= t)
+
     lifted_center = lift_word(inst.center)
-    dists, listed = _listed_distances(lifted_center, inst.codewords,
-                                      inst.tau)
+    if any((cw.spec.q, len(cw.coords), cw.spec.e) != lifted_center[:3]
+           for cw in inst.codewords):
+        raise ShapeMismatch("lifted subspaces of different shapes")
+    code = inst.code
+    try:
+        ball = exact_ball(code, inst.center, top, budget)
+    except BudgetExceeded:
+        ball = None
+    inside, outside, only = _listed_distances(lifted_center, inst.codewords,
+                                              ball or ())
+    dists = [2 * r for r in sorted(inside + outside)]
     checks.append(CheckResult(
         "lifted_distances_within_radius",
         "pass" if dists and dists[-1] <= tau_s else "fail",
-        measured=dists, expected=[2 * inst.tau]))
+        measured=dists, expected=[2 * tau]))
 
-    code = inst.code
-    try:
-        ball = exact_ball(code, inst.center, inst.tau, budget)
-    except BudgetExceeded:
+    if ball is None:
         checks.append(CheckResult(
             "ball_relation_inequality", "skipped",
             measured=f"code size {code.size} over budget {budget}"))
+        counted = outside
     else:
-        rank_count = len(ball)
-        if half != inst.tau:
-            ball = exact_ball(code, inst.center, half, budget)
-        count = _listed_distances(lifted_center, ball, half)[1]
-        if count != len(ball):
+        lifted = inside + only
+        if within(lifted, top) != len(ball):
             raise InvariantViolation(
-                f"lifted ball: {count} distinct words within lifted "
-                f"distance {2 * half} of the {len(ball)} listed")
+                f"lifted ball: {within(lifted, top)} distinct words within "
+                f"lifted distance {2 * top} of the {len(ball)} listed")
+        rank_count, count = within(lifted, tau), within(lifted, half)
         checks.append(CheckResult(
             "ball_relation_inequality",
             "pass" if rank_count <= count else "fail",
             measured=count, expected=rank_count))
+        counted = inside
 
     # the bound belongs to the instance radius; tau_s only sets the
     # distance check and the lifted ball
     bound = instance_bound(inst)
+    listed = within(counted, tau)
     checks.append(CheckResult(
         f"lifted_{inst.kind}_bound",
         "pass" if bound is not None and listed >= bound else "fail",

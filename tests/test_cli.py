@@ -648,16 +648,11 @@ def test_repeated_eval_point_in_file_exits_2(tmp_path, capsys, command):
     assert json.loads(err)["error"] == "ParamMismatch"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "lift-verify does not test that the listed words are codewords: "
-    "adversarial.codewords_check would add 0.6, 4.0, 0.4 and 0.07 ms to "
-    "the four frontier lift-verify calls of 1.3, 2.9, 1.9 and 0.75 ms, "
-    "about 70% of frontier lift_verify_s, so membership waits for a "
-    "lane-based test"))
 def test_lift_verify_of_non_codewords_exits_1(tmp_path, capsys):
     # the five listed words replaced by center + (x, 0, 0, 0): distinct,
     # at rank distance 1 of the center, within the radius, and no
-    # codewords, which verify rejects
+    # codewords, which verify rejects; lift-verify counts only the listed
+    # words in the ball, none here
     inst, data = _gen_gab41(tmp_path, capsys)
     data["codewords"] = [[data["center"][0] ^ x, *data["center"][1:]]
                          for x in (1, 2, 4, 8, 6)]

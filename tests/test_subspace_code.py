@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -243,11 +244,11 @@ def test_lifted_count_with_hoisted_center_basis(monkeypatch, q, n, m, k, s):
 @pytest.mark.parametrize("change", ["outside", "repeat", "drop"])
 @pytest.mark.parametrize("q", [2, 3])
 def test_a_spied_exact_ball_is_caught(monkeypatch, q, change):
-    # the lifted ball is exact_ball's list, the rank ball's own at
-    # floor(tau_s/2) == tau and a second call's above it, each word
-    # checked in lanes: a codeword outside the radius or a repeated word
-    # raises; a dropped word leaves every word within the radius, passes,
-    # and is caught by the exhaustive count over every codeword's lift
+    # the lifted ball is exact_ball's list at max(tau, floor(tau_s/2)),
+    # each word checked in lanes: a codeword outside that radius or a
+    # repeated word raises; a dropped word leaves every word within the
+    # radius, passes, and is caught by the exhaustive count over every
+    # codeword's lift
     inst = build_explicit_instance(q, 2, 1, 4, 4)
     code, center, tau = inst.code, inst.center, inst.tau
     far = max(codewords(code),
@@ -272,6 +273,71 @@ def test_a_spied_exact_ball_is_caught(monkeypatch, q, change):
         assert (check.status, check.measured) == ("pass", size - 1)
         assert check.measured != reference.lifted_count(
             code, lift_word(center), tau_s // 2) == size
+
+
+@pytest.mark.parametrize("name", ["q2-counting-gab6-3", "q2-explicit-gab6-3",
+                                  "q3-counting-gab4-2",
+                                  "q3-explicit-gab4-1-m8"])
+def test_listed_words_that_are_not_codewords_count_nothing(name):
+    # as many words center + a e_0, a != 0, as the instance lists, each at
+    # rank distance 1 of the center and no codeword: every one is within
+    # the radius, none is in the ball, so the lifted bound counts 0 and
+    # fails wherever the ball is enumerable
+    inst = reference.bench_instance(name)
+    f, (head, *rest) = inst.code.field, inst.center.coords
+    assert subspace_code.exact_ball(inst.code, inst.center, 1) == []
+    forged = inst._replace(codewords=tuple(
+        RankWord(f, (f.add(head, a), *rest))
+        for a in range(1, len(inst.codewords) + 1)))
+    for tau_s in (2 * inst.tau - 1, 2 * inst.tau, 2 * inst.tau + 2):
+        checks = {c.name: c for c in
+                  verify_lifted_instance(forged, tau_s=tau_s).checks}
+        assert checks["lifted_distances_within_radius"].measured == [2]
+        check = checks[f"lifted_{inst.kind}_bound"]
+        assert (check.status, check.measured, check.expected) == (
+            "fail", 0, len(inst.codewords))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_one_ball_and_one_lane_pass(monkeypatch, q):
+    # one exact_ball call, at max(tau, floor(tau_s/2)), and one stacked
+    # and one difference elimination per distinct word of the listed
+    # words and the ball: the list holds a repeat and a word outside the
+    # ball, and the oracle's own rank_lanes calls are not counted
+    inst = build_explicit_instance(q, 2, 1, 4, 4)
+    f, tau = inst.code.field, inst.tau
+    stray = RankWord(f, (f.add(inst.center.coords[0], 1),
+                         *inst.center.coords[1:]))
+    inst = inst._replace(
+        codewords=inst.codewords + inst.codewords[:1] + (stray,))
+    exact_ball, rank_lanes = subspace_code.exact_ball, gfmatrix.rank_lanes
+    radii, lanes, oracle, words = [], [], [], set()
+
+    def ball_spy(code, center, radius, budget):
+        oracle.append(1)
+        try:
+            ball = exact_ball(code, center, radius, budget)
+        finally:
+            oracle.pop()
+        radii.append(radius)
+        words.update(w.coords for w in ball)
+        return ball
+
+    def lane_spy(start, vecs, limit, count, q):
+        if not oracle:
+            lanes.append(count)
+        return rank_lanes(start, vecs, limit, count, q)
+
+    monkeypatch.setattr(subspace_code, "exact_ball", ball_spy)
+    monkeypatch.setattr(gfmatrix, "rank_lanes", lane_spy)
+    for tau_s in (2 * tau - 1, 2 * tau, 2 * tau + 2):
+        radii.clear()
+        lanes.clear()
+        words.clear()
+        words.update(w.coords for w in inst.codewords)
+        verify_lifted_instance(inst, tau_s=tau_s)
+        assert radii == [max(tau, tau_s // 2)]
+        assert sum(lanes) == 2 * len(words)
 
 
 @pytest.mark.parametrize("name", sorted(reference.BALL_SIZES))
@@ -302,12 +368,12 @@ LISTED_CODES = [(2, 4, 4, 2, 0), (2, 3, 6, 1, 0), (3, 3, 3, 1, 0),
 
 @pytest.mark.parametrize("q, n, m, k, s", LISTED_CODES)
 def test_listed_distances_are_the_per_word_loop(monkeypatch, q, n, m, k, s):
-    # the lane check of the listed words against one lift_word and one
-    # lifted_distance per word: the sorted distinct lifted distances and
-    # the number of distinct words within 2 tau, at every tau from -1 to
-    # n + 1, on codewords, other words, the center itself and duplicates,
-    # in one batch and in several of 2^LANE_BITS = 2 and 8 words; an empty
-    # list has no distance and lists nothing
+    # the lane pass over the listed and ball words against one lift_word
+    # and one lifted_distance per word: for each group, the distinct
+    # listed words in the ball, the others listed and the ball's words not
+    # listed, the Counter of half lifted distances, on codewords, other
+    # words, the center itself and duplicates, in one batch and in several
+    # of 2^LANE_BITS = 2 and 8 words; an empty group counts nothing
     rng = random.Random(f"listed:{q}:{n}:{m}:{k}:{s}")
     code = puncture(make_code(q, n, m, k, rng.randrange(q ** m - 1)), s)
     f = code.field
@@ -317,19 +383,33 @@ def test_listed_distances_are_the_per_word_loop(monkeypatch, q, n, m, k, s):
                                  for _ in range(code.n)))
 
     center = word()
-    words = rng.sample(list(codewords(code)), 20)
-    words += [word() for _ in range(10)] + [center]
+    pool = rng.sample(list(codewords(code)), 25)
+    words = pool[:20] + [word() for _ in range(10)] + [center]
     words += rng.sample(words, 6)
+    ball = rng.sample(words[:31], 8) + pool[20:] + [word()]
     lc = lift_word(center)
     dist = {w.coords: lifted_distance(lc, lift_word(w)) for w in words}
     assert 0 in dist.values() and len(dist) < len(words)
+
+    def hist(group):
+        return Counter(lifted_distance(lc, lift_word(w)) // 2
+                       for w in {w.coords: w for w in group}.values())
+
+    held = {w.coords for w in ball}
+    named = {w.coords for w in words}
+    groups = (hist(w for w in words if w.coords in held),
+              hist(w for w in words if w.coords not in held),
+              hist(w for w in ball if w.coords not in named))
+    assert all(groups)
     for bits in (1, 3, gabidulin.LANE_BITS):
         monkeypatch.setattr(gabidulin, "LANE_BITS", bits)
-        for tau in range(-1, code.n + 2):
-            assert subspace_code._listed_distances(lc, words, tau) == (
-                sorted(set(dist.values())),
-                sum(d <= 2 * tau for d in dist.values()))
-            assert subspace_code._listed_distances(lc, [], tau) == ([], 0)
+        assert subspace_code._listed_distances(lc, words, ball) == groups
+        assert subspace_code._listed_distances(lc, words, []) == (
+            Counter(), hist(words), Counter())
+        assert subspace_code._listed_distances(lc, [], ball) == (
+            Counter(), Counter(), hist(ball))
+        assert subspace_code._listed_distances(lc, [], []) == (
+            Counter(),) * 3
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -354,9 +434,11 @@ def test_a_listed_word_beyond_the_radius_fails_the_lifted_check(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_disagreeing_rank_masks_raise(monkeypatch, q, side):
     # the stacked [X | I_n] rank less n and the rank of X - center must
-    # agree in every lane: lane 0, at rank tau = 2 in both, flipped into
-    # the top mask of either elimination counts one rank more there, and
-    # raises with both distances of that lane
+    # agree in every lane, over the listed words alone (budget 1) and
+    # over them and the ball: lane 0, the first listed word, at rank
+    # tau = 2 in both, flipped into the top mask of either elimination
+    # counts one rank more there, and raises with both distances of that
+    # lane
     inst = build_explicit_instance(q, 2, 1, 4, 4)
     original = gfmatrix.rank_lanes
 
@@ -368,9 +450,10 @@ def test_disagreeing_rank_masks_raise(monkeypatch, q, side):
 
     monkeypatch.setattr(gfmatrix, "rank_lanes", flip)
     message = "4 != 6" if side == "difference" else "6 != 4"
-    with pytest.raises(InvariantViolation,
-                       match=f"distance identity violated: {message}"):
-        verify_lifted_instance(inst, budget=1)
+    for budget in (1, BALL_BUDGET):
+        with pytest.raises(InvariantViolation,
+                           match=f"distance identity violated: {message}"):
+            verify_lifted_instance(inst, budget=budget)
 
 
 def _unpack(v, q, width):

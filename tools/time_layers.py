@@ -20,10 +20,10 @@ seed 1 as tools/same_reports.py builds them.  Its sections:
   benchmark's setup_s times in the same way, with bytecode written and
   warmed by one untimed interpreter first;
 - "lanes": a full gabidulin._lane_walk and gabidulin.ball_by_lanes at
-  the instance radius, and the lifted ball of
-  subspace_code.verify_lifted_instance at floor(tau_s/2) = tau, one
-  subspace_code._listed_distances call on the words of
-  gabidulin.exact_ball at the instance radius (the ball, built at a
+  the instance radius, and the lane pass of
+  subspace_code.verify_lifted_instance at tau_s = 2 tau, one
+  subspace_code._listed_distances call on the listed words and the words
+  of gabidulin.exact_ball at the instance radius (the ball, built at a
   budget of the code's size, and the center's lift_word outside the
   timing), on every instance of the q2-exhaustive and odd-exhaustive
   workloads of bench/workloads.py and on the 2^24-word counting
@@ -53,11 +53,16 @@ seed 1 as tools/same_reports.py builds them.  Its sections:
   frontier explicit instances Gab[8,5] and Gab[10,7], and the codeword
   check of adversarial.verify_instance on its own
   (adversarial.codewords_check);
-- "listed": the listed-word check of subspace_code.verify_lifted_instance,
-  the sorted distinct lifted distances of the listed codewords from the
-  lifted center and the number within 2 tau, on every instance of the
-  three workloads, with the center's lift_word outside the timing
-  (subspace_code._listed_distances).
+- "listed": the lane pass of subspace_code.verify_lifted_instance over
+  the budget, one subspace_code._listed_distances call on the listed
+  codewords alone, the sorted distinct lifted distances of those from
+  the lifted center and the number within 2 tau, on every instance of the
+  three workloads, with the center's lift_word outside the timing;
+- "lift": subspace_code.verify_lifted_instance on every instance of the
+  q2-exhaustive and odd-exhaustive workloads at the subspace radii
+  tau_s = 2 tau - 1, 2 tau, 2 tau + 2 and 2 n, timed
+  FRONTIER_REPEATS times at 2 n, where its one exact_ball call lists the
+  whole code.
 
 Two source trees are compared by running it on each:
 
@@ -176,7 +181,11 @@ def main(argv=None) -> int:
         subfield_linear_family,
     )
     from ranklab.subspace import gaussian_binomial
-    from ranklab.subspace_code import _listed_distances, lift_word
+    from ranklab.subspace_code import (
+        _listed_distances,
+        lift_word,
+        verify_lifted_instance,
+    )
 
     started = startup(os.path.join(src, "src"), WORKLOADS)
 
@@ -216,7 +225,8 @@ def main(argv=None) -> int:
             "ball_by_lanes_s": median_seconds(
                 repeats, gabidulin.ball_by_lanes, code, center, tau),
             "lifted_ball_s": median_seconds(
-                repeats, _listed_distances, lift_word(center), ball, tau),
+                repeats, _listed_distances, lift_word(center),
+                built.codewords, ball),
         })
     families = [{
         "params": [q, n, r, g, ell],
@@ -306,16 +316,31 @@ def main(argv=None) -> int:
         # milliseconds a call, so REPEATS on the frontier too
         built = build(name)[0]
         center = lift_word(built.center)
-        dists, count = _listed_distances(center, built.codewords, built.tau)
+        ranks = _listed_distances(center, built.codewords, ())[1]
         listed.append({
             "instance": name,
             "code": repr(built.code),
             "words": len(built.codewords),
-            "distances": dists,
-            "listed": count,
+            "distances": [2 * r for r in sorted(ranks)],
+            "listed": sum(c for r, c in ranks.items() if r <= built.tau),
             "listed_s": median_seconds(REPEATS, _listed_distances, center,
-                                       built.codewords, built.tau),
+                                       built.codewords, ()),
         })
+    lift = []
+    for name in exhaustive:
+        built = build(name)[0]
+        tau, n = built.tau, built.code.n
+        for radius, tau_s in (("2tau-1", 2 * tau - 1), ("2tau", 2 * tau),
+                              ("2tau+2", 2 * tau + 2), ("2n", 2 * n)):
+            lift.append({
+                "instance": name,
+                "code": repr(built.code),
+                "radius": radius,
+                "tau_s": tau_s,
+                "verify_lifted_instance_s": median_seconds(
+                    FRONTIER_REPEATS if radius == "2n" else REPEATS,
+                    verify_lifted_instance, built, tau_s),
+            })
     print(json.dumps({
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
@@ -329,6 +354,7 @@ def main(argv=None) -> int:
         "exact_ball": exact,
         "evaluation": evaluation,
         "listed": listed,
+        "lift": lift,
     }, indent=1))
     return 0
 
